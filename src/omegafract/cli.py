@@ -25,6 +25,7 @@ from . import geometry
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
+    _component_sub_automaton,
     check_unambiguous,
     classify_properties,
     load_automaton,
@@ -220,17 +221,7 @@ def _cmd_dim(a: Automaton, config: AnalysisConfig, args) -> dict:
     for i, comp in enumerate(scc.components):
         if scc.trivial[i]:
             continue
-        members = set(comp)
-        sub = Automaton(
-            base=a.base,
-            arity=a.arity,
-            states=comp,
-            transitions=tuple(
-                t for t in a.transitions if t[0] in members and t[2] in members
-            ),
-            start=frozenset({comp[0]}),
-            accept=frozenset(comp),
-        )
+        sub = _component_sub_automaton(a, scc.components, i, comp[0])
         try:
             alphas["+".join(comp)] = mw_alpha(sub, tol=config.spectral_tolerance)
         except NotStronglyConnectedError:

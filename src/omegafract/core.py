@@ -401,14 +401,11 @@ def classify_properties(a: Automaton) -> PropertyFlags:
     ``finite_trim`` allows the zero-length path (the state may itself be
     accepting with no continuation).
     """
-    deterministic = len(a.start) == 1 and all(
-        len(dsts) <= 1 for dsts in a._delta.values()
-    )
+    deterministic = _is_deterministic(a)
     reachable = _forward_reachable(a, a.start)
     coacc0 = _backward_reachable(a, a.accept)
     finite_trim = all(q in reachable and q in coacc0 for q in a.states)
-    coacc1 = _coaccessible_nonzero(a)
-    trim = all(q in reachable and q in coacc1 for q in a.states)
+    trim = _is_trim(a, reachable)
     closed = trim and a.accept == frozenset(a.states)
     scc = scc_decompose(a)
     weak = all(
@@ -423,8 +420,21 @@ def classify_properties(a: Automaton) -> PropertyFlags:
     )
 
 
+def _is_deterministic(a: Automaton) -> bool:
+    """One start state and at most one successor per state and symbol."""
+    return len(a.start) == 1 and all(len(dsts) <= 1 for dsts in a._delta.values())
+
+
+def _is_trim(a: Automaton, reachable: set[str]) -> bool:
+    """Strict trim test, given the states reachable from a start state."""
+    coacc1 = _coaccessible_nonzero(a)
+    return all(q in reachable and q in coacc1 for q in a.states)
+
+
 def require_trim(a: Automaton) -> None:
-    if not classify_properties(a).trim:
+    """Raise :class:`NotTrimError` unless ``a`` is trim; computes only the
+    trim flag of :func:`classify_properties`."""
+    if not _is_trim(a, _forward_reachable(a, a.start)):
         raise NotTrimError("operation requires a trim automaton")
 
 
@@ -574,6 +584,28 @@ def cycle_automaton(a: Automaton, q: str) -> Automaton:
     if q not in set(states_on_cycles(a)):
         raise AcyclicStateError(f"state {q!r} lies on no cycle")
     return trim(a.replace(start=[q], accept=[q]))
+
+
+def _component_sub_automaton(a: Automaton, components, cid: int, q: str) -> Automaton:
+    """Closure of the component sub-automaton rooted at ``q``: the states
+    of component ``cid`` in declaration order, the transitions between
+    them, start ``q`` and every state accepting.
+
+    For ``q`` on a cycle this differs from :func:`cycle_automaton` only in
+    its accept set, which neither the counting matrix nor the prefix
+    determinization reads.
+    """
+    component = set(components[cid])
+    return Automaton(
+        base=a.base,
+        arity=a.arity,
+        states=components[cid],
+        transitions=tuple(
+            tr for tr in a.transitions if tr[0] in component and tr[2] in component
+        ),
+        start=frozenset({q}),
+        accept=frozenset(component),
+    )
 
 
 def multigraph_to_digraph(a: Automaton) -> Automaton:

@@ -19,13 +19,14 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
     DigitVector,
+    SccDecomposition,
     Word,
+    _component_sub_automaton,
+    _is_deterministic,
     classify_properties,
-    cycle_automaton,
     prefix_determinization,
     require_trim,
     scc_decompose,
-    states_on_cycles,
     trim,
 )
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     NotStronglyConnectedError,
     NotTrimError,
 )
-from .spectral import DEFAULT_SPECTRAL_TOL, entropy, spectral_radius, transfer_matrix
+from .spectral import DEFAULT_SPECTRAL_TOL, counting_matrix, entropy, spectral_radius
 
 #: Guard band for dimension comparisons, an order of magnitude above the
 #: spectral tolerance the underlying quantities are computed to.
@@ -46,8 +47,11 @@ class DimensionReport:
     """Dimensions plus the per-state cycle entropies they maximize over.
 
     ``per_state`` maps each state lying on a cycle to the entropy of its
-    cycle language (natural log).  Witnesses are the first states, in
-    declaration order, attaining each maximum.
+    cycle language (natural log), in declaration order.  The value is
+    computed once per strongly connected component and shared by all its
+    states (see :func:`cycle_entropies` for why it is constant there).
+    Witnesses are the first states, in declaration order, attaining each
+    maximum.
     """
 
     arity: int
@@ -77,10 +81,30 @@ class DensityReport:
 
 
 def cycle_entropies(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[str, float]:
-    """Entropy of the cycle language of every state that lies on a cycle."""
+    """Entropy of the cycle language of every state that lies on a cycle,
+    keyed in declaration order.
+
+    The entropy is the same for all states of a strongly connected
+    component: for q, p in one component with words u: q -> p and
+    v: p -> q, the map w -> v w u injects the cycle language of q into that
+    of p (and symmetrically), so the two grow at the same rate.  It is
+    therefore computed once per non-trivial component, on the component
+    rooted at its first state in declaration order, whose counting matrix
+    and prefix determinization are those of that state's cycle automaton.
+    """
     require_trim(a)
+    scc = scc_decompose(a)
+    per_component = {
+        cid: entropy(
+            _component_sub_automaton(a, scc.components, cid, comp[0]), cap=cap
+        )
+        for cid, comp in enumerate(scc.components)
+        if not scc.trivial[cid]
+    }
     return {
-        q: entropy(cycle_automaton(a, q), cap=cap) for q in states_on_cycles(a)
+        q: per_component[scc.component_of[q]]
+        for q in a.states
+        if scc.component_of[q] in per_component
     }
 
 
@@ -94,16 +118,24 @@ def _argmax(entropies: dict[str, float], candidates) -> tuple[str, float]:
     return best_state, best
 
 
+def _witnessed_dimension(
+    a: Automaton, entropies: dict[str, float], accept_only: bool
+) -> tuple[str, float]:
+    """First state in declaration order attaining the maximum cycle entropy
+    over the accept states on cycles (``accept_only``) or over all states on
+    cycles, and that maximum divided by log k."""
+    candidates = [q for q in entropies if not accept_only or q in a.accept]
+    witness, best = _argmax(entropies, candidates)
+    return witness, best / math.log(a.base)
+
+
 def hausdorff_dimension(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """(1/log k) * max cycle-language entropy over accept states on cycles.
 
     Accept states on no cycle have cycle language {eps} and are skipped;
     trimness guarantees at least one accept state lies on a cycle.
     """
-    entropies = cycle_entropies(a, cap=cap)
-    accept_cycles = [q for q in a.states if q in a.accept and q in entropies]
-    _, best = _argmax(entropies, accept_cycles)
-    return best / math.log(a.base)
+    return _witnessed_dimension(a, cycle_entropies(a, cap=cap), accept_only=True)[1]
 
 
 def box_dimension(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -111,9 +143,7 @@ def box_dimension(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
 
     Equals the Hausdorff dimension of the closure of the recognized set.
     """
-    entropies = cycle_entropies(a, cap=cap)
-    _, best = _argmax(entropies, [q for q in a.states if q in entropies])
-    return best / math.log(a.base)
+    return _witnessed_dimension(a, cycle_entropies(a, cap=cap), accept_only=False)[1]
 
 
 def closed_dimension(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -127,13 +157,8 @@ def closed_dimension(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
 def dimension_report(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> DimensionReport:
     """Full dimension analysis in one pass over the cycle entropies."""
     entropies = cycle_entropies(a, cap=cap)
-    on_cycle = [q for q in a.states if q in entropies]
-    accept_cycles = [q for q in on_cycle if q in a.accept]
-    h_witness, h_best = _argmax(entropies, accept_cycles)
-    b_witness, b_best = _argmax(entropies, on_cycle)
-    log_k = math.log(a.base)
-    hausdorff = h_best / log_k
-    box = b_best / log_k
+    h_witness, hausdorff = _witnessed_dimension(a, entropies, accept_only=True)
+    b_witness, box = _witnessed_dimension(a, entropies, accept_only=False)
     return DimensionReport(
         arity=a.arity,
         hausdorff=hausdorff,
@@ -169,6 +194,10 @@ def mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
     strictly decreasing whenever a cycle exists; monotonicity is verified
     at the bracket endpoints before bisecting.  Returns 0 when even the
     exponent-0 radius is below 1.
+
+    Since transfer(alpha) = k^(-alpha) * C with C the integer counting
+    matrix, C is built once and scaled at every step; the entries equal
+    those :func:`~omegafract.spectral.transfer_matrix` would build.
     """
     scc = scc_decompose(a)
     if len(scc) != 1 or scc.trivial[0]:
@@ -176,14 +205,16 @@ def mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
             "critical exponent requires a single non-trivial strongly"
             " connected component covering all states"
         )
-    flags = classify_properties(a)
-    if flags.deterministic:
+    if _is_deterministic(a):
         b = a
     else:
         b = prefix_determinization(a.replace(accept=a.states))
 
+    counts = counting_matrix(b).to_numpy()
+
     def radius(alpha: float) -> float:
-        return spectral_radius(transfer_matrix(b, alpha), tol=tol)
+        weight = 1.0 if alpha == 0 else float(b.base) ** (-alpha)
+        return spectral_radius(counts * weight, tol=tol)
 
     lo, hi = 0.0, float(a.arity)
     f_lo, f_hi = radius(lo), radius(hi)
@@ -245,17 +276,62 @@ def _run_word(a: Automaton, word: Word) -> frozenset[str]:
     return current
 
 
-def _cycle_prefixes_complete(a: Automaton, q: str, cap: int) -> bool:
+def _cycle_prefixes_complete(
+    a: Automaton, scc: SccDecomposition, q: str, cap: int
+) -> bool:
     """Does every finite digit string extend to a word of q's cycle
-    language?  Decided exactly on the determinized prefix automaton of the
-    cycle automaton: complete iff no reachable subset state is missing an
-    outgoing digit."""
-    det = prefix_determinization(cycle_automaton(a, q), cap=cap)
+    language?  Decided exactly on the determinized prefix automaton of q's
+    component rooted at q (the prefix language of its cycle language):
+    complete iff no reachable subset state is missing an outgoing digit."""
+    cid = scc.component_of[q]
+    det = prefix_determinization(
+        _component_sub_automaton(a, scc.components, cid, q), cap=cap
+    )
     full = a.base**a.arity
     out_degree = {state: 0 for state in det.states}
     for src, _, _ in det.transitions:
         out_degree[src] += 1
     return all(deg == full for deg in out_degree.values())
+
+
+def _component_closed_under_digits(a: Automaton, component: tuple[str, ...]) -> bool:
+    """Whether every state of a deterministic component has a transition
+    into the component on every one of the k^d digits."""
+    members = set(component)
+    full = a.base**a.arity
+    return all(
+        sum(1 for _, dst in a.out_edges[p] if dst in members) == full
+        for p in component
+    )
+
+
+def _complete_cycle_states(
+    a: Automaton, scc: SccDecomposition, deterministic: bool, cap: int
+) -> list[str]:
+    """States on cycles whose cycle-prefix set is complete, in declaration
+    order.
+
+    On a deterministic automaton the prefix determinization of a component
+    is the component itself, reached whole from any of its states, so
+    completeness is a property of the component and is decided once per
+    component.  On an NFA the subsets reached depend on the root state and
+    every state is checked.
+    """
+    complete: dict[int, bool] = {}
+    witnesses = []
+    for q in a.states:
+        cid = scc.component_of[q]
+        if scc.trivial[cid]:
+            continue
+        if not deterministic:
+            if _cycle_prefixes_complete(a, scc, q, cap):
+                witnesses.append(q)
+            continue
+        if cid not in complete:
+            complete[cid] = _component_closed_under_digits(a, scc.components[cid])
+        if complete[cid]:
+            witnesses.append(q)
+    return witnesses
 
 
 def density_classifier(
@@ -275,19 +351,27 @@ def density_classifier(
     if a.arity != 1:
         raise ArityError("density classification is defined for arity 1")
     require_trim(a)
-    witnesses = [
-        q for q in states_on_cycles(a) if _cycle_prefixes_complete(a, q, cap)
-    ]
+    scc = scc_decompose(a)
+    deterministic = _is_deterministic(a)
+    witnesses = _complete_cycle_states(a, scc, deterministic, cap)
     if not witnesses:
         return DensityReport(
             nowhere_dense=True,
             somewhere_dense=False,
             dense_codense_on_interval=None,
         )
+    # On a deterministic automaton the access word leads to q alone, so
+    # every witness of one component reroots to the same sub-automaton.
+    failed_components = set()
     for q in witnesses:
+        cid = scc.component_of[q]
+        if cid in failed_components:
+            continue
         u = _shortest_word_to(a, q)
         rerooted = trim(a.replace(start=_run_word(a, u)))
         local_dim = hausdorff_dimension(rerooted, cap=cap)
+        if deterministic:
+            failed_components.add(cid)
         if local_dim < 1.0 - REPORT_TOL:
             left = Fraction(0)
             for i, sym in enumerate(u):

@@ -99,6 +99,13 @@ class ConfigError(OmegafractError):
     code = "config"
 
 
+class NotConvergedError(OmegafractError):
+    """An iterative solver used up its iteration budget before reaching
+    its tolerance; no unconverged value is returned."""
+
+    code = "not-converged"
+
+
 class NonCriticalExponentWarning(UserWarning):
     """Emitted when a component's transfer matrix has spectral radius away
     from 1, i.e. the requested exponent is not that component's critical

@@ -19,19 +19,22 @@ import numpy as np
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
+    SccDecomposition,
     Transition,
     _backward_reachable,
+    _component_sub_automaton,
     _forward_reachable,
+    _is_deterministic,
     check_unambiguous,
-    classify_properties,
     prefix_determinization,
     require_trim,
     scc_decompose,
 )
-from .dimension import REPORT_TOL, cycle_entropies, hausdorff_dimension
+from .dimension import REPORT_TOL, _witnessed_dimension, cycle_entropies
 from .errors import (
     AmbiguousError,
     NonCriticalExponentWarning,
+    NotConvergedError,
     NotStronglyConnectedError,
     UnreachableStateError,
 )
@@ -67,19 +70,26 @@ class MeasureReport:
 def _perron_vector(matrix: np.ndarray) -> np.ndarray:
     """Positive eigenvector of an irreducible nonnegative matrix, normalized
     to maximum entry 1.  Power iteration on the shifted matrix converges
-    regardless of periodicity."""
+    regardless of periodicity; raises :class:`NotConvergedError` when the
+    iteration budget runs out before the step falls below tolerance."""
     n = matrix.shape[0]
     if n == 1:
         return np.ones(1)
     shifted = matrix + np.eye(n)
     x = np.ones(n)
+    step = math.inf
     for _ in range(_MAX_EIGENVECTOR_ITERATIONS):
         y = shifted @ x
         y = y / y.max()
-        if np.max(np.abs(y - x)) <= _EIGENVECTOR_TOL:
+        step = float(np.max(np.abs(y - x)))
+        if step <= _EIGENVECTOR_TOL:
             return y
         x = y
-    return y
+    raise NotConvergedError(
+        f"Perron eigenvector of a {n}-state component did not converge in"
+        f" {_MAX_EIGENVECTOR_ITERATIONS} iterations (last step {step:.3g},"
+        f" tolerance {_EIGENVECTOR_TOL:.3g})"
+    )
 
 
 def scc_measure(a: Automaton, alpha: float) -> float:
@@ -105,7 +115,7 @@ def scc_measure(a: Automaton, alpha: float) -> float:
             "component measure requires a single non-trivial strongly"
             " connected component covering all states"
         )
-    if classify_properties(a).deterministic:
+    if _is_deterministic(a):
         b = a
     else:
         b = prefix_determinization(a.replace(accept=a.states))
@@ -121,7 +131,12 @@ def scc_measure(a: Automaton, alpha: float) -> float:
         return 0.0 if radius < 1.0 else math.inf
     det_scc = scc_decompose(b)
     if len(det_scc) != 1:
-        return _closed_decomposition_total(b, alpha)
+        # b is closed, so every non-trivial component is accepting and can
+        # key accepting runs: sum the key-state terms, eigenvector leaves.
+        total = 0.0
+        for _, _, contribution in _key_state_terms(b, det_scc, alpha).values():
+            total += contribution  # inf absorbs
+        return total
     vector = _perron_vector(matrix.to_numpy())
     (start,) = b.start
     return float(vector[b.state_index[start]])
@@ -134,20 +149,25 @@ def scc_measure(a: Automaton, alpha: float) -> float:
 _KEY = "<key>"
 
 
-def _transient_automaton(a: Automaton, q: str) -> Automaton | None:
+def _transient_automaton(
+    a: Automaton, scc: SccDecomposition, q: str
+) -> Automaton | None:
     """Finite automaton accepting exactly the key prefixes of ``q``: words
     labeling a run from a start state to the first arrival in ``q``, never
-    touching q's strongly connected component on the way.
+    touching q's strongly connected component on the way.  ``scc`` is the
+    decomposition of ``a``.
 
     The component is deleted and replaced by a fresh final copy of ``q``
     entered exactly at first arrival.  Returns None when no key prefix
     exists (``q`` is then never a key state).
     """
-    scc = scc_decompose(a)
     component = set(scc.components[scc.component_of[q]])
     key = _KEY
     while key in a.state_index:
         key += "'"
+    start = (a.start - component) | ({key} if q in a.start else set())
+    if not start:
+        return None
     outside = [s for s in a.states if s not in component]
     transitions: list[Transition] = []
     for src, sym, dst in a.transitions:
@@ -157,9 +177,6 @@ def _transient_automaton(a: Automaton, q: str) -> Automaton | None:
             transitions.append((src, sym, key))
         elif dst not in component:
             transitions.append((src, sym, dst))
-    start = (a.start - component) | ({key} if q in a.start else set())
-    if not start:
-        return None
     t = Automaton(
         base=a.base,
         arity=a.arity,
@@ -209,44 +226,38 @@ def _key_prefix_series(t: Automaton, base: int, alpha: float) -> float:
     return total
 
 
-def _component_sub_automaton(a: Automaton, components, cid: int, q: str) -> Automaton:
-    """Closure of the component sub-automaton rooted at ``q``."""
-    component = set(components[cid])
-    return Automaton(
-        base=a.base,
-        arity=a.arity,
-        states=components[cid],
-        transitions=tuple(
-            tr for tr in a.transitions if tr[0] in component and tr[2] in component
-        ),
-        start=frozenset({q}),
-        accept=frozenset(component),
-    )
-
-
-def _closed_decomposition_total(b: Automaton, alpha: float) -> float:
-    """Measure at ``alpha`` of the set recognized by a deterministic closed
-    automaton that is not strongly connected: key-state decomposition with
-    eigenvector leaves.  Every non-trivial component of a closed automaton
-    is accepting, so all of them can key accepting runs."""
-    scc = scc_decompose(b)
-    total = 0.0
-    for q in b.states:
+def _key_state_terms(
+    a: Automaton, scc: SccDecomposition, alpha: float
+) -> dict[str, tuple[float, float, float]]:
+    """Key-state decomposition of an unambiguous trim automaton at exponent
+    ``alpha``: for every state q whose non-trivial component contains an
+    accept state and is entered at q by some run from a start state, the
+    key-prefix series, the measure of the component's closure rooted at q,
+    and their product, q's contribution.  A zero-measure component
+    contributes 0 even when its series diverges; a positive-measure one
+    with a divergent series contributes infinity.  ``scc`` is the
+    decomposition of ``a``; keys come in declaration order."""
+    terms: dict[str, tuple[float, float, float]] = {}
+    for q in a.states:
         cid = scc.component_of[q]
-        if scc.trivial[cid]:
+        if not scc.contains_accept[cid] or scc.trivial[cid]:
             continue
-        t = _transient_automaton(b, q)
+        t = _transient_automaton(a, scc, q)
         if t is None:
             continue
-        series = _key_prefix_series(t, b.base, alpha)
-        sub = _component_sub_automaton(b, scc.components, cid, q)
+        series = _key_prefix_series(t, a.base, alpha)
+        sub = _component_sub_automaton(a, scc.components, cid, q)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonCriticalExponentWarning)
             m = scc_measure(sub, alpha)
         if m == 0.0:
-            continue
-        total += math.inf if math.isinf(series) or math.isinf(m) else series * m
-    return total
+            contribution = 0.0
+        elif math.isinf(series) or math.isinf(m):
+            contribution = math.inf
+        else:
+            contribution = series * m
+        terms[q] = (series, m, contribution)
+    return terms
 
 
 def key_prefix_series(a: Automaton, q: str, alpha: float) -> float:
@@ -270,7 +281,7 @@ def key_prefix_series(a: Automaton, q: str, alpha: float) -> float:
             f"state {q!r} cannot key an accepting run: its component has no"
             " accepting cycle"
         )
-    t = _transient_automaton(a, q)
+    t = _transient_automaton(a, scc, q)
     if t is None:
         raise UnreachableStateError(f"no accepting run enters its component at {q!r}")
     return _key_prefix_series(t, a.base, alpha)
@@ -297,30 +308,14 @@ def hausdorff_measure(
     require_trim(a)
     if not check_unambiguous(a):
         raise AmbiguousError("measure decomposition requires an unambiguous automaton")
-    alpha = hausdorff_dimension(a, cap=cap)
     entropies = cycle_entropies(a, cap=cap)
-    scc = scc_decompose(a)
+    _, alpha = _witnessed_dimension(a, entropies, accept_only=True)
     log_k = math.log(a.base)
     per_key_state: dict[str, ComponentMeasure] = {}
     total = 0.0
-    for q in a.states:
-        cid = scc.component_of[q]
-        if not scc.contains_accept[cid] or scc.trivial[cid]:
-            continue
-        t = _transient_automaton(a, q)
-        if t is None:
-            continue
-        series = _key_prefix_series(t, a.base, alpha)
-        sub = _component_sub_automaton(a, scc.components, cid, q)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonCriticalExponentWarning)
-            m = scc_measure(sub, alpha)
-        if m == 0.0:
-            contribution = 0.0
-        elif math.isinf(series) or math.isinf(m):
-            contribution = math.inf
-        else:
-            contribution = series * m
+    for q, (series, m, contribution) in _key_state_terms(
+        a, scc_decompose(a), alpha
+    ).items():
         per_key_state[q] = ComponentMeasure(
             scc_measure=m,
             prefix_series=series,

@@ -20,7 +20,7 @@ import numpy as np
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
-    classify_properties,
+    _is_deterministic,
     prefix_count,
     prefix_determinization,
     require_trim,
@@ -182,14 +182,24 @@ def _block_radius_power(block: np.ndarray, tol: float) -> float:
     return (lo + hi) / 2 - 1.0
 
 
-def spectral_radius(m: CountMatrix, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
+def spectral_radius(
+    m: CountMatrix | np.ndarray, tol: float = DEFAULT_SPECTRAL_TOL
+) -> float:
     """Perron root of a nonnegative square matrix to relative tolerance.
 
-    The matrix digraph is decomposed into strongly connected blocks; the
-    radius is the maximum of the block radii, with cycle-free blocks
-    contributing exactly 0 (so nilpotent matrices return 0.0 exactly).
+    Accepts a :class:`CountMatrix` or a square float array.  The matrix
+    digraph is decomposed into strongly connected blocks; the radius is the
+    maximum of the block radii, with cycle-free blocks contributing exactly
+    0 (so nilpotent matrices return 0.0 exactly).
     """
-    array = m.to_numpy()
+    if isinstance(m, CountMatrix):
+        array = m.to_numpy()
+    else:
+        array = np.asarray(m, dtype=float)
+        if array.ndim != 2 or array.shape[0] != array.shape[1]:
+            raise ValueError("matrix must be square")
+        if np.any(array < 0):
+            raise ValueError("matrix entries must be nonnegative")
     n = array.shape[0]
     succ = {i: [j for j in range(n) if array[i, j] > 0] for i in range(n)}
     best = 0.0
@@ -247,8 +257,7 @@ def entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     infinite-word language.
     """
     require_trim(a)
-    flags = classify_properties(a)
-    b = a if flags.deterministic else prefix_determinization(a, cap=cap)
+    b = a if _is_deterministic(a) else prefix_determinization(a, cap=cap)
     return math.log(spectral_radius(counting_matrix(b)))
 
 

@@ -191,3 +191,67 @@ def forbidden_factor_automaton(base: int, pattern: list[int]) -> Automaton:
         start=frozenset({states[0]}),
         accept=frozenset({states[0]}),
     )
+
+
+def random_multi_scc(
+    rng: random.Random,
+    n_blocks: int = 3,
+    base: int = 2,
+    deterministic: bool = True,
+    full_last: bool = False,
+) -> Automaton:
+    """Unary chain of strongly connected blocks of 2-4 states each.
+
+    Every block is a ring with extra internal edges, block i has an edge
+    into block i + 1 and may have more into later blocks, and the last
+    block holds an accept state, so the result is trim and every block is
+    a multi-state non-trivial component.  States are declared in shuffled
+    order.  With ``full_last`` the last block has every digit on every
+    state going back into the block (a complete component).  Nondeterministic
+    output adds parallel targets on used digits and sometimes a second start.
+    """
+    symbols = _symbols(base, 1)
+    blocks = [
+        [f"b{i}_{j}" for j in range(rng.randint(2, 4))] for i in range(n_blocks)
+    ]
+    transitions: set = set()
+    used: set = set()
+
+    def add(q, sym, dst):
+        if deterministic and (q, sym) in used:
+            return
+        transitions.add((q, sym, dst))
+        used.add((q, sym))
+
+    for i, block in enumerate(blocks):
+        last = i == n_blocks - 1
+        for j, q in enumerate(block):
+            add(q, rng.choice(symbols), block[(j + 1) % len(block)])
+        if not last:
+            q = rng.choice(block)
+            sym = rng.choice([s for s in symbols if (q, s) not in used])
+            add(q, sym, rng.choice(blocks[i + 1]))
+        for q in block:
+            for sym in symbols:
+                if (last and full_last) or rng.random() < 0.3:
+                    add(q, sym, rng.choice(block))
+                elif not last and rng.random() < 0.3:
+                    add(q, sym, rng.choice(rng.choice(blocks[i + 1 :])))
+                elif not deterministic and rng.random() < 0.2:
+                    transitions.add((q, sym, rng.choice(block)))
+    states = [q for block in blocks for q in block]
+    accept = {rng.choice(blocks[-1])} | set(rng.sample(states, rng.randint(0, 3)))
+    start = {blocks[0][0]}
+    if not deterministic and rng.random() < 0.5:
+        start.add(rng.choice(states))
+    rng.shuffle(states)
+    return trim(
+        Automaton(
+            base=base,
+            arity=1,
+            states=tuple(states),
+            transitions=tuple(transitions),
+            start=frozenset(start),
+            accept=frozenset(accept),
+        )
+    )

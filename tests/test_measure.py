@@ -381,3 +381,23 @@ def test_report_alpha_matches_dimension():
         assert report.alpha == pytest.approx(hausdorff_dimension(a), abs=1e-9)
         dims = [cm.scc_dimension for cm in report.per_key_state.values()]
         assert max(dims) == pytest.approx(report.alpha, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# eigenvector iteration budget
+# ---------------------------------------------------------------------------
+
+
+def test_perron_vector_budget_exhausted_raises(monkeypatch, golden_mean):
+    from omegafract import NotConvergedError
+    from omegafract import measure
+
+    monkeypatch.setattr(measure, "_MAX_EIGENVECTOR_ITERATIONS", 3)
+    alpha = hausdorff_dimension(golden_mean)
+    with pytest.raises(NotConvergedError) as info:
+        scc_measure(golden_mean, alpha)
+    assert info.value.code == "not-converged"
+    with pytest.raises(NotConvergedError):
+        hausdorff_measure(golden_mean)
+    monkeypatch.undo()
+    assert scc_measure(golden_mean, alpha) > 0
