@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     AcyclicStateError,
     CapExceededError,
@@ -69,6 +71,32 @@ Word = tuple[DigitVector, ...]
 
 #: One transition: (source state, symbol, target state).
 Transition = tuple[str, DigitVector, str]
+
+
+@dataclass(frozen=True)
+class EdgeList:
+    """Integer form of a transition graph on ``n`` states numbered 0..n-1:
+    edge e runs from ``src[e]`` to ``dst[e]`` on symbol number ``sym[e]``.
+
+    For an automaton the states are numbered in declaration order, the
+    symbols in ``symbols_used`` order and the edges listed in
+    ``transitions`` order.  Parallel edges stay separate, so summing edge
+    weights per (src, dst) pair gives the counting matrix.
+    """
+
+    n: int
+    src: np.ndarray
+    sym: np.ndarray
+    dst: np.ndarray
+
+    @classmethod
+    def from_lists(cls, n: int, src, sym, dst) -> "EdgeList":
+        return cls(
+            n=n,
+            src=np.array(src, dtype=np.intp),
+            sym=np.array(sym, dtype=np.intp),
+            dst=np.array(dst, dtype=np.intp),
+        )
 
 
 def _coerce_symbol(sym: DigitVector | Sequence[int]) -> DigitVector:
@@ -160,6 +188,19 @@ class Automaton:
     @cached_property
     def symbols_used(self) -> tuple[DigitVector, ...]:
         return tuple(sorted({sym for _, sym, _ in self.transitions}))
+
+    @cached_property
+    def edges(self) -> EdgeList:
+        """The transitions as an :class:`EdgeList` (states in declaration
+        order, symbols in ``symbols_used`` order)."""
+        index = self.state_index
+        symbol = {sym: i for i, sym in enumerate(self.symbols_used)}
+        return EdgeList.from_lists(
+            len(self.states),
+            [index[src] for src, _, _ in self.transitions],
+            [symbol[sym] for _, sym, _ in self.transitions],
+            [index[dst] for _, _, dst in self.transitions],
+        )
 
     def delta(self, state: str, symbol: DigitVector | Sequence[int]) -> tuple[str, ...]:
         """Successor states of ``state`` on ``symbol`` (possibly empty)."""
@@ -661,6 +702,18 @@ def multigraph_to_digraph(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
+def _successor_table(a: Automaton) -> list[list[list[int]]]:
+    """``table[q][c]``: the successors of state q on symbol number c, in
+    ``transitions`` order (the order :meth:`Automaton.delta` returns)."""
+    e = a.edges
+    table: list[list[list[int]]] = [
+        [[] for _ in a.symbols_used] for _ in a.states
+    ]
+    for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
+        table[q][c].append(d)
+    return table
+
+
 def check_unambiguous(a: Automaton) -> AmbiguityReport:
     """Decide whether every accepted infinite word has exactly one accepting run.
 
@@ -671,58 +724,85 @@ def check_unambiguous(a: Automaton) -> AmbiguityReport:
     two accepting runs that differ at least once.  Deterministic automata
     are always unambiguous.
     """
-    starts = sorted(a.start)
-    init = [(p, q) for p in starts for q in starts]
-    # BFS keeps, per product pair, a shortest word reaching it.
-    word_to: dict[tuple[str, str], Word] = {pair: () for pair in init}
-    frontier = deque(init)
-    succ: dict[tuple[str, str], list[tuple[str, str]]] = {pair: [] for pair in init}
+    n = len(a.states)
+    table = _successor_table(a)
+    starts = [a.state_index[q] for q in sorted(a.start)]
+    # Pair (p, q) is the integer p * n + q.  The breadth-first search keeps,
+    # per pair, the first (hence a shortest) word reaching it as a back
+    # pointer (previous pair, symbol number) and its length.
+    back: dict[int, tuple[int, int] | None] = {}
+    depth: dict[int, int] = {}
+    succ: dict[int, list[int]] = {}
+    for p in starts:
+        for q in starts:
+            back[p * n + q] = None
+            depth[p * n + q] = 0
+            succ[p * n + q] = []
+    frontier = deque(back)
     while frontier:
-        p, q = frontier.popleft()
-        here = word_to[(p, q)]
-        for sym in a.symbols_used:
-            for p2 in a.delta(p, sym):
-                for q2 in a.delta(q, sym):
-                    succ[(p, q)].append((p2, q2))
-                    if (p2, q2) not in word_to:
-                        word_to[(p2, q2)] = here + (sym,)
-                        succ.setdefault((p2, q2), [])
-                        frontier.append((p2, q2))
-    pairs = list(word_to)
-    decoded = tarjan_components(pairs, succ)
-    comp_of: dict[tuple[str, str], int] = {}
-    for i, comp in enumerate(decoded):
+        pair = frontier.popleft()
+        p_rows, q_rows = table[pair // n], table[pair % n]
+        out = succ[pair]
+        for c, p_next in enumerate(p_rows):
+            for p2 in p_next:
+                for q2 in q_rows[c]:
+                    nxt = p2 * n + q2
+                    out.append(nxt)
+                    if nxt not in back:
+                        back[nxt] = (pair, c)
+                        depth[nxt] = depth[pair] + 1
+                        succ[nxt] = []
+                        frontier.append(nxt)
+    pairs = list(back)
+    accept = {a.state_index[q] for q in a.accept}
+    comp_of: dict[int, int] = {}
+    components = tarjan_components(pairs, succ)
+    for i, comp in enumerate(components):
         for pair in comp:
             comp_of[pair] = i
-    nontrivial = set()
+    nontrivial = {
+        comp_of[pair]
+        for pair in pairs
+        if any(comp_of[nxt] == comp_of[pair] for nxt in succ[pair])
+    }
+    # pairs that can reach a good component: one reverse search from them
+    preds: dict[int, list[int]] = {pair: [] for pair in pairs}
     for pair in pairs:
         for nxt in succ[pair]:
-            if comp_of[nxt] == comp_of[pair]:
-                nontrivial.add(comp_of[pair])
-    good = {
-        i
-        for i, comp in enumerate(decoded)
-        if i in nontrivial
-        and any(p in a.accept for p, _ in comp)
-        and any(q in a.accept for _, q in comp)
-    }
-    # pairs that can reach a good component
-    reach_good: set[tuple[str, str]] = set()
-    for i in good:
-        reach_good.update(decoded[i])
-    changed = True
-    while changed:
-        changed = False
-        for pair in pairs:
-            if pair not in reach_good and any(n in reach_good for n in succ[pair]):
-                reach_good.add(pair)
-                changed = True
-    witnesses = [
-        word_to[pair] for pair in pairs if pair[0] != pair[1] and pair in reach_good
-    ]
-    if not witnesses:
+            preds[nxt].append(pair)
+    reach_good: set[int] = set()
+    for i in nontrivial:
+        comp = components[i]
+        if any(pair // n in accept for pair in comp) and any(
+            pair % n in accept for pair in comp
+        ):
+            reach_good.update(comp)
+    stack = list(reach_good)
+    while stack:
+        for prev in preds[stack.pop()]:
+            if prev not in reach_good:
+                reach_good.add(prev)
+                stack.append(prev)
+    candidates = [pair for pair in reach_good if pair // n != pair % n]
+    if not candidates:
         return AmbiguityReport(unambiguous=True)
-    witness = min(witnesses, key=lambda w: (len(w), tuple(s.digits for s in w)))
+    shortest = min(depth[pair] for pair in candidates)
+    used = a.symbols_used
+
+    def word(pair: int) -> Word:
+        out: list[DigitVector] = []
+        step = back[pair]
+        while step is not None:
+            pair, c = step
+            out.append(used[c])
+            step = back[pair]
+        out.reverse()
+        return tuple(out)
+
+    witness = min(
+        (word(pair) for pair in candidates if depth[pair] == shortest),
+        key=lambda w: tuple(s.digits for s in w),
+    )
     return AmbiguityReport(unambiguous=False, witness=witness)
 
 
@@ -811,6 +891,82 @@ def accepts(a: Automaton, word: Iterable[DigitVector | Sequence[int]]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _bits(subset: int) -> list[int]:
+    """Members of a bitmask subset, in increasing order."""
+    out = []
+    while subset:
+        low = subset & -subset
+        out.append(low.bit_length() - 1)
+        subset ^= low
+    return out
+
+
+def _subset_construction(a: Automaton, cap: int) -> tuple[list[int], EdgeList]:
+    """Subset construction on bitmask subsets (bit i is the i-th declared
+    state).  Subsets are numbered in breadth-first discovery order from the
+    start set, trying symbols in ``symbols_used`` order; the empty set is
+    never entered.  Returns the subsets and the edges between their numbers
+    (symbol numbers as in :attr:`Automaton.edges`).  Raises
+    :class:`CapExceededError` once more than ``cap`` subsets appear."""
+    n_sym = len(a.symbols_used)
+    masks = [
+        [sum(1 << d for d in dsts) for dsts in row] for row in _successor_table(a)
+    ]
+    start = 0
+    for q in a.start:
+        start |= 1 << a.state_index[q]
+    subsets = [start]
+    number = {start: 0}
+    src: list[int] = []
+    sym: list[int] = []
+    dst: list[int] = []
+    i = 0
+    while i < len(subsets):
+        rows = [masks[q] for q in _bits(subsets[i])]
+        for c in range(n_sym):
+            target = 0
+            for row in rows:
+                target |= row[c]
+            if not target:
+                continue
+            j = number.get(target)
+            if j is None:
+                j = number[target] = len(subsets)
+                subsets.append(target)
+                if len(subsets) > cap:
+                    raise CapExceededError(
+                        f"subset construction exceeded cap {cap}"
+                    )
+            src.append(i)
+            sym.append(c)
+            dst.append(j)
+        i += 1
+    return subsets, EdgeList.from_lists(len(subsets), src, sym, dst)
+
+
+def _subset_automaton(a: Automaton, subsets: list[int], edges: EdgeList) -> Automaton:
+    """The output of :func:`_subset_construction` as an automaton: subset
+    states named ``{q1,q2,...}`` in declaration order, all accepting."""
+    names = [
+        "{" + ",".join(a.states[q] for q in _bits(subset)) + "}"
+        for subset in subsets
+    ]
+    used = a.symbols_used
+    return Automaton(
+        base=a.base,
+        arity=a.arity,
+        states=tuple(names),
+        transitions=tuple(
+            (names[i], used[c], names[j])
+            for i, c, j in zip(
+                edges.src.tolist(), edges.sym.tolist(), edges.dst.tolist()
+            )
+        ),
+        start=frozenset({names[0]}),
+        accept=frozenset(names),
+    )
+
+
 def prefix_determinization(
     a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Automaton:
@@ -819,40 +975,9 @@ def prefix_determinization(
     Subset construction over the trim input with every subset accepting:
     the prefix language of a trim automaton is prefix-closed and regular,
     so runs of the result are in bijection with distinct prefixes.  The
-    result is trim, closed and deterministic.
+    result is trim, closed and deterministic.  States are the reachable
+    subsets in breadth-first discovery order.
     """
     require_trim(a)
-    order = a.state_index
-
-    def name(subset: frozenset[str]) -> str:
-        return "{" + ",".join(sorted(subset, key=order.__getitem__)) + "}"
-
-    start = frozenset(a.start)
-    subsets: list[frozenset[str]] = [start]
-    seen = {start}
-    transitions: list[Transition] = []
-    frontier = deque([start])
-    while frontier:
-        subset = frontier.popleft()
-        for sym in a.symbols_used:
-            target = a.step_set(subset, sym)
-            if not target:
-                continue
-            transitions.append((name(subset), sym, name(target)))
-            if target not in seen:
-                seen.add(target)
-                subsets.append(target)
-                frontier.append(target)
-                if len(subsets) > cap:
-                    raise CapExceededError(
-                        f"subset construction exceeded cap {cap}"
-                    )
-    names = tuple(name(s) for s in subsets)
-    return Automaton(
-        base=a.base,
-        arity=a.arity,
-        states=names,
-        transitions=tuple(transitions),
-        start=frozenset({name(start)}),
-        accept=frozenset(names),
-    )
+    subsets, edges = _subset_construction(a, cap)
+    return _subset_automaton(a, subsets, edges)

@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
@@ -23,8 +25,8 @@ from .core import (
     Word,
     _component_sub_automaton,
     _is_deterministic,
+    _subset_construction,
     classify_properties,
-    prefix_determinization,
     require_trim,
     scc_decompose,
     trim,
@@ -35,7 +37,7 @@ from .errors import (
     NotStronglyConnectedError,
     NotTrimError,
 )
-from .spectral import DEFAULT_SPECTRAL_TOL, counting_matrix, entropy, spectral_radius
+from .spectral import DEFAULT_SPECTRAL_TOL, entropy, irreducible_blocks, perron
 
 #: Guard band for dimension comparisons, an order of magnitude above the
 #: spectral tolerance the underlying quantities are computed to.
@@ -196,8 +198,8 @@ def mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
     exponent-0 radius is below 1.
 
     Since transfer(alpha) = k^(-alpha) * C with C the integer counting
-    matrix, C is built once and scaled at every step; the entries equal
-    those :func:`~omegafract.spectral.transfer_matrix` would build.
+    matrix, the blocks of C's edge list are found once and every step
+    solves them with the edge weights scaled by k^(-alpha).
     """
     scc = scc_decompose(a)
     if len(scc) != 1 or scc.trivial[0]:
@@ -206,15 +208,15 @@ def mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
             " connected component covering all states"
         )
     if _is_deterministic(a):
-        b = a
+        e = a.edges
     else:
-        b = prefix_determinization(a.replace(accept=a.states))
-
-    counts = counting_matrix(b).to_numpy()
+        e = _subset_construction(a, DEFAULT_ENUMERATION_CAP)[1]
+    blocks = irreducible_blocks(e.n, e.src, e.dst)
+    counts = np.ones(len(e.src))
 
     def radius(alpha: float) -> float:
-        weight = 1.0 if alpha == 0 else float(b.base) ** (-alpha)
-        return spectral_radius(counts * weight, tol=tol)
+        weight = counts if alpha == 0 else counts * float(a.base) ** (-alpha)
+        return max(perron(block, weight, tol=tol).root for block in blocks)
 
     lo, hi = 0.0, float(a.arity)
     f_lo, f_hi = radius(lo), radius(hi)
@@ -284,14 +286,11 @@ def _cycle_prefixes_complete(
     component rooted at q (the prefix language of its cycle language):
     complete iff no reachable subset state is missing an outgoing digit."""
     cid = scc.component_of[q]
-    det = prefix_determinization(
-        _component_sub_automaton(a, scc.components, cid, q), cap=cap
+    subsets, edges = _subset_construction(
+        _component_sub_automaton(a, scc.components, cid, q), cap
     )
-    full = a.base**a.arity
-    out_degree = {state: 0 for state in det.states}
-    for src, _, _ in det.transitions:
-        out_degree[src] += 1
-    return all(deg == full for deg in out_degree.values())
+    out_degree = np.bincount(edges.src, minlength=len(subsets))
+    return bool(np.all(out_degree == a.base**a.arity))
 
 
 def _component_closed_under_digits(a: Automaton, component: tuple[str, ...]) -> bool:
@@ -360,19 +359,16 @@ def density_classifier(
             somewhere_dense=False,
             dense_codense_on_interval=None,
         )
-    # On a deterministic automaton the access word leads to q alone, so
-    # every witness of one component reroots to the same sub-automaton.
-    failed_components = set()
-    for q in witnesses:
-        cid = scc.component_of[q]
-        if cid in failed_components:
-            continue
+    # On a deterministic automaton a complete component has all k digits
+    # inside it at every state, so no run leaves it; trimness then puts an
+    # accept state in it, and the automaton rerooted at any of its states
+    # has Hausdorff dimension 1.  The dimension defect never certifies
+    # codensity there, so only NFAs are rerooted.
+    candidates = [] if deterministic else witnesses
+    for q in candidates:
         u = _shortest_word_to(a, q)
         rerooted = trim(a.replace(start=_run_word(a, u)))
-        local_dim = hausdorff_dimension(rerooted, cap=cap)
-        if deterministic:
-            failed_components.add(cid)
-        if local_dim < 1.0 - REPORT_TOL:
+        if hausdorff_dimension(rerooted, cap=cap) < 1.0 - REPORT_TOL:
             left = Fraction(0)
             for i, sym in enumerate(u):
                 left += Fraction(sym[0], a.base ** (i + 1))

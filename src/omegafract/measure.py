@@ -25,8 +25,9 @@ from .core import (
     _component_sub_automaton,
     _forward_reachable,
     _is_deterministic,
+    _subset_automaton,
+    _subset_construction,
     check_unambiguous,
-    prefix_determinization,
     require_trim,
     scc_decompose,
 )
@@ -34,12 +35,13 @@ from .dimension import REPORT_TOL, _witnessed_dimension, cycle_entropies
 from .errors import (
     AmbiguousError,
     NonCriticalExponentWarning,
-    NotConvergedError,
     NotStronglyConnectedError,
     UnreachableStateError,
 )
-from .spectral import counting_matrix, spectral_radius, transfer_matrix
+from .spectral import irreducible_blocks, perron
 
+#: Residual tolerance and step cap of the Perron vector behind a component
+#: measure (see :func:`omegafract.spectral.perron`).
 _EIGENVECTOR_TOL = 1e-13
 _MAX_EIGENVECTOR_ITERATIONS = 500_000
 
@@ -67,31 +69,6 @@ class MeasureReport:
     total: float
 
 
-def _perron_vector(matrix: np.ndarray) -> np.ndarray:
-    """Positive eigenvector of an irreducible nonnegative matrix, normalized
-    to maximum entry 1.  Power iteration on the shifted matrix converges
-    regardless of periodicity; raises :class:`NotConvergedError` when the
-    iteration budget runs out before the step falls below tolerance."""
-    n = matrix.shape[0]
-    if n == 1:
-        return np.ones(1)
-    shifted = matrix + np.eye(n)
-    x = np.ones(n)
-    step = math.inf
-    for _ in range(_MAX_EIGENVECTOR_ITERATIONS):
-        y = shifted @ x
-        y = y / y.max()
-        step = float(np.max(np.abs(y - x)))
-        if step <= _EIGENVECTOR_TOL:
-            return y
-        x = y
-    raise NotConvergedError(
-        f"Perron eigenvector of a {n}-state component did not converge in"
-        f" {_MAX_EIGENVECTOR_ITERATIONS} iterations (last step {step:.3g},"
-        f" tolerance {_EIGENVECTOR_TOL:.3g})"
-    )
-
-
 def scc_measure(a: Automaton, alpha: float) -> float:
     """Measure at exponent ``alpha`` of the closed set recognized by a
     strongly connected automaton, read off the Perron eigenvector of its
@@ -115,12 +92,30 @@ def scc_measure(a: Automaton, alpha: float) -> float:
             "component measure requires a single non-trivial strongly"
             " connected component covering all states"
         )
+    if alpha < 0:
+        raise ValueError("exponent must be nonnegative")
     if _is_deterministic(a):
-        b = a
+        edges = a.edges
+        (start_state,) = a.start
+        start = a.state_index[start_state]
     else:
-        b = prefix_determinization(a.replace(accept=a.states))
-    matrix = transfer_matrix(b, alpha)
-    radius = spectral_radius(matrix)
+        subsets, edges = _subset_construction(a, DEFAULT_ENUMERATION_CAP)
+        start = 0
+    weight = np.full(len(edges.src), 1.0 if alpha == 0 else float(a.base) ** (-alpha))
+    blocks = irreducible_blocks(edges.n, edges.src, edges.dst)
+    # the root and the vector of a strongly connected b come from one solve
+    whole = len(blocks) == 1 and len(blocks[0].nodes) == edges.n
+    solves = [
+        perron(
+            block,
+            weight,
+            tol=_EIGENVECTOR_TOL,
+            max_steps=_MAX_EIGENVECTOR_ITERATIONS,
+            vector=whole,
+        )
+        for block in blocks
+    ]
+    radius = max(solve.root for solve in solves)
     if abs(radius - 1.0) > REPORT_TOL:
         warnings.warn(
             f"transfer radius {radius:.12g} differs from 1: exponent"
@@ -129,17 +124,19 @@ def scc_measure(a: Automaton, alpha: float) -> float:
             stacklevel=2,
         )
         return 0.0 if radius < 1.0 else math.inf
-    det_scc = scc_decompose(b)
-    if len(det_scc) != 1:
-        # b is closed, so every non-trivial component is accepting and can
-        # key accepting runs: sum the key-state terms, eigenvector leaves.
+    if not whole:
+        # Only a determinization b of an NFA can split (a is strongly
+        # connected).  b is closed, so every non-trivial component is
+        # accepting and can key accepting runs: sum the key-state terms,
+        # eigenvector leaves.
+        b = _subset_automaton(a, subsets, edges)
         total = 0.0
-        for _, _, contribution in _key_state_terms(b, det_scc, alpha).values():
+        for _, _, contribution in _key_state_terms(
+            b, scc_decompose(b), alpha
+        ).values():
             total += contribution  # inf absorbs
         return total
-    vector = _perron_vector(matrix.to_numpy())
-    (start,) = b.start
-    return float(vector[b.state_index[start]])
+    return float(solves[0].vector[start])
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +194,18 @@ def _key_prefix_series(t: Automaton, base: int, alpha: float) -> float:
     """Sum of k^(-alpha * |u|) over the words ``u`` the transient automaton
     accepts.  Counts are exact big integers (one accepting run per word, by
     unambiguity of the source automaton)."""
-    matrix = counting_matrix(t)
+    e = t.edges
+    n = e.n
     index = t.state_index
-    n = matrix.n
-    rows = matrix.entries
-    has_cycle = any(not triv for triv in scc_decompose(t).trivial)
+    blocks = irreducible_blocks(n, e.src, e.dst)
     x = float(base) ** (-alpha)
-    if has_cycle:
-        radius = spectral_radius(matrix)
+    if blocks:
+        counts = np.ones(len(e.src))
+        radius = max(perron(block, counts).root for block in blocks)
         if radius >= float(base) ** alpha - 1e-12:
             return math.inf
-        array = matrix.to_numpy()
+        array = np.zeros((n, n))
+        np.add.at(array, (e.src, e.dst), 1.0)
         target = np.zeros(n)
         for acc in t.accept:
             target[index[acc]] = 1.0
@@ -215,12 +213,16 @@ def _key_prefix_series(t: Automaton, base: int, alpha: float) -> float:
         return float(sum(solution[index[s]] for s in t.start))
     # Cycle-free transient part: the series is a finite sum; accumulate it
     # with exact integer counts and iterated float powers of k^(-alpha).
+    pairs = list(zip(e.src.tolist(), e.dst.tolist()))
     vec = [1 if s in t.start else 0 for s in t.states]
     accept_idx = [index[s] for s in t.accept]
     total = float(sum(vec[i] for i in accept_idx))
     term = 1.0
     for _ in range(n):
-        vec = [sum(vec[i] * rows[i][j] for i in range(n)) for j in range(n)]
+        nxt = [0] * n
+        for i, j in pairs:
+            nxt[j] += vec[i]
+        vec = nxt
         term *= x
         total += sum(vec[i] for i in accept_idx) * term
     return total

@@ -1,5 +1,5 @@
-"""Counting and weighted adjacency matrices, Perron spectral radius, and
-entropy of prefix languages.
+"""Counting and weighted adjacency matrices, the certified Perron solver,
+and entropy of prefix languages.
 
 Entropy here is the exponential growth rate, in natural-log units, of the
 number of distinct length-n prefixes of the accepted language.  For a
@@ -7,6 +7,20 @@ deterministic trim automaton that rate is the logarithm of the Perron root
 of the integer counting matrix; nondeterministic inputs are first
 determinized as finite automata on their (prefix-closed, regular) prefix
 language, so strings are counted rather than runs.
+
+Every Perron root and vector in the package comes from one routine,
+:func:`perron`, working on an edge list (``src``/``dst`` node arrays and
+one weight per edge) rather than a dense matrix.  For each non-trivial
+strongly connected block (:func:`irreducible_blocks`) it finds the period
+p from breadth-first levels, iterates x <- B^p x with ``np.bincount``
+products costing O(transitions) each, stops once the Collatz-Wielandt
+bracket of B^p has relative width at most the tolerance, and, when asked,
+recovers B's Perron vector as sum_{j<p} (B/rho)^j x with a checked
+residual.  Hitting the step cap or an underflowing entry raises
+:class:`~omegafract.errors.NotConvergedError`; no unconverged value is
+returned.  :func:`counting_matrix`, :func:`transfer_matrix` and
+:class:`CountMatrix` remain as public constructors; :func:`spectral_radius`
+converts them to an edge list at the API edge.
 """
 
 from __future__ import annotations
@@ -21,15 +35,20 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
     _is_deterministic,
+    _subset_construction,
     prefix_count,
-    prefix_determinization,
     require_trim,
     tarjan_components,
 )
+from .errors import NotConvergedError
 
 DEFAULT_SPECTRAL_TOL = 1e-12
 
-_MAX_POWER_ITERATIONS = 500_000
+#: Matrix-vector products one Perron solve may spend before it gives up.
+_MAX_PERRON_STEPS = 500_000
+
+#: Entries below the smallest normal float count as underflowed.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -137,49 +156,179 @@ class GrowthSequence:
 
 
 # ---------------------------------------------------------------------------
-# Perron spectral radius
+# the certified Perron solver
 # ---------------------------------------------------------------------------
 
 
-def _block_radius_power(block: np.ndarray, tol: float) -> float:
-    """Certified Perron root of an irreducible nonnegative block.
+@dataclass(frozen=True)
+class Block:
+    """One non-trivial strongly connected block of an edge list.
 
-    Power iteration on the shifted matrix B + I (aperiodic, so convergent)
-    with Collatz-Wielandt enclosure: for any positive x,
-    min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i, and the enclosure
-    tightens geometrically.  Returns the midpoint once the bracket is below
-    tolerance.  Falls back to sign bisection of det(xI - B) inside the last
-    bracket if the iteration budget runs out.
+    ``nodes`` holds the block's node numbers in increasing order, ``edges``
+    the numbers of the edges inside it; ``src``/``dst`` are those edges'
+    endpoints renumbered as positions in ``nodes``.  ``period`` is the gcd of
+    the block's cycle lengths.
     """
-    n = block.shape[0]
-    if n == 1:
-        return float(block[0, 0])
-    shifted = block + np.eye(n)
-    x = np.ones(n)
-    lo, hi = 0.0, float(np.max(shifted.sum(axis=1)))
-    for _ in range(_MAX_POWER_ITERATIONS):
-        y = shifted @ x
-        ratios = y / x
-        lo = max(lo, float(ratios.min()))
-        hi = min(hi, float(ratios.max()))
-        if hi - lo <= tol * max(1.0, hi):
-            return (lo + hi) / 2 - 1.0
-        x = y / y.max()
-    # Stalled: bisect the characteristic polynomial of the shifted block
-    # inside the last bracket.  The Perron root of an irreducible block is
-    # simple, so det(xI - shifted) is negative just below it and positive
-    # just above, provided the bracket excludes the other real eigenvalues.
-    def det_sign(x: float) -> float:
-        return float(np.linalg.slogdet(x * np.eye(n) - shifted)[0])
 
-    if det_sign(lo) < 0:
-        while hi - lo > tol * max(1.0, hi):
-            mid = (lo + hi) / 2
-            if det_sign(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-    return (lo + hi) / 2 - 1.0
+    nodes: np.ndarray
+    edges: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    period: int
+
+
+@dataclass(frozen=True)
+class Perron:
+    """Perron root of a block with its Collatz-Wielandt bracket
+    ``lo <= root <= hi`` (exact up to float rounding) and, when asked for,
+    the positive right Perron vector (max entry 1, indexed like the block's
+    ``nodes``)."""
+
+    root: float
+    lo: float
+    hi: float
+    vector: np.ndarray | None = None
+
+
+def irreducible_blocks(n: int, src: np.ndarray, dst: np.ndarray) -> list[Block]:
+    """Non-trivial strongly connected blocks of the digraph on nodes 0..n-1
+    with edges ``src[e] -> dst[e]``, each with its period: the gcd of
+    level(u) + 1 - level(v) over the block's edges u -> v, for breadth-first
+    levels from any node of the block (Lind & Marcus, section 4.5)."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        succ[u].append(v)
+    components = tarjan_components(range(n), succ)
+    comp_list = [0] * n
+    for i, comp in enumerate(components):
+        for u in comp:
+            comp_list[u] = i
+    comp_of = np.array(comp_list, dtype=np.intp)
+    inside = np.flatnonzero(comp_of[src] == comp_of[dst])
+    if inside.size == 0:
+        return []
+    inside = inside[np.argsort(comp_of[src[inside]], kind="stable")]
+    cids, first = np.unique(comp_of[src[inside]], return_index=True)
+    cids = cids.tolist()
+    # breadth-first levels inside each block, from its least node
+    level = [-1] * n
+    for cid in cids:
+        root = min(components[cid])
+        level[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in succ[u]:
+                    if level[v] < 0 and comp_list[v] == cid:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+    levels = np.array(level, dtype=np.intp)
+    local = np.empty(n, dtype=np.intp)
+    blocks = []
+    for cid, edges in zip(cids, np.split(inside, first[1:])):
+        nodes = np.array(sorted(components[cid]), dtype=np.intp)
+        es, ed = src[edges], dst[edges]
+        period = int(np.gcd.reduce(np.abs(levels[es] + 1 - levels[ed])))
+        local[nodes] = np.arange(len(nodes))
+        blocks.append(Block(nodes, edges, local[es], local[ed], period))
+    return blocks
+
+
+def _root(r: float, exponent: int, p: int) -> float:
+    """The p-th root of r * 2^exponent, exact for p = 1 and without
+    overflow for large exponents."""
+    if p == 1:
+        return math.ldexp(r, exponent)
+    return 2.0 ** ((math.log2(r) + exponent) / p)
+
+
+def perron(
+    block: Block,
+    weight: np.ndarray,
+    tol: float = DEFAULT_SPECTRAL_TOL,
+    max_steps: int | None = None,
+    vector: bool = False,
+) -> Perron:
+    """Certified Perron root (and optionally vector) of the block's matrix
+    B, whose (i, j) entry sums ``weight[e]`` over the block's edges i -> j.
+
+    With p the block's period, B^p restricted to each cyclic class is
+    primitive, so iterating x <- B^p x from x = 1 converges on every class
+    without the B + I shift (which stalls on long cycles).  Each product is
+    one ``np.bincount`` over the block's edges, O(transitions), rescaled by
+    a power of two (exactly) to stay in range.  For positive x,
+    min_i (B^p x)_i / x_i <= rho^p <= max_i (B^p x)_i / x_i (Collatz-
+    Wielandt); the iteration stops once that bracket's relative width is at
+    most ``tol``, so the root's bracket is p times narrower still.  When
+    ``vector`` is set, B's Perron vector is recovered as
+    sum_{j<p} (B/rho)^j x and its residual max |Bv - rho v| / rho, with
+    max v = 1, must also be at most ``tol``; otherwise iteration goes on.
+
+    Raises :class:`NotConvergedError` when more than ``max_steps`` products
+    (default ``_MAX_PERRON_STEPS``) would be needed or an entry underflows;
+    it never returns an uncertified value.
+    """
+    if max_steps is None:
+        max_steps = _MAX_PERRON_STEPS
+    m, p = len(block.nodes), block.period
+    src, dst, w = block.src, block.dst, weight[block.edges]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return np.bincount(src, weights=w * x[dst], minlength=m)
+
+    x = np.ones(m)
+    steps = 0
+    while steps + p <= max_steps:
+        y, exponent = x, 0
+        for _ in range(p):
+            y = apply(y)
+            e = math.frexp(float(y.max()))[1]
+            y = np.ldexp(y, -e)
+            exponent += e
+        steps += p
+        if not y.min() >= _TINY:
+            raise NotConvergedError(
+                f"Perron iteration on a {m}-state block underflowed after"
+                f" {steps} steps"
+            )
+        ratios = y / x
+        r_lo, r_hi = float(ratios.min()), float(ratios.max())
+        x = y
+        if r_hi - r_lo > tol * r_hi:
+            continue
+        lo, hi = _root(r_lo, exponent, p), _root(r_hi, exponent, p)
+        root = (lo + hi) / 2
+        if not vector:
+            return Perron(root, lo, hi)
+        v, term = x.copy(), x
+        for _ in range(p - 1):
+            term = apply(term) / root
+            v += term
+        v /= v.max()
+        residual = float(np.max(np.abs(apply(v) - root * v))) / root
+        if residual <= tol and v.min() >= _TINY:
+            return Perron(root, lo, hi, v)
+    raise NotConvergedError(
+        f"Perron iteration on a {m}-state block of period {p} did not"
+        f" converge to tolerance {tol:.3g} within {max_steps} steps"
+    )
+
+
+def max_root(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weight: np.ndarray,
+    tol: float = DEFAULT_SPECTRAL_TOL,
+) -> float:
+    """Largest certified Perron root over the blocks of a weighted edge
+    list; exactly 0.0 when the digraph has no cycle."""
+    return max(
+        (perron(b, weight, tol).root for b in irreducible_blocks(n, src, dst)),
+        default=0.0,
+    )
 
 
 def spectral_radius(
@@ -187,10 +336,10 @@ def spectral_radius(
 ) -> float:
     """Perron root of a nonnegative square matrix to relative tolerance.
 
-    Accepts a :class:`CountMatrix` or a square float array.  The matrix
-    digraph is decomposed into strongly connected blocks; the radius is the
-    maximum of the block radii, with cycle-free blocks contributing exactly
-    0 (so nilpotent matrices return 0.0 exactly).
+    Accepts a :class:`CountMatrix` or a square float array, converted to an
+    edge list of its positive entries.  The radius is the maximum over the
+    strongly connected blocks (see :func:`perron`), with cycle-free blocks
+    contributing exactly 0, so nilpotent matrices return 0.0 exactly.
     """
     if isinstance(m, CountMatrix):
         array = m.to_numpy()
@@ -200,19 +349,8 @@ def spectral_radius(
             raise ValueError("matrix must be square")
         if np.any(array < 0):
             raise ValueError("matrix entries must be nonnegative")
-    n = array.shape[0]
-    succ = {i: [j for j in range(n) if array[i, j] > 0] for i in range(n)}
-    best = 0.0
-    for comp in tarjan_components(list(range(n)), succ):
-        if len(comp) == 1:
-            i = comp[0]
-            if array[i, i] > 0:
-                best = max(best, float(array[i, i]))
-            continue
-        idx = np.array(sorted(comp))
-        block = array[np.ix_(idx, idx)]
-        best = max(best, _block_radius_power(block, tol))
-    return best
+    src, dst = np.nonzero(array > 0)
+    return max_root(array.shape[0], src, dst, array[src, dst], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +395,8 @@ def entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     infinite-word language.
     """
     require_trim(a)
-    b = a if _is_deterministic(a) else prefix_determinization(a, cap=cap)
-    return math.log(spectral_radius(counting_matrix(b)))
+    e = a.edges if _is_deterministic(a) else _subset_construction(a, cap)[1]
+    return math.log(max_root(e.n, e.src, e.dst, np.ones(len(e.src))))
 
 
 def entropy_estimate(a: Automaton, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:

@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from omegafract import Automaton, DigitVector, trim
-from omegafract.errors import EmptyLanguageError
+from omegafract.core import (
+    DEFAULT_ENUMERATION_CAP,
+    AmbiguityReport,
+    Transition,
+    Word,
+    require_trim,
+    tarjan_components,
+)
+from omegafract.errors import CapExceededError, EmptyLanguageError
 
 
 def _symbols(base: int, arity: int) -> list[DigitVector]:
@@ -254,4 +263,122 @@ def random_multi_scc(
             start=frozenset(start),
             accept=frozenset(accept),
         )
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference routines: the earlier name-based implementations, kept verbatim
+# as oracles for the integer-indexed ones in omegafract.core
+# ---------------------------------------------------------------------------
+
+
+def reference_check_unambiguous(a: Automaton) -> AmbiguityReport:
+    """Decide whether every accepted infinite word has exactly one accepting run.
+
+    Works on the self-product over ordered state pairs: the automaton is
+    ambiguous iff some reachable pair of distinct states can reach (within
+    the product) a non-trivial strongly connected component in which both
+    coordinates pass through accept states, i.e. one shared word carries
+    two accepting runs that differ at least once.  Deterministic automata
+    are always unambiguous.
+    """
+    starts = sorted(a.start)
+    init = [(p, q) for p in starts for q in starts]
+    # BFS keeps, per product pair, a shortest word reaching it.
+    word_to: dict[tuple[str, str], Word] = {pair: () for pair in init}
+    frontier = deque(init)
+    succ: dict[tuple[str, str], list[tuple[str, str]]] = {pair: [] for pair in init}
+    while frontier:
+        p, q = frontier.popleft()
+        here = word_to[(p, q)]
+        for sym in a.symbols_used:
+            for p2 in a.delta(p, sym):
+                for q2 in a.delta(q, sym):
+                    succ[(p, q)].append((p2, q2))
+                    if (p2, q2) not in word_to:
+                        word_to[(p2, q2)] = here + (sym,)
+                        succ.setdefault((p2, q2), [])
+                        frontier.append((p2, q2))
+    pairs = list(word_to)
+    decoded = tarjan_components(pairs, succ)
+    comp_of: dict[tuple[str, str], int] = {}
+    for i, comp in enumerate(decoded):
+        for pair in comp:
+            comp_of[pair] = i
+    nontrivial = set()
+    for pair in pairs:
+        for nxt in succ[pair]:
+            if comp_of[nxt] == comp_of[pair]:
+                nontrivial.add(comp_of[pair])
+    good = {
+        i
+        for i, comp in enumerate(decoded)
+        if i in nontrivial
+        and any(p in a.accept for p, _ in comp)
+        and any(q in a.accept for _, q in comp)
+    }
+    # pairs that can reach a good component
+    reach_good: set[tuple[str, str]] = set()
+    for i in good:
+        reach_good.update(decoded[i])
+    changed = True
+    while changed:
+        changed = False
+        for pair in pairs:
+            if pair not in reach_good and any(n in reach_good for n in succ[pair]):
+                reach_good.add(pair)
+                changed = True
+    witnesses = [
+        word_to[pair] for pair in pairs if pair[0] != pair[1] and pair in reach_good
+    ]
+    if not witnesses:
+        return AmbiguityReport(unambiguous=True)
+    witness = min(witnesses, key=lambda w: (len(w), tuple(s.digits for s in w)))
+    return AmbiguityReport(unambiguous=False, witness=witness)
+
+
+def reference_prefix_determinization(
+    a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Automaton:
+    """Deterministic automaton for the prefix language of ``a``.
+
+    Subset construction over the trim input with every subset accepting:
+    the prefix language of a trim automaton is prefix-closed and regular,
+    so runs of the result are in bijection with distinct prefixes.  The
+    result is trim, closed and deterministic.
+    """
+    require_trim(a)
+    order = a.state_index
+
+    def name(subset: frozenset[str]) -> str:
+        return "{" + ",".join(sorted(subset, key=order.__getitem__)) + "}"
+
+    start = frozenset(a.start)
+    subsets: list[frozenset[str]] = [start]
+    seen = {start}
+    transitions: list[Transition] = []
+    frontier = deque([start])
+    while frontier:
+        subset = frontier.popleft()
+        for sym in a.symbols_used:
+            target = a.step_set(subset, sym)
+            if not target:
+                continue
+            transitions.append((name(subset), sym, name(target)))
+            if target not in seen:
+                seen.add(target)
+                subsets.append(target)
+                frontier.append(target)
+                if len(subsets) > cap:
+                    raise CapExceededError(
+                        f"subset construction exceeded cap {cap}"
+                    )
+    names = tuple(name(s) for s in subsets)
+    return Automaton(
+        base=a.base,
+        arity=a.arity,
+        states=names,
+        transitions=tuple(transitions),
+        start=frozenset({name(start)}),
+        accept=frozenset(names),
     )

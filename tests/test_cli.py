@@ -6,7 +6,7 @@ import pytest
 
 from omegafract.cli import main
 
-from conftest import AUTOMATA_DIR
+from conftest import AUTOMATA_DIR, child_env
 
 CANTOR = str(AUTOMATA_DIR / "cantor.json")
 DYADIC = str(AUTOMATA_DIR / "dyadic.json")
@@ -165,6 +165,7 @@ def test_module_entrypoint_subprocess(capsys):
         [sys.executable, "-m", "omegafract", "check", CANTOR],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

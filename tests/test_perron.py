@@ -1,0 +1,347 @@
+"""The certified Perron solver on edge lists, and the integer-indexed core
+routines that feed it (edge form, subset construction, ambiguity check)."""
+
+import math
+import random
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from omegafract import (
+    Automaton,
+    CountMatrix,
+    DigitVector,
+    NotConvergedError,
+    check_unambiguous,
+    density_classifier,
+    trim,
+    entropy,
+    prefix_determinization,
+    scc_measure,
+    spectral_radius,
+)
+from omegafract import dimension, measure, spectral
+from omegafract.spectral import irreducible_blocks, perron
+from conftest import bundled, child_env
+from helpers_random import (
+    random_multi_scc,
+    random_strongly_connected,
+    random_trim_automaton,
+    reference_check_unambiguous,
+    reference_prefix_determinization,
+)
+
+BUNDLED = [
+    "cantor",
+    "cantor_pair",
+    "dyadic",
+    "dyadic_unambiguous",
+    "full_binary",
+    "golden_mean",
+]
+
+
+def cycle(length: int) -> Automaton:
+    """Base-2 ring c0 -> c1 -> ... -> c0 carrying digits 0 and 1 on every
+    edge but the last, which carries 0 only: entropy (L-1)/L log 2."""
+    states = tuple(f"c{i}" for i in range(length))
+    transitions = []
+    for i, q in enumerate(states):
+        for d in (0,) if i == length - 1 else (0, 1):
+            transitions.append((q, DigitVector((d,)), states[(i + 1) % length]))
+    return Automaton(
+        base=2,
+        arity=1,
+        states=states,
+        transitions=tuple(transitions),
+        start=frozenset({states[0]}),
+        accept=frozenset(states),
+    )
+
+
+def edges_of(matrix: np.ndarray):
+    src, dst = np.nonzero(matrix)
+    return matrix.shape[0], src, dst, matrix[src, dst].astype(float)
+
+
+def random_periodic(rng: random.Random, period: int) -> np.ndarray:
+    """Integer matrix on a multiple of ``period`` nodes, node i in cyclic
+    class i mod ``period``, whose edges only run from class c to c + 1 mod
+    ``period``; a ring through every node makes it irreducible."""
+    n = period * rng.randint(1, 3)
+    matrix = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        matrix[i, (i + 1) % n] = rng.randint(1, 3)
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if j % period == (i + 1) % period:
+            matrix[i, j] = rng.randint(1, 3)
+    return matrix
+
+
+def brute_period(block: np.ndarray) -> int:
+    """gcd of the k <= m with a closed walk of length k in an irreducible
+    block: every simple cycle has length <= m and every closed walk is a
+    sum of simple cycles, so this is the gcd of all cycle lengths."""
+    m = block.shape[0]
+    reach = np.eye(m, dtype=bool)
+    adj = block > 0
+    g = 0
+    for k in range(1, m + 1):
+        reach = (reach.astype(int) @ adj.astype(int)) > 0
+        if np.trace(reach):
+            g = math.gcd(g, k)
+    return g
+
+
+def check_brackets(matrix: np.ndarray) -> None:
+    n, src, dst, weight = edges_of(matrix)
+    for block in irreducible_blocks(n, src, dst):
+        dense = matrix[np.ix_(block.nodes, block.nodes)].astype(float)
+        rho = float(np.max(np.abs(np.linalg.eigvals(dense))))
+        solve = perron(block, weight)
+        slack = 1e-12 * solve.hi
+        assert solve.lo - slack <= rho <= solve.hi + slack
+        assert solve.hi - solve.lo <= 1e-12 * solve.hi
+        assert block.period == brute_period(dense)
+    eig = np.max(np.abs(np.linalg.eigvals(matrix.astype(float)))) if n else 0.0
+    assert spectral_radius(matrix.astype(float)) == pytest.approx(
+        eig, rel=1e-11, abs=1e-12
+    )
+
+
+# ---------------------------------------------------------------------------
+# the solver against np.linalg.eigvals
+# ---------------------------------------------------------------------------
+
+
+def test_bracket_holds_eigvals_root_on_random_reducible_matrices():
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        matrix = np.array(
+            [[rng.choice([0, 0, 0, 1, 2, 3]) for _ in range(n)] for _ in range(n)]
+        )
+        check_brackets(matrix)
+
+
+@pytest.mark.parametrize("period", [2, 3, 4, 5, 6, 7])
+def test_bracket_and_period_on_periodic_blocks(period):
+    rng = random.Random(100 + period)
+    for _ in range(6):
+        matrix = random_periodic(rng, period)
+        n, src, dst, _ = edges_of(matrix)
+        (block,) = irreducible_blocks(n, src, dst)
+        assert block.period % period == 0
+        check_brackets(matrix)
+
+
+def test_nilpotent_has_no_blocks_and_radius_exactly_zero():
+    rng = random.Random(72)
+    for _ in range(10):
+        n = rng.randint(1, 8)
+        matrix = np.triu(
+            np.array([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]), k=1
+        )
+        _, src, dst, _ = edges_of(matrix)
+        assert irreducible_blocks(n, src, dst) == []
+        assert spectral_radius(CountMatrix.from_rows(matrix.tolist())) == 0.0
+
+
+@pytest.mark.parametrize("period", [2, 5, 7])
+def test_perron_vector_of_periodic_block(period):
+    rng = random.Random(200 + period)
+    for _ in range(5):
+        matrix = random_periodic(rng, period).astype(float)
+        n, src, dst, weight = edges_of(matrix)
+        (block,) = irreducible_blocks(n, src, dst)
+        solve = perron(block, weight, vector=True)
+        v = np.zeros(n)
+        v[block.nodes] = solve.vector
+        assert v.min() > 0 and v.max() == 1.0
+        # certified to 1e-12; the dense product here rounds on its own
+        assert np.max(np.abs(matrix @ v - solve.root * v)) <= 1e-11 * solve.root
+
+
+# ---------------------------------------------------------------------------
+# long cycles: the period-L block that stalled the B + I iteration
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("length", [600, 2000])
+def test_long_cycle_entropy(length):
+    assert entropy(cycle(length)) == pytest.approx(
+        (length - 1) / length * math.log(2), abs=1e-12
+    )
+
+
+def test_400_cycle_measure_at_radius_one_meets_tolerance():
+    length = 400
+    a = cycle(length)
+    alpha = (length - 1) / length
+    try:
+        value = scc_measure(a, alpha)
+    except NotConvergedError:
+        return
+    e = a.edges
+    weight = np.full(len(e.src), 2.0**-alpha)
+    (block,) = irreducible_blocks(e.n, e.src, e.dst)
+    solve = perron(
+        block,
+        weight,
+        tol=measure._EIGENVECTOR_TOL,
+        max_steps=measure._MAX_EIGENVECTOR_ITERATIONS,
+        vector=True,
+    )
+    dense = np.zeros((e.n, e.n))
+    np.add.at(dense, (e.src, e.dst), weight)
+    v = solve.vector
+    residual = np.max(np.abs(dense @ v - solve.root * v)) / solve.root
+    assert residual <= measure._EIGENVECTOR_TOL
+    assert value == v[a.state_index["c0"]]
+    # v_{i+1} = v_i / (2 * 2^-alpha) around the ring: v_i = 2^(-i/L)
+    exact = 2.0 ** (-np.arange(length) / length)
+    assert np.max(np.abs(v - exact)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# never a guess: the step cap and underflow raise
+# ---------------------------------------------------------------------------
+
+
+def test_step_cap_raises(monkeypatch, golden_mean):
+    monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", 3)
+    with pytest.raises(NotConvergedError) as info:
+        spectral_radius(CountMatrix.from_rows([[1, 1], [1, 0]]))
+    assert info.value.code == "not-converged"
+    with pytest.raises(NotConvergedError):
+        entropy(golden_mean)
+    # a period above the cap cannot make one step of B^p
+    with pytest.raises(NotConvergedError):
+        entropy(cycle(12).replace(accept=["c0"]))
+    monkeypatch.undo()
+    assert entropy(golden_mean) == pytest.approx(
+        math.log((1 + math.sqrt(5)) / 2), abs=1e-12
+    )
+
+
+def test_underflowing_vector_raises():
+    # rho^3 = 1e-100; the Perron vector spans 1e333, beyond float range
+    matrix = np.zeros((3, 3))
+    matrix[0, 1] = matrix[1, 2] = 1e-200
+    matrix[2, 0] = 1e300
+    with pytest.raises(NotConvergedError):
+        spectral_radius(matrix)
+
+
+# ---------------------------------------------------------------------------
+# integer-indexed core against the name-based reference routines
+# ---------------------------------------------------------------------------
+
+
+def test_edge_form_matches_transitions():
+    for name in BUNDLED:
+        a = bundled(name)
+        e = a.edges
+        assert e.n == len(a.states)
+        assert [
+            (a.states[s], a.symbols_used[c], a.states[d])
+            for s, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist())
+        ] == list(a.transitions)
+
+
+def _scrambled(rng: random.Random, a: Automaton) -> Automaton:
+    """``a`` with states renamed so that name order and declaration order
+    disagree, and with two or three start states."""
+    names = [f"x{i}" for i in range(len(a.states))]
+    rng.shuffle(names)
+    rename = dict(zip(a.states, names))
+    return trim(
+        Automaton(
+            base=a.base,
+            arity=a.arity,
+            states=tuple(names),
+            transitions=tuple(
+                (rename[s], sym, rename[d]) for s, sym, d in a.transitions
+            ),
+            start=frozenset(rng.sample(names, min(len(names), rng.randint(2, 3)))),
+            accept=frozenset(rename[q] for q in a.accept),
+        )
+    )
+
+
+def _random_nfas():
+    rng = random.Random(73)
+    for i in range(90):
+        if i % 3 == 1:
+            nfa = random_trim_automaton(rng, n_states=rng.randint(3, 7), nondet=0.4)
+            yield _scrambled(rng, nfa)
+        elif i % 3 == 2:
+            yield random_multi_scc(rng, n_blocks=rng.randint(2, 3), deterministic=False)
+        else:
+            yield random_trim_automaton(
+                rng,
+                n_states=rng.randint(2, 7),
+                base=rng.choice([2, 3]),
+                arity=rng.choice([1, 1, 2]),
+                nondet=0.4,
+            )
+
+
+def test_prefix_determinization_matches_reference():
+    for a in [bundled(name) for name in BUNDLED] + list(_random_nfas()):
+        assert prefix_determinization(a) == reference_prefix_determinization(a)
+
+
+def test_check_unambiguous_matches_reference():
+    seen_ambiguous = 0
+    rng = random.Random(74)
+    extra = [
+        random_strongly_connected(rng, n_states=rng.randint(2, 6), extra=6)
+        for _ in range(30)
+    ]
+    for a in [bundled(name) for name in BUNDLED] + list(_random_nfas()) + extra:
+        got, want = check_unambiguous(a), reference_check_unambiguous(a)
+        assert (got.unambiguous, got.witness) == (want.unambiguous, want.witness)
+        seen_ambiguous += not got.unambiguous
+    assert seen_ambiguous >= 10
+
+
+def test_density_on_deterministic_input_skips_the_reroot(monkeypatch):
+    # a complete deterministic component always reroots to dimension 1
+    def fail(*args, **kwargs):
+        raise AssertionError("rerooted on deterministic input")
+
+    rng = random.Random(75)
+    dense = 0
+    for _ in range(20):
+        a = random_multi_scc(rng, n_blocks=rng.randint(2, 3), full_last=True)
+        monkeypatch.setattr(dimension, "hausdorff_dimension", fail)
+        report = density_classifier(a)
+        monkeypatch.undo()
+        assert report == density_classifier(a)
+        dense += report.somewhere_dense
+    assert dense == 20
+
+
+# ---------------------------------------------------------------------------
+# tooling
+# ---------------------------------------------------------------------------
+
+
+def test_import_pulls_in_neither_scipy_nor_numba():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, omegafract;"
+            " print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
