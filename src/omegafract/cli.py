@@ -25,23 +25,20 @@ from . import geometry
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
-    _component_sub_automaton,
     check_unambiguous,
     classify_properties,
     load_automaton,
-    scc_decompose,
     serialize_automaton,
 )
 from .dimension import (
     DimensionReport,
+    _block_mw_alpha,
     density_classifier,
     dimension_report,
-    mw_alpha,
 )
 from .errors import (
     ConfigError,
     FormatError,
-    NotStronglyConnectedError,
     OmegafractError,
     ValidationError,
 )
@@ -216,17 +213,13 @@ def _dimension_payload(report: DimensionReport, base: int) -> dict:
 def _cmd_dim(a: Automaton, config: AnalysisConfig, args) -> dict:
     report = dimension_report(a, cap=config.enumeration_cap)
     payload = _dimension_payload(report, a.base)
-    scc = scc_decompose(a)
-    alphas = {}
-    for i, comp in enumerate(scc.components):
-        if scc.trivial[i]:
-            continue
-        sub = _component_sub_automaton(a, scc.components, i, comp[0])
-        try:
-            alphas["+".join(comp)] = mw_alpha(sub, tol=config.spectral_tolerance)
-        except NotStronglyConnectedError:
-            continue
-    payload["mw_alpha_per_scc"] = alphas
+    # each block rooted at its first state (bitmask 1)
+    payload["mw_alpha_per_scc"] = {
+        "+".join(a.states[q] for q in block.nodes.tolist()): _block_mw_alpha(
+            a, block, 1, config.spectral_tolerance, config.enumeration_cap
+        )
+        for block in a.sccs.blocks.values()
+    }
     if a.arity == 1:
         payload["density"] = _jsonable(
             density_classifier(a, cap=config.enumeration_cap)
@@ -257,11 +250,8 @@ def _cmd_oracle(a: Automaton, config: AnalysisConfig, args) -> dict:
         raise ConfigError(
             f"cap {config.enumeration_cap} leaves no usable depth range above {lo}"
         )
-    table = {
-        str(n): geometry.box_count_oracle(a, n, cap=config.enumeration_cap)
-        for n in range(lo, hi + 1)
-    }
-    estimate = geometry.estimate_box_dimension(a, lo, hi, cap=config.enumeration_cap)
+    counts, estimate = geometry._box_count_fit(a, lo, hi, config.enumeration_cap)
+    table = {str(n): count for n, count in zip(range(lo, hi + 1), counts)}
     return {"depths": [lo, hi], "box_counts": table, "estimated_box_dimension": estimate}
 
 

@@ -27,6 +27,7 @@ from .errors import (
     EmptyLanguageError,
     FormatError,
     NondeterministicError,
+    NotStronglyConnectedError,
     NotTrimError,
     ValidationError,
 )
@@ -202,6 +203,13 @@ class Automaton:
             [index[dst] for _, _, dst in self.transitions],
         )
 
+    @cached_property
+    def sccs(self) -> "Condensation":
+        """The strongly connected components of :attr:`edges`; every
+        per-component analysis reads this one decomposition."""
+        e = self.edges
+        return _condensation(e.n, e.src, e.dst)
+
     def delta(self, state: str, symbol: DigitVector | Sequence[int]) -> tuple[str, ...]:
         """Successor states of ``state`` on ``symbol`` (possibly empty)."""
         return self._delta.get((state, _coerce_symbol(symbol)), ())
@@ -212,9 +220,6 @@ class Automaton:
         for q in states:
             out.update(self._delta.get((q, symbol), ()))
         return frozenset(out)
-
-    def successors(self, state: str) -> frozenset[str]:
-        return frozenset(dst for _, dst in self.out_edges[state])
 
     def transition_counts(self) -> dict[tuple[str, str], int]:
         """Number of distinct symbols labeling each ordered state pair."""
@@ -401,37 +406,51 @@ def load_automaton(path: str) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
-def _forward_reachable(a: Automaton, sources: Iterable[str]) -> set[str]:
-    seen = set(sources)
-    stack = list(seen)
+def _reachable(
+    n: int, src: np.ndarray, dst: np.ndarray, seeds: Iterable[int]
+) -> np.ndarray:
+    """Boolean mask of the nodes reachable (in zero or more steps) from
+    ``seeds`` along the edges ``src[e] -> dst[e]``."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        succ[u].append(v)
+    seen = [False] * n
+    stack = list(seeds)
+    for u in stack:
+        seen[u] = True
     while stack:
-        q = stack.pop()
-        for _, dst in a.out_edges[q]:
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return seen
+        for v in succ[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return np.array(seen, dtype=bool)
 
 
-def _backward_reachable(a: Automaton, targets: Iterable[str]) -> set[str]:
-    preds: dict[str, set[str]] = {q: set() for q in a.states}
-    for src, _, dst in a.transitions:
-        preds[dst].add(src)
-    seen = set(targets)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        for p in preds[q]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
+def _forward_reachable(e: EdgeList, sources: Iterable[int]) -> np.ndarray:
+    return _reachable(e.n, e.src, e.dst, sources)
 
 
-def _coaccessible_nonzero(a: Automaton) -> set[str]:
-    """States with a path of length >= 1 to an accept state."""
-    to_accept = _backward_reachable(a, a.accept)  # zero length allowed
-    return {q for q in a.states if any(dst in to_accept for dst in a.successors(q))}
+def _backward_reachable(e: EdgeList, targets: Iterable[int]) -> np.ndarray:
+    return _reachable(e.n, e.dst, e.src, targets)
+
+
+def _nodes(a: Automaton, names: Iterable[str]) -> list[int]:
+    """Numbers of the states ``names``, in declaration order."""
+    return sorted(a.state_index[q] for q in names)
+
+
+def _accepting(a: Automaton) -> np.ndarray:
+    """Mask of the accept states."""
+    mask = np.zeros(len(a.states), dtype=bool)
+    mask[_nodes(a, a.accept)] = True
+    return mask
+
+
+def _coaccessible_nonzero(a: Automaton) -> np.ndarray:
+    """Mask of the states with a path of length >= 1 to an accept state."""
+    e = a.edges
+    to_accept = _backward_reachable(e, _nodes(a, a.accept))  # zero length allowed
+    return np.bincount(e.src[to_accept[e.dst]], minlength=e.n) > 0
 
 
 def classify_properties(a: Automaton) -> PropertyFlags:
@@ -443,9 +462,9 @@ def classify_properties(a: Automaton) -> PropertyFlags:
     accepting with no continuation).
     """
     deterministic = _is_deterministic(a)
-    reachable = _forward_reachable(a, a.start)
-    coacc0 = _backward_reachable(a, a.accept)
-    finite_trim = all(q in reachable and q in coacc0 for q in a.states)
+    reachable = _forward_reachable(a.edges, _nodes(a, a.start))
+    coacc0 = _backward_reachable(a.edges, _nodes(a, a.accept))
+    finite_trim = bool(np.all(reachable & coacc0))
     trim = _is_trim(a, reachable)
     closed = trim and a.accept == frozenset(a.states)
     scc = scc_decompose(a)
@@ -463,19 +482,19 @@ def classify_properties(a: Automaton) -> PropertyFlags:
 
 def _is_deterministic(a: Automaton) -> bool:
     """One start state and at most one successor per state and symbol."""
-    return len(a.start) == 1 and all(len(dsts) <= 1 for dsts in a._delta.values())
+    return len(a.start) == 1 and _deterministic(a.edges)
 
 
-def _is_trim(a: Automaton, reachable: set[str]) -> bool:
-    """Strict trim test, given the states reachable from a start state."""
-    coacc1 = _coaccessible_nonzero(a)
-    return all(q in reachable and q in coacc1 for q in a.states)
+def _is_trim(a: Automaton, reachable: np.ndarray) -> bool:
+    """Strict trim test, given the mask of states reachable from a start
+    state."""
+    return bool(np.all(reachable & _coaccessible_nonzero(a)))
 
 
 def require_trim(a: Automaton) -> None:
     """Raise :class:`NotTrimError` unless ``a`` is trim; computes only the
     trim flag of :func:`classify_properties`."""
-    if not _is_trim(a, _forward_reachable(a, a.start)):
+    if not _is_trim(a, _forward_reachable(a.edges, _nodes(a, a.start))):
         raise NotTrimError("operation requires a trim automaton")
 
 
@@ -495,13 +514,16 @@ def trim(a: Automaton) -> Automaton:
     """
     current = a
     while True:
-        reachable = _forward_reachable(current, current.start)
-        keep = {q for q in _coaccessible_nonzero(current) if q in reachable}
-        if not keep or not (current.start & keep):
+        starts = _nodes(current, current.start)
+        keep = _forward_reachable(current.edges, starts)
+        keep &= _coaccessible_nonzero(current)
+        if not keep[starts].any():
             raise EmptyLanguageError("trimming removed every state")
-        if keep == set(current.states):
+        if keep.all():
             return current
-        current = current.restrict(keep)
+        current = current.restrict(
+            q for q, kept in zip(current.states, keep.tolist()) if kept
+        )
 
 
 def closure(a: Automaton) -> Automaton:
@@ -569,41 +591,128 @@ def tarjan_components(nodes, successors) -> list[list]:
     return components
 
 
+@dataclass(frozen=True)
+class Block:
+    """One non-trivial strongly connected block of an edge list.
+
+    ``nodes`` holds the block's node numbers in increasing order, ``edges``
+    the numbers of the edges inside it, also increasing; ``src``/``dst`` are
+    those edges' endpoints renumbered as positions in ``nodes``.
+    ``period`` is the gcd of the block's cycle lengths.
+    """
+
+    nodes: np.ndarray
+    edges: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    period: int
+
+
+@dataclass(frozen=True)
+class Condensation:
+    """Strongly connected components of a digraph on nodes 0..n-1,
+    numbered in topological order: every edge between two components runs
+    from the lower number to the higher.  ``component_of[v]`` is the
+    component of node v; ``blocks`` maps the number of every non-trivial
+    component (one holding an edge) to its :class:`Block`, in increasing
+    order."""
+
+    component_of: np.ndarray
+    blocks: dict[int, Block]
+
+
+def _condensation(n: int, src: np.ndarray, dst: np.ndarray) -> Condensation:
+    """Tarjan's components of the digraph with edges ``src[e] -> dst[e]``,
+    and for each non-trivial one its period: the gcd of
+    level(u) + 1 - level(v) over the block's edges u -> v, for breadth-first
+    levels from the block's least node (Lind & Marcus, section 4.5)."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        succ[u].append(v)
+    components = tarjan_components(range(n), succ)
+    components.reverse()  # topological order: sources first
+    comp_list = [0] * n
+    for i, comp in enumerate(components):
+        for u in comp:
+            comp_list[u] = i
+    comp_of = np.array(comp_list, dtype=np.intp)
+    inside = np.flatnonzero(comp_of[src] == comp_of[dst])
+    if inside.size == 0:
+        return Condensation(comp_of, {})
+    inside = inside[np.argsort(comp_of[src[inside]], kind="stable")]
+    cids, first = np.unique(comp_of[src[inside]], return_index=True)
+    cids = cids.tolist()
+    level = [-1] * n
+    for cid in cids:
+        root = min(components[cid])
+        level[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in succ[u]:
+                    if level[v] < 0 and comp_list[v] == cid:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+    levels = np.array(level, dtype=np.intp)
+    local = np.empty(n, dtype=np.intp)
+    blocks = {}
+    for cid, edges in zip(cids, np.split(inside, first[1:])):
+        nodes = np.array(sorted(components[cid]), dtype=np.intp)
+        es, ed = src[edges], dst[edges]
+        period = int(np.gcd.reduce(np.abs(levels[es] + 1 - levels[ed])))
+        local[nodes] = np.arange(len(nodes))
+        blocks[cid] = Block(nodes, edges, local[es], local[ed], period)
+    return Condensation(comp_of, blocks)
+
+
+def _single_block(a: Automaton, operation: str) -> Block:
+    """The block of a strongly connected automaton, which covers every state;
+    raises :class:`NotStronglyConnectedError` for any other automaton."""
+    blocks = list(a.sccs.blocks.values())
+    if len(blocks) != 1 or len(blocks[0].nodes) != len(a.states):
+        raise NotStronglyConnectedError(
+            f"{operation} requires a single non-trivial strongly"
+            " connected component covering all states"
+        )
+    return blocks[0]
+
+
+def irreducible_blocks(n: int, src: np.ndarray, dst: np.ndarray) -> list[Block]:
+    """Non-trivial strongly connected blocks of the digraph on nodes 0..n-1
+    with edges ``src[e] -> dst[e]``, in topological order."""
+    return list(_condensation(n, src, dst).blocks.values())
+
+
 def scc_decompose(a: Automaton) -> SccDecomposition:
     """Strongly connected components of the transition digraph, numbered in
-    topological order of the condensation."""
-    succ = {q: sorted(a.successors(q)) for q in a.states}
-    raw = tarjan_components(a.states, succ)
-    raw.reverse()  # topological order: sources first
-    order = a.state_index
-    components = tuple(tuple(sorted(comp, key=order.__getitem__)) for comp in raw)
-    component_of = {q: i for i, comp in enumerate(components) for q in comp}
-    dag_edges = frozenset(
-        (component_of[src], component_of[dst])
-        for src, _, dst in a.transitions
-        if component_of[src] != component_of[dst]
-    )
-    internal = set()
-    for src, _, dst in a.transitions:
-        if component_of[src] == component_of[dst]:
-            internal.add(component_of[src])
-    ids = range(len(components))
+    topological order of the condensation: :attr:`Automaton.sccs` with
+    states named."""
+    comp_of = a.sccs.component_of
+    e = a.edges
+    groups: list[list[str]] = [[] for _ in range(int(comp_of.max()) + 1)]
+    for q, c in zip(a.states, comp_of.tolist()):
+        groups[c].append(q)
+    components = tuple(map(tuple, groups))
+    src_c, dst_c = comp_of[e.src], comp_of[e.dst]
+    cross = src_c != dst_c
     return SccDecomposition(
         components=components,
-        component_of=component_of,
-        dag_edges=dag_edges,
+        component_of=dict(zip(a.states, comp_of.tolist())),
+        dag_edges=frozenset(zip(src_c[cross].tolist(), dst_c[cross].tolist())),
         contains_accept=tuple(
-            any(q in a.accept for q in components[i]) for i in ids
+            (np.bincount(comp_of[_accepting(a)], minlength=len(groups)) > 0).tolist()
         ),
-        trivial=tuple(i not in internal for i in ids),
+        trivial=tuple(i not in a.sccs.blocks for i in range(len(components))),
     )
 
 
 def states_on_cycles(a: Automaton) -> tuple[str, ...]:
     """States whose strongly connected component is non-trivial."""
-    scc = scc_decompose(a)
+    blocks = a.sccs.blocks
     return tuple(
-        q for q in a.states if not scc.trivial[scc.component_of[q]]
+        q for q, c in zip(a.states, a.sccs.component_of.tolist()) if c in blocks
     )
 
 
@@ -625,28 +734,6 @@ def cycle_automaton(a: Automaton, q: str) -> Automaton:
     if q not in set(states_on_cycles(a)):
         raise AcyclicStateError(f"state {q!r} lies on no cycle")
     return trim(a.replace(start=[q], accept=[q]))
-
-
-def _component_sub_automaton(a: Automaton, components, cid: int, q: str) -> Automaton:
-    """Closure of the component sub-automaton rooted at ``q``: the states
-    of component ``cid`` in declaration order, the transitions between
-    them, start ``q`` and every state accepting.
-
-    For ``q`` on a cycle this differs from :func:`cycle_automaton` only in
-    its accept set, which neither the counting matrix nor the prefix
-    determinization reads.
-    """
-    component = set(components[cid])
-    return Automaton(
-        base=a.base,
-        arity=a.arity,
-        states=components[cid],
-        transitions=tuple(
-            tr for tr in a.transitions if tr[0] in component and tr[2] in component
-        ),
-        start=frozenset({q}),
-        accept=frozenset(component),
-    )
 
 
 def multigraph_to_digraph(a: Automaton) -> Automaton:
@@ -820,28 +907,27 @@ def _check_cap(a: Automaton, n: int, cap: int) -> None:
         )
 
 
-def _prefix_codes(a: Automaton, n: int) -> dict[int, frozenset[str]]:
-    """Length-n words with a run from a start state, packed as integers over
-    the used-symbol alphabet, mapped to the set of states their runs reach."""
-    used = a.symbols_used
-    radix = max(len(used), 1)
-    level: dict[int, frozenset[str]] = {0: frozenset(a.start)}
+def _prefix_levels(a: Automaton, n: int) -> Iterator[dict[int, int]]:
+    """Levels 0..n of the prefix enumeration, in one pass: level m maps
+    every length-m word with a run from a start state, packed as an integer
+    over the used-symbol alphabet, to the set of states its runs reach (a
+    bitmask, bit i the i-th declared state)."""
+    radix = max(len(a.symbols_used), 1)
+    table = [[sum(1 << d for d in dsts) for dsts in row] for row in _successor_table(a)]
+    level = {0: _start_mask(a)}
+    yield level
     for _ in range(n):
-        nxt: dict[int, set[str]] = {}
-        for code, stateset in level.items():
-            for i, sym in enumerate(used):
-                targets = a.step_set(stateset, sym)
-                if targets:
-                    key = code * radix + i
-                    bucket = nxt.get(key)
-                    if bucket is None:
-                        nxt[key] = set(targets)
-                    else:
-                        bucket.update(targets)
-        level = {code: frozenset(s) for code, s in nxt.items()}
-        if not level:
-            break
-    return level
+        nxt: dict[int, int] = {}
+        for code, states in level.items():
+            rows = [table[q] for q in _bits(states)]
+            for c in range(len(a.symbols_used)):
+                target = 0
+                for row in rows:
+                    target |= row[c]
+                if target:
+                    nxt[code * radix + c] = target
+        level = nxt
+        yield level
 
 
 def _decode_word(code: int, n: int, used: tuple[DigitVector, ...]) -> Word:
@@ -858,7 +944,7 @@ def prefix_count(a: Automaton, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> in
     """Number of distinct length-n words with a run from a start state
     (= ``len(enumerate_prefixes(a, n))``, without materializing the words)."""
     _check_cap(a, n, cap)
-    return len(_prefix_codes(a, n))
+    return len(deque(_prefix_levels(a, n), maxlen=1)[0])
 
 
 def enumerate_prefixes(
@@ -872,7 +958,8 @@ def enumerate_prefixes(
     """
     _check_cap(a, n, cap)
     used = a.symbols_used
-    return {_decode_word(code, n, used) for code in _prefix_codes(a, n)}
+    level = deque(_prefix_levels(a, n), maxlen=1)[0]
+    return {_decode_word(code, n, used) for code in level}
 
 
 def accepts(a: Automaton, word: Iterable[DigitVector | Sequence[int]]) -> bool:
@@ -901,20 +988,24 @@ def _bits(subset: int) -> list[int]:
     return out
 
 
-def _subset_construction(a: Automaton, cap: int) -> tuple[list[int], EdgeList]:
-    """Subset construction on bitmask subsets (bit i is the i-th declared
-    state).  Subsets are numbered in breadth-first discovery order from the
-    start set, trying symbols in ``symbols_used`` order; the empty set is
-    never entered.  Returns the subsets and the edges between their numbers
-    (symbol numbers as in :attr:`Automaton.edges`).  Raises
+def _start_mask(a: Automaton) -> int:
+    """The start states as a bitmask (bit i is the i-th declared state)."""
+    return sum(1 << q for q in _nodes(a, a.start))
+
+
+def _subset_construction(
+    e: EdgeList, start: int, cap: int
+) -> tuple[list[int], EdgeList]:
+    """Subset construction on bitmask subsets of the nodes of ``e`` (bit i
+    is node i), from the subset ``start``.  Subsets are numbered in
+    breadth-first discovery order, trying symbols in increasing number;
+    the empty set is never entered.  Returns the subsets and the edges
+    between their numbers (symbol numbers as in ``e``).  Raises
     :class:`CapExceededError` once more than ``cap`` subsets appear."""
-    n_sym = len(a.symbols_used)
-    masks = [
-        [sum(1 << d for d in dsts) for dsts in row] for row in _successor_table(a)
-    ]
-    start = 0
-    for q in a.start:
-        start |= 1 << a.state_index[q]
+    n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
+    masks = [[0] * n_sym for _ in range(e.n)]
+    for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
+        masks[q][c] |= 1 << d
     subsets = [start]
     number = {start: 0}
     src: list[int] = []
@@ -944,9 +1035,50 @@ def _subset_construction(a: Automaton, cap: int) -> tuple[list[int], EdgeList]:
     return subsets, EdgeList.from_lists(len(subsets), src, sym, dst)
 
 
-def _subset_automaton(a: Automaton, subsets: list[int], edges: EdgeList) -> Automaton:
-    """The output of :func:`_subset_construction` as an automaton: subset
-    states named ``{q1,q2,...}`` in declaration order, all accepting."""
+def _deterministic(e: EdgeList) -> bool:
+    """At most one edge of ``e`` per node and symbol."""
+    key = e.src * (int(e.sym.max(initial=0)) + 1) + e.sym
+    return len(np.unique(key)) == len(key)
+
+
+def _prefix_graph(
+    e: EdgeList, block: Block, start: int, cap: int
+) -> tuple[EdgeList, Condensation, int]:
+    """A graph whose paths from its start node spell, each exactly once,
+    the words with a run inside ``block`` from the block's nodes in
+    ``start`` (a bitmask over positions in ``block.nodes``); returned with
+    its condensation and its start node.
+
+    When ``start`` is one node and the block has at most one edge per node
+    and symbol, that graph is the block itself, renumbered by position and
+    already decomposed: one component holding every node.  Otherwise it is
+    the subset construction from ``start`` (start node 0, at most ``cap``
+    subsets).  Nodes and edges keep the order of ``e``, so every solve on
+    the result sees the arrays it would see on the component alone.
+    """
+    b = EdgeList(len(block.nodes), block.src, e.sym[block.edges], block.dst)
+    if start & (start - 1) == 0 and _deterministic(b):
+        whole = Block(np.arange(b.n), np.arange(len(b.src)), b.src, b.dst, block.period)
+        root = start.bit_length() - 1
+        return b, Condensation(np.zeros(b.n, dtype=np.intp), {0: whole}), root
+    d = _subset_construction(b, start, cap)[1]
+    return d, _condensation(d.n, d.src, d.dst), 0
+
+
+def prefix_determinization(
+    a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Automaton:
+    """Deterministic automaton for the prefix language of ``a``.
+
+    Subset construction over the trim input with every subset accepting:
+    the prefix language of a trim automaton is prefix-closed and regular,
+    so runs of the result are in bijection with distinct prefixes.  The
+    result is trim, closed and deterministic.  States are the reachable
+    subsets in breadth-first discovery order, named ``{q1,q2,...}`` with
+    their members in declaration order.
+    """
+    require_trim(a)
+    subsets, edges = _subset_construction(a.edges, _start_mask(a), cap)
     names = [
         "{" + ",".join(a.states[q] for q in _bits(subset)) + "}"
         for subset in subsets
@@ -965,19 +1097,3 @@ def _subset_automaton(a: Automaton, subsets: list[int], edges: EdgeList) -> Auto
         start=frozenset({names[0]}),
         accept=frozenset(names),
     )
-
-
-def prefix_determinization(
-    a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Automaton:
-    """Deterministic automaton for the prefix language of ``a``.
-
-    Subset construction over the trim input with every subset accepting:
-    the prefix language of a trim automaton is prefix-closed and regular,
-    so runs of the result are in bijection with distinct prefixes.  The
-    result is trim, closed and deterministic.  States are the reachable
-    subsets in breadth-first discovery order.
-    """
-    require_trim(a)
-    subsets, edges = _subset_construction(a, cap)
-    return _subset_automaton(a, subsets, edges)

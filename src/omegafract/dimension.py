@@ -20,15 +20,15 @@ import numpy as np
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
+    Block,
     DigitVector,
-    SccDecomposition,
     Word,
-    _component_sub_automaton,
     _is_deterministic,
-    _subset_construction,
+    _prefix_graph,
+    _single_block,
+    _start_mask,
     classify_properties,
     require_trim,
-    scc_decompose,
     trim,
 )
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
     NotStronglyConnectedError,
     NotTrimError,
 )
-from .spectral import DEFAULT_SPECTRAL_TOL, entropy, irreducible_blocks, perron
+from .spectral import DEFAULT_SPECTRAL_TOL, entropy, max_root, perron
 
 #: Guard band for dimension comparisons, an order of magnitude above the
 #: spectral tolerance the underlying quantities are computed to.
@@ -90,23 +90,21 @@ def cycle_entropies(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[st
     component: for q, p in one component with words u: q -> p and
     v: p -> q, the map w -> v w u injects the cycle language of q into that
     of p (and symmetrically), so the two grow at the same rate.  It is
-    therefore computed once per non-trivial component, on the component
-    rooted at its first state in declaration order, whose counting matrix
-    and prefix determinization are those of that state's cycle automaton.
+    therefore computed once per block of :attr:`Automaton.sccs`, rooted at
+    the block's first state in declaration order, whose counting matrix and
+    prefix determinization are those of that state's cycle automaton.
     """
     require_trim(a)
-    scc = scc_decompose(a)
-    per_component = {
-        cid: entropy(
-            _component_sub_automaton(a, scc.components, cid, comp[0]), cap=cap
-        )
-        for cid, comp in enumerate(scc.components)
-        if not scc.trivial[cid]
-    }
+    d = a.sccs
+    per_component = {}
+    for c, block in d.blocks.items():
+        p, pd, _ = _prefix_graph(a.edges, block, 1, cap)
+        root = max_root(pd.blocks.values(), np.ones(len(p.src)))
+        per_component[c] = math.log(root)
     return {
-        q: per_component[scc.component_of[q]]
-        for q in a.states
-        if scc.component_of[q] in per_component
+        q: per_component[c]
+        for q, c in zip(a.states, d.component_of.tolist())
+        if c in per_component
     }
 
 
@@ -196,27 +194,29 @@ def mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
     strictly decreasing whenever a cycle exists; monotonicity is verified
     at the bracket endpoints before bisecting.  Returns 0 when even the
     exponent-0 radius is below 1.
+    """
+    block = _single_block(a, "critical exponent")
+    return _block_mw_alpha(a, block, _start_mask(a), tol, DEFAULT_ENUMERATION_CAP)
+
+
+def _block_mw_alpha(
+    a: Automaton, block: Block, start: int, tol: float, cap: int
+) -> float:
+    """:func:`mw_alpha` of one block of ``a``, entered at the block nodes in
+    ``start`` (a bitmask over positions in ``block.nodes``), with at most
+    ``cap`` subsets in its determinization.
 
     Since transfer(alpha) = k^(-alpha) * C with C the integer counting
     matrix, the blocks of C's edge list are found once and every step
     solves them with the edge weights scaled by k^(-alpha).
     """
-    scc = scc_decompose(a)
-    if len(scc) != 1 or scc.trivial[0]:
-        raise NotStronglyConnectedError(
-            "critical exponent requires a single non-trivial strongly"
-            " connected component covering all states"
-        )
-    if _is_deterministic(a):
-        e = a.edges
-    else:
-        e = _subset_construction(a, DEFAULT_ENUMERATION_CAP)[1]
-    blocks = irreducible_blocks(e.n, e.src, e.dst)
-    counts = np.ones(len(e.src))
+    p, pd, _ = _prefix_graph(a.edges, block, start, cap)
+    blocks = list(pd.blocks.values())
+    counts = np.ones(len(p.src))
 
     def radius(alpha: float) -> float:
         weight = counts if alpha == 0 else counts * float(a.base) ** (-alpha)
-        return max(perron(block, weight, tol=tol).root for block in blocks)
+        return max(perron(b, weight, tol=tol).root for b in blocks)
 
     lo, hi = 0.0, float(a.arity)
     f_lo, f_hi = radius(lo), radius(hi)
@@ -278,59 +278,38 @@ def _run_word(a: Automaton, word: Word) -> frozenset[str]:
     return current
 
 
-def _cycle_prefixes_complete(
-    a: Automaton, scc: SccDecomposition, q: str, cap: int
-) -> bool:
-    """Does every finite digit string extend to a word of q's cycle
-    language?  Decided exactly on the determinized prefix automaton of q's
-    component rooted at q (the prefix language of its cycle language):
-    complete iff no reachable subset state is missing an outgoing digit."""
-    cid = scc.component_of[q]
-    subsets, edges = _subset_construction(
-        _component_sub_automaton(a, scc.components, cid, q), cap
-    )
-    out_degree = np.bincount(edges.src, minlength=len(subsets))
-    return bool(np.all(out_degree == a.base**a.arity))
+def _cycle_prefixes_complete(a: Automaton, q: int, cap: int) -> bool:
+    """Does every finite digit string extend to a word of the cycle
+    language of state number ``q``?  Decided exactly on the prefix graph of
+    q's block rooted at q (the prefix language of its cycle language):
+    complete iff no node of it is missing an outgoing digit."""
+    block = a.sccs.blocks[int(a.sccs.component_of[q])]
+    root = int(np.searchsorted(block.nodes, q))
+    p = _prefix_graph(a.edges, block, 1 << root, cap)[0]
+    return bool(np.all(np.bincount(p.src, minlength=p.n) == a.base**a.arity))
 
 
-def _component_closed_under_digits(a: Automaton, component: tuple[str, ...]) -> bool:
-    """Whether every state of a deterministic component has a transition
-    into the component on every one of the k^d digits."""
-    members = set(component)
-    full = a.base**a.arity
-    return all(
-        sum(1 for _, dst in a.out_edges[p] if dst in members) == full
-        for p in component
-    )
-
-
-def _complete_cycle_states(
-    a: Automaton, scc: SccDecomposition, deterministic: bool, cap: int
-) -> list[str]:
+def _complete_cycle_states(a: Automaton, deterministic: bool, cap: int) -> list[str]:
     """States on cycles whose cycle-prefix set is complete, in declaration
     order.
 
-    On a deterministic automaton the prefix determinization of a component
-    is the component itself, reached whole from any of its states, so
-    completeness is a property of the component and is decided once per
-    component.  On an NFA the subsets reached depend on the root state and
-    every state is checked.
+    On a deterministic automaton the prefix graph of a block is the block
+    itself whatever its root, so completeness is a property of the block
+    and is decided once per block.  On an NFA the subsets reached depend on
+    the root state and every state is checked.
     """
-    complete: dict[int, bool] = {}
-    witnesses = []
-    for q in a.states:
-        cid = scc.component_of[q]
-        if scc.trivial[cid]:
-            continue
-        if not deterministic:
-            if _cycle_prefixes_complete(a, scc, q, cap):
-                witnesses.append(q)
-            continue
-        if cid not in complete:
-            complete[cid] = _component_closed_under_digits(a, scc.components[cid])
-        if complete[cid]:
-            witnesses.append(q)
-    return witnesses
+    blocks = a.sccs.blocks
+    if deterministic:
+        complete = {
+            c: _cycle_prefixes_complete(a, int(b.nodes[0]), cap)
+            for c, b in blocks.items()
+        }
+    return [
+        a.states[q]
+        for q, c in enumerate(a.sccs.component_of.tolist())
+        if c in blocks
+        and (complete[c] if deterministic else _cycle_prefixes_complete(a, q, cap))
+    ]
 
 
 def density_classifier(
@@ -350,9 +329,8 @@ def density_classifier(
     if a.arity != 1:
         raise ArityError("density classification is defined for arity 1")
     require_trim(a)
-    scc = scc_decompose(a)
     deterministic = _is_deterministic(a)
-    witnesses = _complete_cycle_states(a, scc, deterministic, cap)
+    witnesses = _complete_cycle_states(a, deterministic, cap)
     if not witnesses:
         return DensityReport(
             nowhere_dense=True,

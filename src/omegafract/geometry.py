@@ -20,8 +20,9 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
     DigitVector,
+    _check_cap,
+    _prefix_levels,
     enumerate_prefixes,
-    prefix_count,
 )
 from .errors import ArityError, ValidationError
 
@@ -83,14 +84,27 @@ def box_cover(
     )
 
 
-def box_count_oracle(a: Automaton, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Number of depth-n grid boxes in the prefix cover.
-
-    Within a factor 3^d of the minimal grid count (adjacent boxes share
-    k-rational boundary points), which constant factors in the dimension
-    limit cannot detect.
-    """
-    return prefix_count(a, n, cap=cap)
+def _box_count_fit(
+    a: Automaton, n_min: int, n_max: int, cap: int
+) -> tuple[list[int], float]:
+    """Box counts (prefix counts, within a factor 3^d of the minimal grid
+    count, which the slope cannot see) at every depth in [n_min, n_max],
+    from one level-by-level enumeration pass, and the least-squares slope
+    of log(count) against n log k.  The cap is checked before enumerating,
+    so the error names the first depth over it."""
+    if not 0 <= n_min < n_max:
+        raise ValidationError("need 0 <= n_min < n_max")
+    for n in range(n_min, n_max + 1):
+        _check_cap(a, n, cap)
+    counts = [len(level) for level in _prefix_levels(a, n_max)][n_min:]
+    log_k = math.log(a.base)
+    xs = [n * log_k for n in range(n_min, n_max + 1)]
+    ys = [math.log(count) for count in counts]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    return counts, sxy / sxx
 
 
 def estimate_box_dimension(
@@ -98,19 +112,7 @@ def estimate_box_dimension(
 ) -> float:
     """Least-squares slope of log(box count) against n log k over the depth
     range; converges to the box-counting dimension as depths grow."""
-    if not 0 <= n_min < n_max:
-        raise ValidationError("need 0 <= n_min < n_max")
-    xs = []
-    ys = []
-    log_k = math.log(a.base)
-    for n in range(n_min, n_max + 1):
-        xs.append(n * log_k)
-        ys.append(math.log(box_count_oracle(a, n, cap=cap)))
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return sxy / sxx
+    return _box_count_fit(a, n_min, n_max, cap)[1]
 
 
 def _merged_intervals(

@@ -1,5 +1,5 @@
-"""Counting and weighted adjacency matrices, the certified Perron solver,
-and entropy of prefix languages.
+"""Counting and transfer matrices, the certified Perron solver, and
+entropy of prefix languages.
 
 Entropy here is the exponential growth rate, in natural-log units, of the
 number of distinct length-n prefixes of the accepted language.  For a
@@ -9,14 +9,16 @@ determinized as finite automata on their (prefix-closed, regular) prefix
 language, so strings are counted rather than runs.
 
 Every Perron root and vector in the package comes from one routine,
-:func:`perron`, working on an edge list (``src``/``dst`` node arrays and
-one weight per edge) rather than a dense matrix.  For each non-trivial
-strongly connected block (:func:`irreducible_blocks`) it finds the period
-p from breadth-first levels, iterates x <- B^p x with ``np.bincount``
-products costing O(transitions) each, stops once the Collatz-Wielandt
-bracket of B^p has relative width at most the tolerance, and, when asked,
-recovers B's Perron vector as sum_{j<p} (B/rho)^j x with a checked
-residual.  Hitting the step cap or an underflowing entry raises
+:func:`perron`, working on one block of an edge list (``src``/``dst``
+node arrays and one weight per edge) rather than on a dense matrix.  The
+blocks are the non-trivial strongly connected components of
+:attr:`~omegafract.core.Automaton.sccs` (or, after a subset construction,
+of :func:`~omegafract.core.irreducible_blocks` on its edges), each with its
+period p.  The solver iterates x <- B^p x with ``np.bincount`` products
+costing O(transitions) each, stops once the Collatz-Wielandt bracket of
+B^p has relative width at most the tolerance, and, when asked, recovers
+B's Perron vector as sum_{j<p} (B/rho)^j x with a checked residual.
+Hitting the step cap or an underflowing entry raises
 :class:`~omegafract.errors.NotConvergedError`; no unconverged value is
 returned.  :func:`counting_matrix`, :func:`transfer_matrix` and
 :class:`CountMatrix` remain as public constructors; :func:`spectral_radius`
@@ -34,11 +36,13 @@ import numpy as np
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
+    Block,
     _is_deterministic,
+    _start_mask,
     _subset_construction,
+    irreducible_blocks,
     prefix_count,
     require_trim,
-    tarjan_components,
 )
 from .errors import NotConvergedError
 
@@ -85,36 +89,13 @@ class CountMatrix:
         return np.array(self.entries, dtype=float)
 
 
-def weighted_matrix(a: Automaton, s: float) -> CountMatrix:
-    """Weighted adjacency matrix with entries (c_ij / k)^s, where c_ij is
-    the number of symbols carrying a transition from state i to state j.
-
-    Zero-count entries stay 0 at every exponent (0^0 = 0 convention), so
-    s = 0 yields the 0/1 reachability indicator and k * entries at s = 1
-    recovers the integer counting matrix.
-    """
-    if s < 0:
-        raise ValueError("exponent must be nonnegative")
-    counts = a.transition_counts()
-    rows = []
-    for src in a.states:
-        row = []
-        for dst in a.states:
-            c = counts.get((src, dst), 0)
-            row.append(0 if c == 0 else (c / a.base) ** s if s != 0 else 1)
-        rows.append(tuple(row))
-    return CountMatrix(entries=tuple(rows), states=a.states)
-
-
 def transfer_matrix(a: Automaton, s: float) -> CountMatrix:
     """Transfer operator of the digit maps at exponent ``s``: entry (i, j)
     sums (1/k)^s over the c_ij parallel transitions, i.e. c_ij * k^(-s).
 
-    On a true digraph (c_ij <= 1 everywhere) this coincides with
-    :func:`weighted_matrix`; on multigraphs it is the matrix whose unit
-    spectral radius characterizes the critical exponent, since every
-    transition contracts the box by 1/k per coordinate.  At s = 0 the
-    entries are the exact integer transition counts.
+    Its unit spectral radius characterizes the critical exponent, since
+    every transition contracts the box by 1/k per coordinate.  At s = 0
+    the entries are the exact integer transition counts.
     """
     if s < 0:
         raise ValueError("exponent must be nonnegative")
@@ -135,46 +116,9 @@ def counting_matrix(a: Automaton) -> CountMatrix:
     return transfer_matrix(a, 0)
 
 
-@dataclass(frozen=True)
-class GrowthSequence:
-    """Exact per-length counts |L^pre|_0 .. |L^pre|_N as big integers."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.values):
-            raise ValueError("growth counts must be nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
-
 # ---------------------------------------------------------------------------
 # the certified Perron solver
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Block:
-    """One non-trivial strongly connected block of an edge list.
-
-    ``nodes`` holds the block's node numbers in increasing order, ``edges``
-    the numbers of the edges inside it; ``src``/``dst`` are those edges'
-    endpoints renumbered as positions in ``nodes``.  ``period`` is the gcd of
-    the block's cycle lengths.
-    """
-
-    nodes: np.ndarray
-    edges: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    period: int
 
 
 @dataclass(frozen=True)
@@ -188,52 +132,6 @@ class Perron:
     lo: float
     hi: float
     vector: np.ndarray | None = None
-
-
-def irreducible_blocks(n: int, src: np.ndarray, dst: np.ndarray) -> list[Block]:
-    """Non-trivial strongly connected blocks of the digraph on nodes 0..n-1
-    with edges ``src[e] -> dst[e]``, each with its period: the gcd of
-    level(u) + 1 - level(v) over the block's edges u -> v, for breadth-first
-    levels from any node of the block (Lind & Marcus, section 4.5)."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        succ[u].append(v)
-    components = tarjan_components(range(n), succ)
-    comp_list = [0] * n
-    for i, comp in enumerate(components):
-        for u in comp:
-            comp_list[u] = i
-    comp_of = np.array(comp_list, dtype=np.intp)
-    inside = np.flatnonzero(comp_of[src] == comp_of[dst])
-    if inside.size == 0:
-        return []
-    inside = inside[np.argsort(comp_of[src[inside]], kind="stable")]
-    cids, first = np.unique(comp_of[src[inside]], return_index=True)
-    cids = cids.tolist()
-    # breadth-first levels inside each block, from its least node
-    level = [-1] * n
-    for cid in cids:
-        root = min(components[cid])
-        level[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in succ[u]:
-                    if level[v] < 0 and comp_list[v] == cid:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-    levels = np.array(level, dtype=np.intp)
-    local = np.empty(n, dtype=np.intp)
-    blocks = []
-    for cid, edges in zip(cids, np.split(inside, first[1:])):
-        nodes = np.array(sorted(components[cid]), dtype=np.intp)
-        es, ed = src[edges], dst[edges]
-        period = int(np.gcd.reduce(np.abs(levels[es] + 1 - levels[ed])))
-        local[nodes] = np.arange(len(nodes))
-        blocks.append(Block(nodes, edges, local[es], local[ed], period))
-    return blocks
 
 
 def _root(r: float, exponent: int, p: int) -> float:
@@ -316,19 +214,10 @@ def perron(
     )
 
 
-def max_root(
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    weight: np.ndarray,
-    tol: float = DEFAULT_SPECTRAL_TOL,
-) -> float:
-    """Largest certified Perron root over the blocks of a weighted edge
-    list; exactly 0.0 when the digraph has no cycle."""
-    return max(
-        (perron(b, weight, tol).root for b in irreducible_blocks(n, src, dst)),
-        default=0.0,
-    )
+def max_root(blocks, weight: np.ndarray, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
+    """Largest certified Perron root over ``blocks`` of one weighted edge
+    list; exactly 0.0 when there is no block (the digraph has no cycle)."""
+    return max((perron(b, weight, tol).root for b in blocks), default=0.0)
 
 
 def spectral_radius(
@@ -350,7 +239,7 @@ def spectral_radius(
         if np.any(array < 0):
             raise ValueError("matrix entries must be nonnegative")
     src, dst = np.nonzero(array > 0)
-    return max_root(array.shape[0], src, dst, array[src, dst], tol)
+    return max_root(irreducible_blocks(array.shape[0], src, dst), array[src, dst], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +247,10 @@ def spectral_radius(
 # ---------------------------------------------------------------------------
 
 
-def prefix_growth(a: Automaton, N: int) -> GrowthSequence:
+def prefix_growth(a: Automaton, N: int) -> tuple[int, ...]:
     """Exact run counts per length, via big-integer vector iteration over
-    per-state counts seeded with the start indicator.
+    per-state counts seeded with the start indicator, one pass over the
+    edges per length.
 
     For deterministic automata the value at n equals the number of distinct
     length-n prefixes; for nondeterministic automata runs are counted, so
@@ -369,21 +259,17 @@ def prefix_growth(a: Automaton, N: int) -> GrowthSequence:
     require_trim(a)
     if N < 0:
         raise ValueError("depth must be nonnegative")
-    counts = a.transition_counts()
-    index = a.state_index
-    n_states = len(a.states)
-    matrix = [[0] * n_states for _ in range(n_states)]
-    for (src, dst), c in counts.items():
-        matrix[index[src]][index[dst]] = c
+    e = a.edges
+    pairs = list(zip(e.src.tolist(), e.dst.tolist()))
     vec = [1 if q in a.start else 0 for q in a.states]
     values = [sum(vec)]
     for _ in range(N):
-        vec = [
-            sum(vec[i] * matrix[i][j] for i in range(n_states))
-            for j in range(n_states)
-        ]
+        nxt = [0] * e.n
+        for i, j in pairs:
+            nxt[j] += vec[i]
+        vec = nxt
         values.append(sum(vec))
-    return GrowthSequence(values=tuple(values))
+    return tuple(values)
 
 
 def entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -395,8 +281,12 @@ def entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     infinite-word language.
     """
     require_trim(a)
-    e = a.edges if _is_deterministic(a) else _subset_construction(a, cap)[1]
-    return math.log(max_root(e.n, e.src, e.dst, np.ones(len(e.src))))
+    if _is_deterministic(a):
+        e, blocks = a.edges, a.sccs.blocks.values()
+    else:
+        e = _subset_construction(a.edges, _start_mask(a), cap)[1]
+        blocks = irreducible_blocks(e.n, e.src, e.dst)
+    return math.log(max_root(blocks, np.ones(len(e.src))))
 
 
 def entropy_estimate(a: Automaton, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:

@@ -9,12 +9,12 @@ from omegafract import (
     Automaton,
     DigitVector,
     ValidationError,
-    box_count_oracle,
     box_cover,
     box_dimension,
     enumerate_prefixes,
     estimate_box_dimension,
     nu_k,
+    prefix_count,
     prefix_growth,
     render,
 )
@@ -82,8 +82,8 @@ def test_box_cover_dyadic_depth3(dyadic):
 
 
 def test_box_count_oracle_values(cantor, full_binary):
-    assert box_count_oracle(cantor, 3) == 8
-    assert box_count_oracle(full_binary, 4) == 16
+    assert prefix_count(cantor, 3) == 8
+    assert prefix_count(full_binary, 4) == 16
 
 
 def test_box_count_single_point():
@@ -95,7 +95,7 @@ def test_box_count_single_point():
         start=frozenset({"s"}),
         accept=frozenset({"s"}),
     )
-    assert box_count_oracle(a, 5) == 1
+    assert prefix_count(a, 5) == 1
 
 
 def test_cover_matches_enumeration(cantor):
@@ -132,7 +132,7 @@ def test_count_consistency_with_growth():
         a = random_deterministic_trim(rng, n_states=4, base=rng.choice([2, 3]))
         growth = prefix_growth(a, 8)
         for n in range(9):
-            assert box_count_oracle(a, n) == growth[n]
+            assert prefix_count(a, n) == growth[n]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_render_deterministic(cantor):
 def test_merged_lengths_sum_exactly(cantor, dyadic, golden_mean):
     for a in (cantor, dyadic, golden_mean):
         n = 4
-        count = box_count_oracle(a, n)
+        count = prefix_count(a, n)
         text = render(a, n, "interval-list")
         total = Fraction(0)
         for line in text.strip().splitlines():

@@ -1,0 +1,195 @@
+"""Every per-component analysis reads the blocks of one decomposition of
+``Automaton.edges``: no sub-automaton is built after parsing, the input
+graph is decomposed once, and the caller's enumeration cap reaches every
+subset construction."""
+
+import json
+import random
+
+import pytest
+
+from omegafract import (
+    Automaton,
+    CapExceededError,
+    NotStronglyConnectedError,
+    check_unambiguous,
+    cycle_entropies,
+    dimension_report,
+    hausdorff_measure,
+    mw_alpha,
+    parse_automaton,
+    scc_decompose,
+    serialize_automaton,
+)
+from omegafract import core, spectral
+from omegafract.cli import main
+from conftest import bundled
+from helpers_random import random_multi_scc, random_strongly_connected
+
+BUNDLED = [
+    "cantor",
+    "cantor_pair",
+    "dyadic",
+    "dyadic_unambiguous",
+    "full_binary",
+    "golden_mean",
+]
+
+#: Unambiguous NFA, one strongly connected component; its key state s1 is
+#: not the component's first state.  The cycle entropy, rooted at s0,
+#: determinizes into 5 subsets; the component entered at s1 into 7.
+KEY_NOT_FIRST = {
+    "base": 2,
+    "arity": 1,
+    "states": ["s0", "s1", "s2", "s3", "s4"],
+    "start": ["s1"],
+    "accept": ["s0", "s1", "s2", "s3", "s4"],
+    "transitions": [
+        {"from": "s0", "symbol": [1], "to": "s1"},
+        {"from": "s0", "symbol": [1], "to": "s3"},
+        {"from": "s1", "symbol": [0], "to": "s2"},
+        {"from": "s1", "symbol": [1], "to": "s4"},
+        {"from": "s2", "symbol": [1], "to": "s3"},
+        {"from": "s3", "symbol": [0], "to": "s4"},
+        {"from": "s4", "symbol": [0], "to": "s0"},
+    ],
+}
+
+
+def _inputs():
+    out = [(name, bundled(name)) for name in BUNDLED]
+    out.append(("key-not-first", parse_automaton(json.dumps(KEY_NOT_FIRST))))
+    rng = random.Random(404)
+    for i in range(8):
+        for deterministic in (True, False):
+            a = random_multi_scc(
+                rng, base=rng.choice([2, 3]), deterministic=deterministic
+            )
+            out.append((f"multi-{deterministic}-{i}", a))
+        a = random_strongly_connected(
+            rng, n_states=4, base=2, deterministic=i % 2 == 0
+        )
+        out.append((f"strong-{i}", a))
+    return out
+
+
+INPUTS = _inputs()
+
+
+def _fresh(a: Automaton) -> Automaton:
+    """The same automaton parsed anew, with nothing cached on it."""
+    return parse_automaton(serialize_automaton(a))
+
+
+def _count_constructions(monkeypatch) -> list:
+    built = []
+    original = Automaton.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Automaton, "__post_init__", counting)
+    return built
+
+
+def _count_tarjan_runs(monkeypatch) -> list:
+    """Record the graph of every Tarjan run as (nodes, successors)."""
+    runs = []
+    original = core.tarjan_components
+
+    def recording(nodes, successors):
+        nodes = list(nodes)
+        runs.append((nodes, {u: list(successors[u]) for u in nodes}))
+        return original(nodes, successors)
+
+    for module in (core, spectral):
+        if hasattr(module, "tarjan_components"):
+            monkeypatch.setattr(module, "tarjan_components", recording)
+    return runs
+
+
+def _runs_on(a: Automaton, runs) -> int:
+    """How many recorded Tarjan runs had ``a``'s transition graph (states
+    named or numbered) as their graph."""
+    index = a.state_index
+    edges = {(index[p], index[q]) for p, _, q in a.transitions}
+
+    def number(v):
+        return index.get(v, -1) if isinstance(v, str) else v
+
+    count = 0
+    for nodes, succ in runs:
+        if sorted(map(number, nodes)) != list(range(len(a.states))):
+            continue
+        if {(number(u), number(v)) for u in nodes for v in succ[u]} == edges:
+            count += 1
+    return count
+
+
+def _ids(value):
+    return value if isinstance(value, str) else ""
+
+
+@pytest.mark.parametrize("name, a", INPUTS, ids=_ids)
+def test_per_component_analyses_build_no_automaton(monkeypatch, name, a):
+    unambiguous = bool(check_unambiguous(a))
+    scc = scc_decompose(a)
+    strongly_connected = len(scc) == 1 and not scc.trivial[0]
+    a = _fresh(a)
+    built = _count_constructions(monkeypatch)
+    cycle_entropies(a)
+    dimension_report(a)
+    if unambiguous:
+        hausdorff_measure(a)
+    if strongly_connected:
+        mw_alpha(a)
+    else:
+        with pytest.raises(NotStronglyConnectedError):
+            mw_alpha(a)
+    assert built == []
+
+
+#: Inputs the measure runs on: unambiguous, and of two or more states (on
+#: one state the self-product of the ambiguity check has the input's graph
+#: too).
+MEASURED = [(n, a) for n, a in INPUTS if len(a.states) >= 2 and check_unambiguous(a)]
+
+
+@pytest.mark.parametrize("name, a", MEASURED, ids=_ids)
+def test_measure_decomposes_its_input_once(monkeypatch, name, a):
+    a = _fresh(a)
+    runs = _count_tarjan_runs(monkeypatch)
+    hausdorff_measure(a)
+    assert _runs_on(a, runs) == 1
+
+
+def test_measured_inputs_include_nfas():
+    nondeterministic = [a for _, a in MEASURED if not core._is_deterministic(a)]
+    assert len(MEASURED) >= 10 and len(nondeterministic) >= 2
+
+
+# ---------------------------------------------------------------------------
+# the cap reaches every subset construction
+# ---------------------------------------------------------------------------
+
+
+def test_measure_cap_reaches_key_state_determinization():
+    a = parse_automaton(json.dumps(KEY_NOT_FIRST))
+    assert len(cycle_entropies(a, cap=5)) == 5
+    for cap in (5, 6):
+        with pytest.raises(CapExceededError):
+            hausdorff_measure(a, cap=cap)
+    report = hausdorff_measure(a, cap=7)
+    assert report.total == pytest.approx(0.6059142771389351, rel=1e-12)
+
+
+def test_cli_measure_cap_reaches_key_state_determinization(tmp_path, capsys):
+    path = tmp_path / "key-not-first.json"
+    path.write_text(json.dumps(KEY_NOT_FIRST), encoding="utf-8")
+    code = main(["measure", str(path), "--cap", "5"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"]["code"] == "cap-exceeded"
+    assert report["config"]["enumeration_cap"] == 5
+    assert main(["measure", str(path), "--cap", "7"]) == 0

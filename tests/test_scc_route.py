@@ -92,17 +92,18 @@ def test_density_witnesses_match_per_state_check(deterministic):
             deterministic=deterministic,
             full_last=i % 2 == 0,
         )
-        scc = scc_decompose(a)
         per_state = [
             q
             for q in states_on_cycles(a)
-            if _cycle_prefixes_complete(a, scc, q, DEFAULT_ENUMERATION_CAP)
+            if _cycle_prefixes_complete(
+                a, a.state_index[q], DEFAULT_ENUMERATION_CAP
+            )
         ]
         assert per_state == [
             q for q in states_on_cycles(a) if _complete_by_subsets(a, q)
         ]
         assert (
-            _complete_cycle_states(a, scc, deterministic, DEFAULT_ENUMERATION_CAP)
+            _complete_cycle_states(a, deterministic, DEFAULT_ENUMERATION_CAP)
             == per_state
         )
         complete_seen += bool(per_state)

@@ -14,32 +14,10 @@ from omegafract import (
     spectral_radius,
     substring_automaton,
     transfer_matrix,
-    weighted_matrix,
 )
 from helpers_random import disjoint_union, random_trim_automaton
 
 PHI = (1 + math.sqrt(5)) / 2
-
-
-def test_weighted_matrix_cantor(cantor):
-    assert weighted_matrix(cantor, 1).entries == ((2 / 3,),)
-    # zero-count entries stay zero at s=0; the lone nonzero count maps to 1
-    assert weighted_matrix(cantor, 0).entries == ((1,),)
-
-
-def test_weighted_matrix_dyadic(dyadic):
-    m = weighted_matrix(dyadic, 1)
-    assert m.states == ("q0", "q1")
-    assert m.entries == ((1.0, 0.5), (0.0, 0.5))
-
-
-def test_weighted_matrix_zero_convention():
-    a = random_trim_automaton(random.Random(0), n_states=3)
-    m = weighted_matrix(a, 0)
-    c = counting_matrix(a)
-    for row_m, row_c in zip(m.entries, c.entries):
-        for vm, vc in zip(row_m, row_c):
-            assert vm == (1 if vc > 0 else 0)
 
 
 def test_transfer_matrix_cantor(cantor):
@@ -50,16 +28,19 @@ def test_transfer_matrix_cantor(cantor):
 
 
 def test_matrix_constructors_agree_on_true_digraphs(golden_mean):
-    # no parallel transitions: the weighted and transfer forms coincide
+    # no parallel transitions: the transfer form equals the weighted
+    # adjacency form (c_ij / k)^s, with 0^0 = 0
     from omegafract import multigraph_to_digraph
 
     dg = multigraph_to_digraph(golden_mean)
+    counts = dg.transition_counts()
     for s in (0.0, 0.5, 1.0, 1.7):
-        w = weighted_matrix(dg, s)
         t = transfer_matrix(dg, s)
-        for rw, rt in zip(w.entries, t.entries):
-            for vw, vt in zip(rw, rt):
-                assert vw == pytest.approx(vt, rel=1e-15)
+        for i, p in enumerate(dg.states):
+            for j, q in enumerate(dg.states):
+                c = counts.get((p, q), 0)
+                weighted = 0 if c == 0 else (c / dg.base) ** s if s != 0 else 1
+                assert t.entries[i][j] == pytest.approx(weighted, rel=1e-15)
 
 
 def test_count_matrix_validation():
@@ -70,14 +51,13 @@ def test_count_matrix_validation():
 
 
 def test_counting_matrix_is_scaled_weighted(cantor, dyadic, golden_mean):
+    # k * (c_ij / k)^1: the number of symbols from state i to state j
     for a in (cantor, dyadic, golden_mean):
         c = counting_matrix(a)
-        w = weighted_matrix(a, 1)
-        for i in range(c.n):
-            for j in range(c.n):
-                assert c.entries[i][j] == pytest.approx(
-                    a.base * w.entries[i][j], rel=1e-12
-                )
+        counts = a.transition_counts()
+        for i, p in enumerate(a.states):
+            for j, q in enumerate(a.states):
+                assert c.entries[i][j] == counts.get((p, q), 0)
                 assert isinstance(c.entries[i][j], int)
 
 
