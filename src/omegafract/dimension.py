@@ -3,9 +3,9 @@
 Both dimensions reduce to entropies of cycle languages: the Hausdorff
 dimension maximizes over accept states on cycles, the box-counting
 dimension over all states on cycles, each normalized by log k.  The closed
-case collapses to a single prefix-language entropy, and strongly connected
-automata admit an independent cross-check as the unit-spectral-radius root
-of the transfer matrix.
+case collapses to a single prefix-language entropy.  The critical exponent
+of a strongly connected automaton, the unit-spectral-radius root of its
+transfer matrix, is log sprad(C) / log k for its counting matrix C.
 """
 
 from __future__ import annotations
@@ -31,13 +31,8 @@ from .core import (
     require_trim,
     trim,
 )
-from .errors import (
-    ArityError,
-    NotClosedError,
-    NotStronglyConnectedError,
-    NotTrimError,
-)
-from .spectral import DEFAULT_SPECTRAL_TOL, entropy, max_root, perron
+from .errors import ArityError, NotClosedError, NotTrimError
+from .spectral import DEFAULT_SPECTRAL_TOL, entropy, max_root
 
 #: Guard band for dimension comparisons, an order of magnitude above the
 #: spectral tolerance the underlying quantities are computed to.
@@ -186,14 +181,14 @@ def dimension_gap(
 
 def mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
     """Critical exponent of a strongly connected automaton: the root
-    alpha in [0, d] of sprad(transfer(alpha)) = 1, found by bisection.
+    alpha in [0, d] of sprad(transfer(alpha)) = 1.
 
     The transfer-matrix entries are string-faithful only when runs and
     words are in bijection, so nondeterministic inputs are determinized on
-    their prefix language first.  The map alpha -> sprad is continuous and
-    strictly decreasing whenever a cycle exists; monotonicity is verified
-    at the bracket endpoints before bisecting.  Returns 0 when even the
-    exponent-0 radius is below 1.
+    their prefix language first.  Since transfer(alpha) = k^(-alpha) * C
+    with C the integer counting matrix, the root is log sprad(C) / log k,
+    clamped to [0, d]: one certified Perron solve per block of C, with
+    ``tol`` the relative width of its bracket.
     """
     block = _single_block(a, "critical exponent")
     return _block_mw_alpha(a, block, _start_mask(a), tol, DEFAULT_ENUMERATION_CAP)
@@ -204,41 +199,15 @@ def _block_mw_alpha(
 ) -> float:
     """:func:`mw_alpha` of one block of ``a``, entered at the block nodes in
     ``start`` (a bitmask over positions in ``block.nodes``), with at most
-    ``cap`` subsets in its determinization.
-
-    Since transfer(alpha) = k^(-alpha) * C with C the integer counting
-    matrix, the blocks of C's edge list are found once and every step
-    solves them with the edge weights scaled by k^(-alpha).
-    """
+    ``cap`` subsets in its determinization.  The endpoints 0 and d are
+    returned exactly (log(k^d) / log k need not round to d)."""
     p, pd, _ = _prefix_graph(a.edges, block, start, cap)
-    blocks = list(pd.blocks.values())
-    counts = np.ones(len(p.src))
-
-    def radius(alpha: float) -> float:
-        weight = counts if alpha == 0 else counts * float(a.base) ** (-alpha)
-        return max(perron(b, weight, tol=tol).root for b in blocks)
-
-    lo, hi = 0.0, float(a.arity)
-    f_lo, f_hi = radius(lo), radius(hi)
-    if f_lo <= 1.0:
-        # strictly decreasing map: a radius already at or below 1 at
-        # exponent 0 pins the root there
+    root = max_root(pd.blocks.values(), np.ones(len(p.src)), tol)
+    if root <= 1.0:
         return 0.0
-    if f_lo < f_hi:
-        raise NotStronglyConnectedError(
-            "transfer radius failed to decrease across the bracket"
-        )
-    if f_hi >= 1.0:
-        return hi
-    iterations = 0
-    while hi - lo > tol and iterations < 200:
-        mid = (lo + hi) / 2
-        if radius(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return (lo + hi) / 2
+    if root >= a.base**a.arity:
+        return float(a.arity)
+    return math.log(root) / math.log(a.base)
 
 
 # ---------------------------------------------------------------------------

@@ -253,9 +253,15 @@ def _key_state_terms(
     a positive-measure one with a divergent series contributes infinity.
     Keys come in increasing node order; subset constructions take at most
     ``cap`` subsets."""
-    keyed = np.bincount(d.component_of[accepting], minlength=e.n) > 0
+    comp = d.component_of
+    keyed = np.bincount(comp[accepting], minlength=e.n) > 0
+    # only a start or a node entered from another component can be a key
+    entered = np.zeros(e.n, dtype=bool)
+    entered[e.dst[comp[e.src] != comp[e.dst]]] = True
+    entered[starts] = True
     terms: dict[int, tuple[float, float, float]] = {}
-    for q, c in enumerate(d.component_of.tolist()):
+    for q in np.flatnonzero(entered).tolist():
+        c = int(comp[q])
         block = d.blocks.get(c)
         if block is None or not keyed[c]:
             continue

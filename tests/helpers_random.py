@@ -5,16 +5,26 @@ from __future__ import annotations
 import random
 from collections import deque
 
+import numpy as np
+
 from omegafract import Automaton, DigitVector, trim
 from omegafract.core import (
     DEFAULT_ENUMERATION_CAP,
     AmbiguityReport,
     Transition,
     Word,
+    _prefix_graph,
+    _single_block,
+    _start_mask,
     require_trim,
     tarjan_components,
 )
-from omegafract.errors import CapExceededError, EmptyLanguageError
+from omegafract.errors import (
+    CapExceededError,
+    EmptyLanguageError,
+    NotStronglyConnectedError,
+)
+from omegafract.spectral import DEFAULT_SPECTRAL_TOL, perron
 
 
 def _symbols(base: int, arity: int) -> list[DigitVector]:
@@ -267,8 +277,8 @@ def random_multi_scc(
 
 
 # ---------------------------------------------------------------------------
-# reference routines: the earlier name-based implementations, kept verbatim
-# as oracles for the integer-indexed ones in omegafract.core
+# reference routines: earlier implementations, kept verbatim as oracles for
+# the ones in omegafract
 # ---------------------------------------------------------------------------
 
 
@@ -382,3 +392,50 @@ def reference_prefix_determinization(
         start=frozenset({name(start)}),
         accept=frozenset(names),
     )
+
+
+def reference_mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
+    """Critical exponent of a strongly connected automaton: the root
+    alpha in [0, d] of sprad(transfer(alpha)) = 1, found by bisection.
+
+    The transfer-matrix entries are string-faithful only when runs and
+    words are in bijection, so nondeterministic inputs are determinized on
+    their prefix language first.  The map alpha -> sprad is continuous and
+    strictly decreasing whenever a cycle exists; monotonicity is verified
+    at the bracket endpoints before bisecting.  Returns 0 when even the
+    exponent-0 radius is below 1.
+
+    Since transfer(alpha) = k^(-alpha) * C with C the integer counting
+    matrix, the blocks of C's edge list are found once and every step
+    solves them with the edge weights scaled by k^(-alpha).
+    """
+    block = _single_block(a, "critical exponent")
+    p, pd, _ = _prefix_graph(a.edges, block, _start_mask(a), DEFAULT_ENUMERATION_CAP)
+    blocks = list(pd.blocks.values())
+    counts = np.ones(len(p.src))
+
+    def radius(alpha: float) -> float:
+        weight = counts if alpha == 0 else counts * float(a.base) ** (-alpha)
+        return max(perron(b, weight, tol=tol).root for b in blocks)
+
+    lo, hi = 0.0, float(a.arity)
+    f_lo, f_hi = radius(lo), radius(hi)
+    if f_lo <= 1.0:
+        # strictly decreasing map: a radius already at or below 1 at
+        # exponent 0 pins the root there
+        return 0.0
+    if f_lo < f_hi:
+        raise NotStronglyConnectedError(
+            "transfer radius failed to decrease across the bracket"
+        )
+    if f_hi >= 1.0:
+        return hi
+    iterations = 0
+    while hi - lo > tol and iterations < 200:
+        mid = (lo + hi) / 2
+        if radius(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return (lo + hi) / 2

@@ -33,6 +33,7 @@ from helpers_random import (
     random_deterministic_trim,
     random_strongly_connected,
     random_trim_automaton,
+    reference_mw_alpha,
 )
 
 TOL = 1e-9
@@ -118,6 +119,8 @@ def test_criterion_4_mauldin_williams_cross_check():
         alpha = mw_alpha(a)
         h = entropy(a) / math.log(a.base)
         c.check(abs(alpha - h) <= TOL, f"#{i}: alpha {alpha} vs entropy route {h}")
+        ref = reference_mw_alpha(a)
+        c.check(abs(alpha - ref) <= TOL, f"#{i}: alpha {alpha} vs bisection {ref}")
     c.conclude()
 
 

@@ -29,6 +29,7 @@ from helpers_random import (
     forbidden_factor_automaton,
     random_strongly_connected,
     random_trim_automaton,
+    reference_mw_alpha,
 )
 
 LOG23 = math.log(2) / math.log(3)
@@ -243,6 +244,37 @@ def test_mw_alpha_single_symbol_loop():
         accept=frozenset({"s"}),
     )
     assert mw_alpha(a) == 0.0
+
+
+def test_mw_alpha_full_arity_three_is_exact():
+    # log(125) / log(5) rounds to 3.0000000000000004; the endpoint is exact
+    symbols = [
+        DigitVector((i, j, k)) for i in range(5) for j in range(5) for k in range(5)
+    ]
+    a = Automaton(
+        base=5,
+        arity=3,
+        states=("s",),
+        transitions=tuple(("s", sym, "s") for sym in symbols),
+        start=frozenset({"s"}),
+        accept=frozenset({"s"}),
+    )
+    assert mw_alpha(a) == 3.0
+
+
+def test_mw_alpha_matches_bisection_oracle():
+    # the closed form against the unit-radius bisection, within two of its
+    # 2^-40 cells
+    rng = random.Random(48)
+    for i in range(200):
+        a = random_strongly_connected(
+            rng,
+            n_states=rng.randint(1, 6),
+            base=rng.choice([2, 3]),
+            extra=rng.randint(0, 8),
+            deterministic=i % 2 == 0,
+        )
+        assert abs(mw_alpha(a) - reference_mw_alpha(a)) <= 2.0**-39
 
 
 def test_mw_alpha_requires_strong_connectivity(dyadic):

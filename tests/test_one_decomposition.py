@@ -21,7 +21,7 @@ from omegafract import (
     scc_decompose,
     serialize_automaton,
 )
-from omegafract import core, spectral
+from omegafract import cli, core, dimension, measure, spectral
 from omegafract.cli import main
 from conftest import bundled
 from helpers_random import random_multi_scc, random_strongly_connected
@@ -193,3 +193,97 @@ def test_cli_measure_cap_reaches_key_state_determinization(tmp_path, capsys):
     assert report["error"]["code"] == "cap-exceeded"
     assert report["config"]["enumeration_cap"] == 5
     assert main(["measure", str(path), "--cap", "7"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# key-state candidates and Perron solves
+# ---------------------------------------------------------------------------
+
+
+def _key_candidates(a: Automaton) -> list[str]:
+    """States that can key an accepting run: in a non-trivial component
+    holding an accept state, and a start or entered by a transition from
+    another component."""
+    scc = scc_decompose(a)
+    component = {q: i for i, c in enumerate(scc.components) for q in c}
+    keyed = {
+        i
+        for i, c in enumerate(scc.components)
+        if not scc.trivial[i] and any(q in a.accept for q in c)
+    }
+    entered = set(a.start) | {
+        q for p, _, q in a.transitions if component[p] != component[q]
+    }
+    return [q for q in a.states if component[q] in keyed and q in entered]
+
+
+@pytest.mark.parametrize("name, a", MEASURED, ids=_ids)
+def test_measure_builds_key_prefixes_of_candidates_only(monkeypatch, name, a):
+    a = _fresh(a)
+    calls = []
+    original = measure._transient
+
+    def counting(e, d, q, starts):
+        if e is a.edges:
+            calls.append(a.states[q])
+        return original(e, d, q, starts)
+
+    monkeypatch.setattr(measure, "_transient", counting)
+    report = hausdorff_measure(a)
+    candidates = _key_candidates(a)
+    assert calls == candidates
+    assert set(report.per_key_state) <= set(candidates)
+
+
+def _count_perron_calls(monkeypatch) -> list:
+    calls = []
+    original = spectral.perron
+
+    def counting(block, *args, **kwargs):
+        calls.append(block)
+        return original(block, *args, **kwargs)
+
+    for module in (spectral, dimension, measure):
+        if hasattr(module, "perron"):
+            monkeypatch.setattr(module, "perron", counting)
+    return calls
+
+
+def _prefix_blocks(a: Automaton, block, start: int) -> int:
+    """Number of non-trivial blocks of the prefix graph of ``block``
+    entered at ``start``."""
+    pd = core._prefix_graph(a.edges, block, start, core.DEFAULT_ENUMERATION_CAP)[1]
+    return len(pd.blocks)
+
+
+STRONGLY_CONNECTED = [(n, a) for n, a in INPUTS if scc_decompose(a).trivial == (False,)]
+
+
+@pytest.mark.parametrize("name, a", STRONGLY_CONNECTED, ids=_ids)
+def test_mw_alpha_solves_each_prefix_block_once(monkeypatch, name, a):
+    (block,) = a.sccs.blocks.values()
+    expected = _prefix_blocks(a, block, core._start_mask(a))
+    calls = _count_perron_calls(monkeypatch)
+    mw_alpha(a)
+    assert len(calls) == expected >= 1
+
+
+@pytest.mark.parametrize("name, a", INPUTS, ids=_ids)
+def test_cli_dim_solves_each_prefix_block_once(monkeypatch, tmp_path, capsys, name, a):
+    path = tmp_path / "a.json"
+    path.write_text(serialize_automaton(a), encoding="utf-8")
+    calls = _count_perron_calls(monkeypatch)
+    seen = []
+    original = cli._block_mw_alpha
+
+    def recording(b, block, start, tol, cap):
+        before = len(calls)
+        value = original(b, block, start, tol, cap)
+        seen.append((len(calls) - before, _prefix_blocks(b, block, start)))
+        return value
+
+    monkeypatch.setattr(cli, "_block_mw_alpha", recording)
+    assert main(["dim", str(path)]) == 0
+    capsys.readouterr()
+    assert len(seen) == len(a.sccs.blocks) >= 1
+    assert all(solves == blocks for solves, blocks in seen)
