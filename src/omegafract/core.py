@@ -326,9 +326,9 @@ def parse_automaton(text: str) -> Automaton:
          "accept": [...],
          "transitions": [{"from": id, "symbol": [d0,...], "to": id}, ...]}
 
-    Raises :class:`FormatError` on malformed JSON (with line/column) and
-    :class:`ValidationError` on structural violations (with the offending
-    field in the message).
+    Raises :class:`FormatError` on malformed or too deeply nested JSON
+    (with line/column for the former) and :class:`ValidationError` on
+    structural violations (with the offending field in the message).
     """
     try:
         doc = json.loads(text)
@@ -336,6 +336,8 @@ def parse_automaton(text: str) -> Automaton:
         raise FormatError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
     for key in ("base", "arity", "states", "start", "accept", "transitions"):
@@ -397,8 +399,17 @@ def serialize_automaton(a: Automaton) -> str:
 
 
 def load_automaton(path: str) -> Automaton:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_automaton(handle.read())
+    """Parse the automaton document in the UTF-8 file at ``path``; a file
+    that is not valid UTF-8 raises :class:`FormatError`."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"not valid UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from exc
+    return parse_automaton(text)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +609,10 @@ class Block:
     ``nodes`` holds the block's node numbers in increasing order, ``edges``
     the numbers of the edges inside it, also increasing; ``src``/``dst`` are
     those edges' endpoints renumbered as positions in ``nodes``.
-    ``period`` is the gcd of the block's cycle lengths.
+    ``period`` is the gcd of the block's cycle lengths and ``classes`` the
+    cyclic class of each node, 0..period-1: every edge runs from a node
+    of class c to one of class c + 1 mod ``period``, and ``nodes[0]`` is
+    in class 0.
     """
 
     nodes: np.ndarray
@@ -606,6 +620,7 @@ class Block:
     src: np.ndarray
     dst: np.ndarray
     period: int
+    classes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -625,7 +640,8 @@ def _condensation(n: int, src: np.ndarray, dst: np.ndarray) -> Condensation:
     """Tarjan's components of the digraph with edges ``src[e] -> dst[e]``,
     and for each non-trivial one its period: the gcd of
     level(u) + 1 - level(v) over the block's edges u -> v, for breadth-first
-    levels from the block's least node (Lind & Marcus, section 4.5)."""
+    levels from the block's least node, and its cyclic classes, the levels
+    mod the period (Lind & Marcus, section 4.5)."""
     succ: list[list[int]] = [[] for _ in range(n)]
     for u, v in zip(src.tolist(), dst.tolist()):
         succ[u].append(v)
@@ -663,7 +679,9 @@ def _condensation(n: int, src: np.ndarray, dst: np.ndarray) -> Condensation:
         es, ed = src[edges], dst[edges]
         period = int(np.gcd.reduce(np.abs(levels[es] + 1 - levels[ed])))
         local[nodes] = np.arange(len(nodes))
-        blocks[cid] = Block(nodes, edges, local[es], local[ed], period)
+        blocks[cid] = Block(
+            nodes, edges, local[es], local[ed], period, levels[nodes] % period
+        )
     return Condensation(comp_of, blocks)
 
 
@@ -1058,7 +1076,14 @@ def _prefix_graph(
     """
     b = EdgeList(len(block.nodes), block.src, e.sym[block.edges], block.dst)
     if start & (start - 1) == 0 and _deterministic(b):
-        whole = Block(np.arange(b.n), np.arange(len(b.src)), b.src, b.dst, block.period)
+        whole = Block(
+            np.arange(b.n),
+            np.arange(len(b.src)),
+            b.src,
+            b.dst,
+            block.period,
+            block.classes,
+        )
         root = start.bit_length() - 1
         return b, Condensation(np.zeros(b.n, dtype=np.intp), {0: whole}), root
     d = _subset_construction(b, start, cap)[1]

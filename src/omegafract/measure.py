@@ -186,7 +186,12 @@ def _transient(
     position = kept[inner]  # edge number in e of each edge kept
     blocks = [
         Block(
-            local[b.nodes], np.searchsorted(position, b.edges), b.src, b.dst, b.period
+            local[b.nodes],
+            np.searchsorted(position, b.edges),
+            b.src,
+            b.dst,
+            b.period,
+            b.classes,
         )
         for b in d.blocks.values()
         if outside[b.nodes[0]] and useful[b.nodes[0]]

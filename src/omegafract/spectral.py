@@ -14,11 +14,19 @@ node arrays and one weight per edge) rather than on a dense matrix.  The
 blocks are the non-trivial strongly connected components of
 :attr:`~omegafract.core.Automaton.sccs` (or, after a subset construction,
 of :func:`~omegafract.core.irreducible_blocks` on its edges), each with its
-period p.  The solver iterates x <- B^p x with ``np.bincount`` products
-costing O(transitions) each, stops once the Collatz-Wielandt bracket of
-B^p has relative width at most the tolerance, and, when asked, recovers
-B's Perron vector as sum_{j<p} (B/rho)^j x with a checked residual.
-Hitting the step cap or an underflowing entry raises
+period p and cyclic classes.  The solver seeds, then certifies.  The
+certificate is the Collatz-Wielandt bracket of B^p on cyclic class 0,
+which holds for any positive vector: iteration x <- B^p x stops once the
+bracket has relative width at most the tolerance, and, when asked, B's
+Perron vector is recovered as sum_{j<p} (B/rho)^j x with a checked
+residual.  Each B^p is one sweep over the classes p-1 -> 0, one
+``np.bincount`` over each class's own edges and one scalar (exact for
+integer weights) for a run of one-node classes, so it costs
+O(transitions + p).  Only the start
+is chosen for speed: on blocks of at most ``_DENSE_SEED_NODES`` nodes it
+is the row sums of the dense B^p on class 0 squared until they settle,
+and every power of B so reached counts against the step cap.  Hitting
+the cap or an underflowing entry raises
 :class:`~omegafract.errors.NotConvergedError`; no unconverged value is
 returned.  :func:`counting_matrix`, :func:`transfer_matrix` and
 :class:`CountMatrix` remain as public constructors; :func:`spectral_radius`
@@ -50,6 +58,10 @@ DEFAULT_SPECTRAL_TOL = 1e-12
 
 #: Matrix-vector products one Perron solve may spend before it gives up.
 _MAX_PERRON_STEPS = 500_000
+
+#: Blocks of at most this many nodes start from a dense-squaring seed;
+#: above it a dense product costs more than the iteration it saves.
+_DENSE_SEED_NODES = 160
 
 #: Entries below the smallest normal float count as underflowed.
 _TINY = np.finfo(float).tiny
@@ -124,13 +136,15 @@ def counting_matrix(a: Automaton) -> CountMatrix:
 @dataclass(frozen=True)
 class Perron:
     """Perron root of a block with its Collatz-Wielandt bracket
-    ``lo <= root <= hi`` (exact up to float rounding) and, when asked for,
-    the positive right Perron vector (max entry 1, indexed like the block's
-    ``nodes``)."""
+    ``lo <= root <= hi`` (exact up to float rounding), the number of
+    products by B the solve spent (the power of B its iterate reached) and,
+    when asked for, the positive right Perron vector (max entry 1, indexed
+    like the block's ``nodes``)."""
 
     root: float
     lo: float
     hi: float
+    steps: int
     vector: np.ndarray | None = None
 
 
@@ -140,6 +154,175 @@ def _root(r: float, exponent: int, p: int) -> float:
     if p == 1:
         return math.ldexp(r, exponent)
     return 2.0 ** ((math.log2(r) + exponent) / p)
+
+
+def _scalar_product(factors: np.ndarray) -> tuple[float, int]:
+    """The product of positive ``factors`` as (mantissa, exponent): exact
+    up to one final rounding when every factor is an integer, as in a
+    counting matrix, otherwise rounded once per factor."""
+    if np.all(factors == np.floor(factors)) and factors.max() < 2.0**53:
+        ints = factors.astype(np.int64).astype(object)
+        while len(ints) > 1:  # pairwise, so that few products are large
+            if len(ints) % 2:
+                ints = np.append(ints, 1)
+            ints = ints[0::2] * ints[1::2]
+        n = int(ints[0])
+        e = n.bit_length()
+        return n / (1 << e), e
+    mantissa, exponent = 1.0, 0
+    for f in factors.tolist():
+        mantissa, e = math.frexp(mantissa * f)
+        exponent += e
+    return mantissa, exponent
+
+
+class _ClassSweep:
+    """B^p of a block of period p, applied to a vector on cyclic class 0.
+
+    Every edge runs from class c to class c + 1, so (B^p x) on class 0 is
+    one sweep over the classes p-1, ..., 0: the values on class c are one
+    ``np.bincount`` over class c's own edges of the values on class c + 1.
+    A run of one-node classes, each feeding a one-node class, multiplies by
+    one scalar, the product of its weights taken once.  One application
+    therefore costs O(transitions + p), and a ring's root is exact.
+    """
+
+    def __init__(self, block: Block, w: np.ndarray) -> None:
+        m, p = len(block.nodes), block.period
+        self.m = m
+        if p == 1:
+            self.first, self.n0 = slice(None), m
+            self.stages = [("bincount", slice(None), block.src, block.dst, w, m)]
+            return
+        classes = block.classes
+        order = np.argsort(classes, kind="stable")
+        sizes = np.bincount(classes, minlength=p)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        position = np.empty(m, dtype=np.intp)
+        position[order] = np.arange(m) - bounds[classes[order]]
+        edge_class = classes[block.src]
+        edge_order = np.argsort(edge_class, kind="stable")
+        edge_bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(edge_class, minlength=p)))
+        ).tolist()
+        row_weight = np.bincount(edge_class, weights=w, minlength=p)
+        single = (sizes == 1).tolist()
+        starts = bounds.tolist()
+        self.first, self.n0 = order[: starts[1]], starts[1]
+        self.stages = []
+        c = p - 1
+        while c >= 0:
+            if single[c] and single[(c + 1) % p]:
+                top = c
+                while c >= 0 and single[c] and single[(c + 1) % p]:
+                    c -= 1
+                run = np.arange(top, c, -1)
+                factors = row_weight[run]
+                self.stages.append(
+                    (
+                        "scalar",
+                        order[bounds[run]],
+                        order[starts[(top + 1) % p]],
+                        factors,
+                        *_scalar_product(factors),
+                    )
+                )
+                continue
+            edges = edge_order[edge_bounds[c] : edge_bounds[c + 1]]
+            self.stages.append(
+                (
+                    "bincount",
+                    order[starts[c] : starts[c + 1]],
+                    position[block.src[edges]],
+                    block.dst[edges],
+                    w[edges],
+                    starts[c + 1] - starts[c],
+                )
+            )
+            c -= 1
+
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+        """B^p x on class 0 as (y, exponent), y * 2^exponent exactly, each
+        class rescaled by a power of two to stay in range."""
+        if self.n0 == self.m:  # period 1: one product, no copy of x
+            _, _, src, dst, w, n = self.stages[0]
+            y = np.bincount(src, weights=w * x[dst], minlength=n)
+            e = math.frexp(float(y.max()))[1]
+            return np.ldexp(y, -e), e
+        z = np.empty(self.m)
+        z[self.first] = x
+        exponent = 0
+        for stage in self.stages:
+            if stage[0] == "scalar":
+                _, nodes, source, _, mantissa, e_run = stage
+                value, e = math.frexp(float(z[source]) * mantissa)
+                z[nodes[-1]] = value
+                exponent += e + e_run
+            else:
+                _, out, src, dst, w, n = stage
+                y = np.bincount(src, weights=w * z[dst], minlength=n)
+                e = math.frexp(float(y.max()))[1]
+                z[out] = np.ldexp(y, -e)
+                exponent += e
+        return z[self.first], exponent
+
+    def vector(self, x: np.ndarray, root: float) -> np.ndarray:
+        """sum_{j<p} (B/root)^j x over the whole block: x on class 0 and
+        (B/root)^(p-c) x on class c, from one sweep."""
+        v = np.empty(self.m)
+        v[self.first] = x
+        with np.errstate(over="ignore"):
+            for stage in self.stages:
+                if stage[0] == "scalar":
+                    _, nodes, source, factors, _, _ = stage
+                    v[nodes] = v[source] * np.cumprod(factors / root)
+                else:
+                    _, out, src, dst, w, n = stage
+                    v[out] = np.bincount(src, weights=w * v[dst], minlength=n) / root
+        v[self.first] = x
+        return v
+
+
+def _dense_seed(
+    block: Block, w: np.ndarray, tol: float, max_steps: int
+) -> tuple[np.ndarray | None, int]:
+    """Start vector M^(2^s) 1 for a small block, with M the dense matrix of
+    B^p on cyclic class 0, returned with the power of B it reached,
+    p 2^s.  M is squared, rescaled by its max, until the max-normalized
+    row sums change by at most ``tol`` or one more squaring would leave
+    ``max_steps`` no room for a step of the certified iteration.  None
+    when the result is not finite or underflows."""
+    m, p = len(block.nodes), block.period
+    if 2 * p > max_steps:
+        return None, 0
+    dense = np.bincount(
+        block.src * m + block.dst, weights=w, minlength=m * m
+    ).reshape(m, m)
+    if p == 1:
+        mat = dense
+    else:
+        members = [np.flatnonzero(block.classes == c) for c in range(p)]
+        mat = np.eye(len(members[0]))
+        for c in range(p - 1, -1, -1):
+            mat = dense[np.ix_(members[c], members[(c + 1) % p])] @ mat
+            mat /= mat.max()
+    power = p
+    rows = mat.sum(axis=1)
+    rows /= rows.max()
+    with np.errstate(all="ignore"):
+        while 2 * power + p <= max_steps:
+            mat = mat @ mat
+            mat /= mat.max()
+            power *= 2
+            new = mat.sum(axis=1)
+            new /= new.max()
+            change = float(np.max(np.abs(new - rows)))
+            rows = new
+            if not change > tol:  # converged, or not finite
+                break
+    if not (np.isfinite(rows).all() and rows.min() >= _TINY):
+        return None, 0
+    return rows, power
 
 
 def perron(
@@ -152,17 +335,23 @@ def perron(
     """Certified Perron root (and optionally vector) of the block's matrix
     B, whose (i, j) entry sums ``weight[e]`` over the block's edges i -> j.
 
-    With p the block's period, B^p restricted to each cyclic class is
-    primitive, so iterating x <- B^p x from x = 1 converges on every class
-    without the B + I shift (which stalls on long cycles).  Each product is
-    one ``np.bincount`` over the block's edges, O(transitions), rescaled by
-    a power of two (exactly) to stay in range.  For positive x,
-    min_i (B^p x)_i / x_i <= rho^p <= max_i (B^p x)_i / x_i (Collatz-
-    Wielandt); the iteration stops once that bracket's relative width is at
-    most ``tol``, so the root's bracket is p times narrower still.  When
-    ``vector`` is set, B's Perron vector is recovered as
-    sum_{j<p} (B/rho)^j x and its residual max |Bv - rho v| / rho, with
-    max v = 1, must also be at most ``tol``; otherwise iteration goes on.
+    Seed, then certify.  With p the block's period, B^p restricted to
+    cyclic class 0 is primitive, so iterating x <- B^p x on that class
+    converges without the B + I shift (which stalls on long cycles).  Each
+    product is one sweep over the classes (see :class:`_ClassSweep`),
+    O(transitions + p), rescaled by powers of two (exactly) to stay in
+    range.  For positive x, min_i (B^p x)_i / x_i <= rho^p <=
+    max_i (B^p x)_i / x_i (Collatz-Wielandt); the iteration stops once
+    that bracket's relative width is at most ``tol``, so the root's
+    bracket is p times narrower still.  The bracket holds for any positive
+    x, so only the start is chosen for speed: x = 1, or, on a block of at
+    most ``_DENSE_SEED_NODES`` nodes, the row sums of a repeatedly squared
+    dense B^p (see :func:`_dense_seed`), whose p 2^s products count
+    against the step cap.  For p > 1, and when ``vector`` is set, B's
+    Perron vector is recovered as sum_{j<p} (B/rho)^j x; no root is
+    returned when that vector underflows, and when ``vector`` is set its
+    residual max |Bv - rho v| / rho, with max v = 1, must also be at most
+    ``tol``; otherwise iteration goes on.
 
     Raises :class:`NotConvergedError` when more than ``max_steps`` products
     (default ``_MAX_PERRON_STEPS``) would be needed or an entry underflows;
@@ -172,19 +361,14 @@ def perron(
         max_steps = _MAX_PERRON_STEPS
     m, p = len(block.nodes), block.period
     src, dst, w = block.src, block.dst, weight[block.edges]
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return np.bincount(src, weights=w * x[dst], minlength=m)
-
-    x = np.ones(m)
-    steps = 0
+    sweep = _ClassSweep(block, w)
+    x, steps = None, 0
+    if m <= _DENSE_SEED_NODES and sweep.n0 > 1:
+        x, steps = _dense_seed(block, w, tol, max_steps)
+    if x is None:
+        x = np.ones(sweep.n0)
     while steps + p <= max_steps:
-        y, exponent = x, 0
-        for _ in range(p):
-            y = apply(y)
-            e = math.frexp(float(y.max()))[1]
-            y = np.ldexp(y, -e)
-            exponent += e
+        y, exponent = sweep.apply(x)
         steps += p
         if not y.min() >= _TINY:
             raise NotConvergedError(
@@ -198,16 +382,21 @@ def perron(
             continue
         lo, hi = _root(r_lo, exponent, p), _root(r_hi, exponent, p)
         root = (lo + hi) / 2
+        if p == 1 and not vector:
+            return Perron(root, lo, hi, steps)
+        v = sweep.vector(x, root)
+        with np.errstate(invalid="ignore"):
+            v /= v.max()
+        if not v.min() >= _TINY:
+            raise NotConvergedError(
+                f"Perron vector of a {m}-state block of period {p} underflowed"
+            )
         if not vector:
-            return Perron(root, lo, hi)
-        v, term = x.copy(), x
-        for _ in range(p - 1):
-            term = apply(term) / root
-            v += term
-        v /= v.max()
-        residual = float(np.max(np.abs(apply(v) - root * v))) / root
-        if residual <= tol and v.min() >= _TINY:
-            return Perron(root, lo, hi, v)
+            return Perron(root, lo, hi, steps)
+        bv = np.bincount(src, weights=w * v[dst], minlength=m)
+        residual = float(np.max(np.abs(bv - root * v))) / root
+        if residual <= tol:
+            return Perron(root, lo, hi, steps, v)
     raise NotConvergedError(
         f"Perron iteration on a {m}-state block of period {p} did not"
         f" converge to tolerance {tol:.3g} within {max_steps} steps"

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from omegafract import (
     NotConvergedError,
     check_unambiguous,
     density_classifier,
+    dimension_report,
     trim,
     entropy,
     prefix_determinization,
@@ -234,6 +236,159 @@ def test_underflowing_vector_raises():
     matrix[2, 0] = 1e300
     with pytest.raises(NotConvergedError):
         spectral_radius(matrix)
+
+
+# ---------------------------------------------------------------------------
+# seed, then certify: the dense-squaring start and the class sweep
+# ---------------------------------------------------------------------------
+
+
+def plain_steps(block, weight, tol=spectral.DEFAULT_SPECTRAL_TOL) -> int:
+    """Products x <- Bx from x = 1 after which the Collatz-Wielandt bracket
+    of an aperiodic block first has relative width at most ``tol``."""
+    w, m = weight[block.edges], len(block.nodes)
+    x, steps = np.ones(m), 0
+    while True:
+        y = np.bincount(block.src, weights=w * x[block.dst], minlength=m)
+        steps += 1
+        ratios = y / x
+        if ratios.max() - ratios.min() <= tol * ratios.max():
+            return steps
+        x = y / y.max()
+
+
+def test_seeded_bracket_overlaps_plain_start_and_holds_eigvals_root(monkeypatch):
+    rng = random.Random(78)
+    matrices = [
+        np.array([[rng.choice([0, 0, 0, 1, 2, 3]) for _ in range(n)] for _ in range(n)])
+        for n in [rng.randint(1, 9) for _ in range(40)]
+    ]
+    matrices += [random_periodic(rng, p) for p in range(2, 8) for _ in range(4)]
+    seeded_periodic = 0
+    for matrix in matrices:
+        n, src, dst, weight = edges_of(matrix)
+        for block in irreducible_blocks(n, src, dst):
+            seeded = perron(block, weight)
+            monkeypatch.setattr(spectral, "_DENSE_SEED_NODES", 0)
+            plain = perron(block, weight)
+            monkeypatch.undo()
+            ulps = 4 * math.ulp(max(seeded.hi, plain.hi))
+            assert seeded.lo <= plain.hi + ulps and plain.lo <= seeded.hi + ulps
+            dense = matrix[np.ix_(block.nodes, block.nodes)].astype(float)
+            rho = float(np.max(np.abs(np.linalg.eigvals(dense))))
+            slack = 1e-12 * seeded.hi
+            assert seeded.lo - slack <= rho <= seeded.hi + slack
+            seeded_periodic += block.period > 1 and np.sum(block.classes == 0) > 1
+    assert seeded_periodic >= 5
+
+
+def test_step_cap_just_below_and_above_what_the_seed_needs(monkeypatch):
+    rng = random.Random(79)
+    checked = 0
+    while checked < 8:
+        n = rng.randint(3, 10)
+        matrix = np.array(
+            [[rng.choice([0, 0, 0, 1, 2]) for _ in range(n)] for _ in range(n)]
+        )
+        n, src, dst, weight = edges_of(matrix)
+        for block in irreducible_blocks(n, src, dst):
+            need = plain_steps(block, weight) if block.period == 1 else 0
+            if need < 16:
+                continue
+            solve = perron(block, weight)
+            # the squarings reach some p 2^s; certifying takes more products
+            assert solve.steps >= need
+            monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", solve.steps)
+            assert perron(block, weight) == solve
+            monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", need - 1)
+            with pytest.raises(NotConvergedError):
+                perron(block, weight)
+            monkeypatch.undo()
+            checked += 1
+
+
+def ring_edges(length: int, split: bool):
+    """Ring 0 -> 1 -> ... -> length-1 -> 0 with weight 2 on every edge but
+    the last (weight 1); with ``split`` a second path 0 -> length -> 2
+    puts two nodes in cyclic class 1, so that rho = 2 exactly."""
+    src = list(range(length)) + ([0, length] if split else [])
+    dst = [(i + 1) % length for i in range(length)] + ([length, 2] if split else [])
+    weight = np.full(len(src), 2.0)
+    weight[length - 1] = 1.0
+    return length + split, np.array(src), np.array(dst), weight
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_class_sweep_bincounts_do_not_grow_with_the_period(monkeypatch, split):
+    calls = []
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    counts = []
+    for length in [100, 10_000]:
+        n, src, dst, weight = ring_edges(length, split)
+        (block,) = irreducible_blocks(n, src, dst)
+        assert block.period == length
+        calls.clear()
+        monkeypatch.setattr(np, "bincount", counting)
+        solve = perron(block, weight, vector=True)
+        monkeypatch.undo()
+        counts.append(len(calls))
+        # the ring's scalar product is exact, and so is its root
+        exact = 2.0 if split else 2.0 ** ((length - 1) / length)
+        assert solve.lo == solve.hi == solve.root == exact
+        v = solve.vector
+        bv = np.bincount(src, weights=weight * v[dst], minlength=n)
+        assert np.max(np.abs(bv - exact * v)) <= 1e-12 * exact
+    assert counts[0] == counts[1] <= 12
+
+
+def two_rings(length: int) -> Automaton:
+    """Ring n (length + 1 states, not accepting) entering ring a (length
+    states, accepting at a0) by n0 -1-> a0; every ring edge carries both
+    digits but the last.  Hausdorff dimension (L-1)/L, box L/(L+1)."""
+    transitions = [("n0", DigitVector((1,)), "a0")]
+    states = []
+    for name, size in [("n", length + 1), ("a", length)]:
+        states += [f"{name}{i}" for i in range(size)]
+        for i in range(size):
+            for d in (0,) if i == size - 1 else (0, 1):
+                transitions.append(
+                    (f"{name}{i}", DigitVector((d,)), f"{name}{(i + 1) % size}")
+                )
+    return Automaton(
+        base=2,
+        arity=1,
+        states=tuple(states),
+        transitions=tuple(transitions),
+        start=frozenset({"n0"}),
+        accept=frozenset({"a0"}),
+    )
+
+
+def test_two_rings_solve_in_time_linear_in_the_period():
+    blocks = []
+    for length in [20_000, 20_001]:
+        n, src, dst, weight = ring_edges(length, split=False)
+        (block,) = irreducible_blocks(n, src, dst)
+        blocks.append((block, weight))
+    started = time.perf_counter()
+    solves = [perron(block, weight) for block, weight in blocks]
+    assert time.perf_counter() - started < 0.5
+    assert [s.root for s in solves] == [
+        2.0 ** (19_999 / 20_000),
+        2.0 ** (20_000 / 20_001),
+    ]
+    a = two_rings(10_000)
+    started = time.perf_counter()
+    report = dimension_report(a)
+    assert time.perf_counter() - started < 1.0
+    assert report.hausdorff == pytest.approx(9_999 / 10_000, abs=1e-15)
+    assert report.box == pytest.approx(10_000 / 10_001, abs=1e-15)
+    assert report.gap
 
 
 # ---------------------------------------------------------------------------
