@@ -326,8 +326,9 @@ def parse_automaton(text: str) -> Automaton:
          "accept": [...],
          "transitions": [{"from": id, "symbol": [d0,...], "to": id}, ...]}
 
-    Raises :class:`FormatError` on malformed or too deeply nested JSON
-    (with line/column for the former) and :class:`ValidationError` on
+    Raises :class:`FormatError` on malformed JSON (with line/column for
+    a syntax error), on an integer literal too long to convert, or on
+    nesting too deep to parse, and :class:`ValidationError` on
     structural violations (with the offending field in the message).
     """
     try:
@@ -336,6 +337,8 @@ def parse_automaton(text: str) -> Automaton:
         raise FormatError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer past the digit limit
+        raise FormatError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("JSON nested too deeply to parse") from exc
     if not isinstance(doc, dict):

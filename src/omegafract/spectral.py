@@ -136,15 +136,13 @@ def counting_matrix(a: Automaton) -> CountMatrix:
 @dataclass(frozen=True)
 class Perron:
     """Perron root of a block with its Collatz-Wielandt bracket
-    ``lo <= root <= hi`` (exact up to float rounding), the number of
-    products by B the solve spent (the power of B its iterate reached) and,
-    when asked for, the positive right Perron vector (max entry 1, indexed
-    like the block's ``nodes``)."""
+    ``lo <= root <= hi`` (exact up to float rounding) and, when asked for,
+    the positive right Perron vector (max entry 1, indexed like the block's
+    ``nodes``)."""
 
     root: float
     lo: float
     hi: float
-    steps: int
     vector: np.ndarray | None = None
 
 
@@ -184,31 +182,31 @@ class _ClassSweep:
     ``np.bincount`` over class c's own edges of the values on class c + 1.
     A run of one-node classes, each feeding a one-node class, multiplies by
     one scalar, the product of its weights taken once.  One application
-    therefore costs O(transitions + p), and a ring's root is exact.
+    therefore costs O(transitions + p), and a ring's root is exact.  The
+    sweep numbers the nodes by class (stably, so class 0 is in block
+    order), which makes each class one slice; period 1 is the one-class
+    case of the same sweep.
     """
 
     def __init__(self, block: Block, w: np.ndarray) -> None:
         m, p = len(block.nodes), block.period
-        self.m = m
-        if p == 1:
-            self.first, self.n0 = slice(None), m
-            self.stages = [("bincount", slice(None), block.src, block.dst, w, m)]
-            return
         classes = block.classes
-        order = np.argsort(classes, kind="stable")
-        sizes = np.bincount(classes, minlength=p)
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        position = np.empty(m, dtype=np.intp)
-        position[order] = np.arange(m) - bounds[classes[order]]
+        self.order = np.argsort(classes, kind="stable")
+        rank = np.empty(m, dtype=np.intp)
+        rank[self.order] = np.arange(m)
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(classes, minlength=p))))
         edge_class = classes[block.src]
-        edge_order = np.argsort(edge_class, kind="stable")
+        by_class = np.argsort(edge_class, kind="stable")
+        src = (rank[block.src] - bounds[edge_class])[by_class]
+        dst = rank[block.dst][by_class]
+        weights = w[by_class]
         edge_bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(edge_class, minlength=p)))
         ).tolist()
         row_weight = np.bincount(edge_class, weights=w, minlength=p)
-        single = (sizes == 1).tolist()
         starts = bounds.tolist()
-        self.first, self.n0 = order[: starts[1]], starts[1]
+        single = [starts[c + 1] - starts[c] == 1 for c in range(p)]
+        self.m, self.n0 = m, starts[1]
         self.stages = []
         c = p - 1
         while c >= 0:
@@ -221,21 +219,21 @@ class _ClassSweep:
                 self.stages.append(
                     (
                         "scalar",
-                        order[bounds[run]],
-                        order[starts[(top + 1) % p]],
+                        bounds[run],
+                        starts[(top + 1) % p],
                         factors,
                         *_scalar_product(factors),
                     )
                 )
                 continue
-            edges = edge_order[edge_bounds[c] : edge_bounds[c + 1]]
+            edges = slice(edge_bounds[c], edge_bounds[c + 1])
             self.stages.append(
                 (
                     "bincount",
-                    order[starts[c] : starts[c + 1]],
-                    position[block.src[edges]],
-                    block.dst[edges],
-                    w[edges],
+                    slice(starts[c], starts[c + 1]),
+                    src[edges],
+                    dst[edges],
+                    weights[edges],
                     starts[c + 1] - starts[c],
                 )
             )
@@ -244,13 +242,8 @@ class _ClassSweep:
     def apply(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """B^p x on class 0 as (y, exponent), y * 2^exponent exactly, each
         class rescaled by a power of two to stay in range."""
-        if self.n0 == self.m:  # period 1: one product, no copy of x
-            _, _, src, dst, w, n = self.stages[0]
-            y = np.bincount(src, weights=w * x[dst], minlength=n)
-            e = math.frexp(float(y.max()))[1]
-            return np.ldexp(y, -e), e
         z = np.empty(self.m)
-        z[self.first] = x
+        z[: self.n0] = x
         exponent = 0
         for stage in self.stages:
             if stage[0] == "scalar":
@@ -264,13 +257,13 @@ class _ClassSweep:
                 e = math.frexp(float(y.max()))[1]
                 z[out] = np.ldexp(y, -e)
                 exponent += e
-        return z[self.first], exponent
+        return z[: self.n0], exponent
 
     def vector(self, x: np.ndarray, root: float) -> np.ndarray:
-        """sum_{j<p} (B/root)^j x over the whole block: x on class 0 and
-        (B/root)^(p-c) x on class c, from one sweep."""
+        """sum_{j<p} (B/root)^j x over the whole block, in block order: x
+        on class 0 and (B/root)^(p-c) x on class c, from one sweep."""
         v = np.empty(self.m)
-        v[self.first] = x
+        v[: self.n0] = x
         with np.errstate(over="ignore"):
             for stage in self.stages:
                 if stage[0] == "scalar":
@@ -279,8 +272,10 @@ class _ClassSweep:
                 else:
                     _, out, src, dst, w, n = stage
                     v[out] = np.bincount(src, weights=w * v[dst], minlength=n) / root
-        v[self.first] = x
-        return v
+        v[: self.n0] = x
+        in_block_order = np.empty(self.m)
+        in_block_order[self.order] = v
+        return in_block_order
 
 
 def _dense_seed(
@@ -383,7 +378,7 @@ def perron(
         lo, hi = _root(r_lo, exponent, p), _root(r_hi, exponent, p)
         root = (lo + hi) / 2
         if p == 1 and not vector:
-            return Perron(root, lo, hi, steps)
+            return Perron(root, lo, hi)
         v = sweep.vector(x, root)
         with np.errstate(invalid="ignore"):
             v /= v.max()
@@ -392,11 +387,11 @@ def perron(
                 f"Perron vector of a {m}-state block of period {p} underflowed"
             )
         if not vector:
-            return Perron(root, lo, hi, steps)
+            return Perron(root, lo, hi)
         bv = np.bincount(src, weights=w * v[dst], minlength=m)
         residual = float(np.max(np.abs(bv - root * v))) / root
         if residual <= tol:
-            return Perron(root, lo, hi, steps, v)
+            return Perron(root, lo, hi, v)
     raise NotConvergedError(
         f"Perron iteration on a {m}-state block of period {p} did not"
         f" converge to tolerance {tol:.3g} within {max_steps} steps"

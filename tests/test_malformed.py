@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 from hypothesis import example, given, settings
@@ -49,10 +50,12 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
-#: Both bugs the property was written to catch: nesting past the
-#: recursion limit, and bytes that are not UTF-8.
+#: The bugs the property was written to catch: nesting past the
+#: recursion limit, bytes that are not UTF-8, and an integer literal
+#: longer than the interpreter converts (4300 digits by default).
 DEEP = b"[" * 200_000
 NOT_UTF8 = b"\xff\xfe{\x00}\x00"
+LONG_INT = b'{"base": ' + b"1" * 5_000 + b"}"
 
 
 @st.composite
@@ -123,6 +126,7 @@ def check_cli(data: bytes, command: str) -> None:
 @given(documents)
 @example(DEEP)
 @example(NOT_UTF8)
+@example(LONG_INT)
 @settings(max_examples=100, deadline=None)
 def test_library_raises_only_typed_errors(data):
     check_library(data)
@@ -131,13 +135,17 @@ def test_library_raises_only_typed_errors(data):
 @given(documents, st.sampled_from(["check", "dim"]))
 @example(DEEP, "check")
 @example(NOT_UTF8, "check")
+@example(LONG_INT, "check")
 @settings(max_examples=100, deadline=None)
 def test_cli_reports_every_bad_document(data, command):
     check_cli(data, command)
 
 
-def test_the_two_repros_are_syntax_errors(tmp_path):
-    for name, data in [("deep", DEEP), ("not_utf8", NOT_UTF8)]:
+def test_the_repros_are_syntax_errors(tmp_path):
+    repros = [("deep", DEEP), ("not_utf8", NOT_UTF8)]
+    if hasattr(sys, "get_int_max_str_digits"):  # Python 3.10.7 and later
+        repros.append(("long_int", LONG_INT))
+    for name, data in repros:
         path = tmp_path / f"{name}.json"
         path.write_bytes(data)
         out = io.StringIO()

@@ -282,6 +282,28 @@ def test_seeded_bracket_overlaps_plain_start_and_holds_eigvals_root(monkeypatch)
     assert seeded_periodic >= 5
 
 
+def counted_perron(monkeypatch, block, weight):
+    """``perron(block, weight)`` with the products by B it spent: the power
+    of B the dense seed reached plus p for each class sweep."""
+    spent = []
+    seed, apply = spectral._dense_seed, spectral._ClassSweep.apply
+
+    def seeding(*args):
+        x, power = seed(*args)
+        spent.append(power)
+        return x, power
+
+    def applying(self, x):
+        spent.append(block.period)
+        return apply(self, x)
+
+    monkeypatch.setattr(spectral, "_dense_seed", seeding)
+    monkeypatch.setattr(spectral._ClassSweep, "apply", applying)
+    solve = perron(block, weight)
+    monkeypatch.undo()
+    return solve, sum(spent)
+
+
 def test_step_cap_just_below_and_above_what_the_seed_needs(monkeypatch):
     rng = random.Random(79)
     checked = 0
@@ -295,10 +317,10 @@ def test_step_cap_just_below_and_above_what_the_seed_needs(monkeypatch):
             need = plain_steps(block, weight) if block.period == 1 else 0
             if need < 16:
                 continue
-            solve = perron(block, weight)
+            solve, steps = counted_perron(monkeypatch, block, weight)
             # the squarings reach some p 2^s; certifying takes more products
-            assert solve.steps >= need
-            monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", solve.steps)
+            assert steps >= need
+            monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", steps)
             assert perron(block, weight) == solve
             monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", need - 1)
             with pytest.raises(NotConvergedError):
