@@ -100,8 +100,17 @@ class EdgeList:
         )
 
 
-def _coerce_symbol(sym: DigitVector | Sequence[int]) -> DigitVector:
-    return sym if isinstance(sym, DigitVector) else DigitVector(tuple(sym))
+def _checked_symbol(
+    sym: DigitVector | Sequence[int], base: int, arity: int
+) -> DigitVector:
+    """``sym`` as a :class:`DigitVector`, checked against the alphabet of
+    base-``base`` digit vectors of arity ``arity``."""
+    sym = sym if isinstance(sym, DigitVector) else DigitVector(tuple(sym))
+    if len(sym) != arity:
+        raise ValidationError(f"symbol {sym} has arity {len(sym)}, expected {arity}")
+    if any(d >= base for d in sym):
+        raise ValidationError(f"digit out of range in symbol {sym} for base {base}")
+    return sym
 
 
 @dataclass(frozen=True)
@@ -134,15 +143,7 @@ class Automaton:
         declared = set(states)
         cooked: list[Transition] = []
         for src, sym, dst in self.transitions:
-            sym = _coerce_symbol(sym)
-            if len(sym) != self.arity:
-                raise ValidationError(
-                    f"symbol {sym} has arity {len(sym)}, expected {self.arity}"
-                )
-            if any(d >= self.base for d in sym):
-                raise ValidationError(
-                    f"digit out of range in symbol {sym} for base {self.base}"
-                )
+            sym = _checked_symbol(sym, self.base, self.arity)
             if src not in declared:
                 raise ValidationError(f"transition from unknown state {src!r}")
             if dst not in declared:
@@ -173,20 +174,6 @@ class Automaton:
         return {q: i for i, q in enumerate(self.states)}
 
     @cached_property
-    def _delta(self) -> dict[tuple[str, DigitVector], tuple[str, ...]]:
-        table: dict[tuple[str, DigitVector], list[str]] = {}
-        for src, sym, dst in self.transitions:
-            table.setdefault((src, sym), []).append(dst)
-        return {key: tuple(v) for key, v in table.items()}
-
-    @cached_property
-    def out_edges(self) -> dict[str, tuple[tuple[DigitVector, str], ...]]:
-        table: dict[str, list[tuple[DigitVector, str]]] = {q: [] for q in self.states}
-        for src, sym, dst in self.transitions:
-            table[src].append((sym, dst))
-        return {q: tuple(v) for q, v in table.items()}
-
-    @cached_property
     def symbols_used(self) -> tuple[DigitVector, ...]:
         return tuple(sorted({sym for _, sym, _ in self.transitions}))
 
@@ -209,24 +196,6 @@ class Automaton:
         per-component analysis reads this one decomposition."""
         e = self.edges
         return _condensation(e.n, e.src, e.dst)
-
-    def delta(self, state: str, symbol: DigitVector | Sequence[int]) -> tuple[str, ...]:
-        """Successor states of ``state`` on ``symbol`` (possibly empty)."""
-        return self._delta.get((state, _coerce_symbol(symbol)), ())
-
-    def step_set(self, states: Iterable[str], symbol: DigitVector) -> frozenset[str]:
-        """Image of a state set under one symbol."""
-        out: set[str] = set()
-        for q in states:
-            out.update(self._delta.get((q, symbol), ()))
-        return frozenset(out)
-
-    def transition_counts(self) -> dict[tuple[str, str], int]:
-        """Number of distinct symbols labeling each ordered state pair."""
-        counts: dict[tuple[str, str], int] = {}
-        for src, _, dst in self.transitions:
-            counts[(src, dst)] = counts.get((src, dst), 0) + 1
-        return counts
 
     def replace(
         self,
@@ -481,10 +450,8 @@ def classify_properties(a: Automaton) -> PropertyFlags:
     finite_trim = bool(np.all(reachable & coacc0))
     trim = _is_trim(a, reachable)
     closed = trim and a.accept == frozenset(a.states)
-    scc = scc_decompose(a)
-    weak = all(
-        len({q in a.accept for q in comp}) == 1 for comp in scc.components
-    )
+    comp_of, accepting = a.sccs.component_of, _accepting(a)
+    weak = not set(comp_of[accepting].tolist()) & set(comp_of[~accepting].tolist())
     return PropertyFlags(
         deterministic=deterministic,
         finite_trim=finite_trim,
@@ -768,27 +735,29 @@ def multigraph_to_digraph(a: Automaton) -> Automaton:
     accepted infinite-word language is preserved, and closed inputs yield
     closed outputs.
     """
-    if not classify_properties(a).deterministic:
+    if not _is_deterministic(a):
         raise NondeterministicError("digraph form is defined for deterministic input")
     sigma0 = DigitVector((0,) * a.arity)
 
-    def name(q: str, sym: DigitVector) -> str:
-        return f"{q}|{'-'.join(str(d) for d in sym.digits)}"
+    def name(q: int, sym: DigitVector) -> str:
+        return f"{a.states[q]}|{'-'.join(str(d) for d in sym.digits)}"
 
-    (s0,) = a.start
-    pair_states: list[tuple[str, DigitVector]] = [(s0, sigma0)]
+    (s0,) = _nodes(a, a.start)
+    used, table = a.symbols_used, _successor_table(a)
+    pair_states: list[tuple[int, DigitVector]] = [(s0, sigma0)]
     seen = {(s0, sigma0)}
     transitions: list[Transition] = []
     frontier = deque(pair_states)
     while frontier:
         q, tag = frontier.popleft()
-        for sym, dst in a.out_edges[q]:
-            target = (dst, sym)
-            transitions.append((name(q, tag), sym, name(dst, sym)))
-            if target not in seen:
-                seen.add(target)
-                pair_states.append(target)
-                frontier.append(target)
+        for c, dsts in enumerate(table[q]):
+            for dst in dsts:
+                target = (dst, used[c])
+                transitions.append((name(q, tag), used[c], name(*target)))
+                if target not in seen:
+                    seen.add(target)
+                    pair_states.append(target)
+                    frontier.append(target)
     product = Automaton(
         base=a.base,
         arity=a.arity,
@@ -796,12 +765,13 @@ def multigraph_to_digraph(a: Automaton) -> Automaton:
         transitions=tuple(transitions),
         start=frozenset({name(s0, sigma0)}),
         accept=frozenset(
-            name(q, sym) for q, sym in pair_states if q in a.accept
+            name(q, sym) for q, sym in pair_states if a.states[q] in a.accept
         ),
     )
     result = trim(product)
-    counts = result.transition_counts()
-    assert all(c == 1 for c in counts.values()), "pair construction left a multi-edge"
+    e = result.edges
+    pairs = set(zip(e.src.tolist(), e.dst.tolist()))
+    assert len(pairs) == len(e.src), "pair construction left a multi-edge"
     return result
 
 
@@ -812,7 +782,9 @@ def multigraph_to_digraph(a: Automaton) -> Automaton:
 
 def _successor_table(a: Automaton) -> list[list[list[int]]]:
     """``table[q][c]``: the successors of state q on symbol number c, in
-    ``transitions`` order (the order :meth:`Automaton.delta` returns)."""
+    ``transitions`` order.  Transitions are sorted by (from, symbol, to),
+    so walking ``table[q]`` by symbol number visits q's transitions in
+    ``transitions`` order too."""
     e = a.edges
     table: list[list[list[int]]] = [
         [[] for _ in a.symbols_used] for _ in a.states
@@ -820,6 +792,16 @@ def _successor_table(a: Automaton) -> list[list[list[int]]]:
     for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
         table[q][c].append(d)
     return table
+
+
+def _successor_masks(e: EdgeList) -> list[list[int]]:
+    """``masks[q][c]``: the successors of node q on symbol number c as a
+    bitmask (bit i is node i), for symbol numbers 0..max(``e.sym``)."""
+    n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
+    masks = [[0] * n_sym for _ in range(e.n)]
+    for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
+        masks[q][c] |= 1 << d
+    return masks
 
 
 def check_unambiguous(a: Automaton) -> AmbiguityReport:
@@ -934,7 +916,7 @@ def _prefix_levels(a: Automaton, n: int) -> Iterator[dict[int, int]]:
     over the used-symbol alphabet, to the set of states its runs reach (a
     bitmask, bit i the i-th declared state)."""
     radix = max(len(a.symbols_used), 1)
-    table = [[sum(1 << d for d in dsts) for dsts in row] for row in _successor_table(a)]
+    table = _successor_masks(a.edges)
     level = {0: _start_mask(a)}
     yield level
     for _ in range(n):
@@ -985,13 +967,28 @@ def enumerate_prefixes(
 
 def accepts(a: Automaton, word: Iterable[DigitVector | Sequence[int]]) -> bool:
     """Finite-automaton semantics: does some run of ``word`` from a start
-    state end in an accept state?"""
-    current = frozenset(a.start)
+    state end in an accept state?  A symbol of the wrong arity or with a
+    digit of at least the base raises :class:`ValidationError`."""
+    word = [_checked_symbol(sym, a.base, a.arity) for sym in word]
+    return bool(_reached(a, word) & sum(1 << q for q in _nodes(a, a.accept)))
+
+
+def _reached(a: Automaton, word: Iterable[DigitVector]) -> int:
+    """The states the runs of ``word`` from a start state end in, as a
+    bitmask (bit i is the i-th declared state); a symbol no transition
+    carries ends every run."""
+    number = {sym: c for c, sym in enumerate(a.symbols_used)}
+    masks = _successor_masks(a.edges)
+    current = _start_mask(a)
     for sym in word:
-        current = a.step_set(current, _coerce_symbol(sym))
-        if not current:
-            return False
-    return bool(current & a.accept)
+        c = number.get(sym)
+        if c is None or not current:
+            return 0
+        target = 0
+        for q in _bits(current):
+            target |= masks[q][c]
+        current = target
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -1023,10 +1020,8 @@ def _subset_construction(
     the empty set is never entered.  Returns the subsets and the edges
     between their numbers (symbol numbers as in ``e``).  Raises
     :class:`CapExceededError` once more than ``cap`` subsets appear."""
-    n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
-    masks = [[0] * n_sym for _ in range(e.n)]
-    for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
-        masks[q][c] |= 1 << d
+    masks = _successor_masks(e)
+    n_sym = len(masks[0]) if masks else 0
     subsets = [start]
     number = {start: 0}
     src: list[int] = []

@@ -23,10 +23,13 @@ from .core import (
     Block,
     DigitVector,
     Word,
+    _bits,
     _is_deterministic,
     _prefix_graph,
+    _reached,
     _single_block,
     _start_mask,
+    _successor_table,
     classify_properties,
     require_trim,
     trim,
@@ -216,35 +219,39 @@ def _block_mw_alpha(
 
 
 def _shortest_word_to(a: Automaton, target: str) -> Word:
-    """Shortest word labeling a run from a start state to ``target``."""
+    """Shortest word labeling a run from a start state to ``target``: the
+    first found by a breadth-first search from the start states in name
+    order that tries each state's transitions in ``transitions`` order."""
     if target in a.start:
         return ()
-    parent: dict[str, tuple[str, DigitVector]] = {}
-    seen = set(a.start)
-    frontier = deque(sorted(a.start))
-    while frontier and target not in parent:
+    goal = a.state_index[target]
+    starts = [a.state_index[q] for q in sorted(a.start)]
+    table = _successor_table(a)
+    parent: dict[int, tuple[int, int]] = {}
+    seen = set(starts)
+    frontier = deque(starts)
+    while frontier and goal not in parent:
         q = frontier.popleft()
-        for sym, dst in a.out_edges[q]:
-            if dst not in seen:
-                seen.add(dst)
-                parent[dst] = (q, sym)
-                frontier.append(dst)
-    if target not in parent:
+        for c, dsts in enumerate(table[q]):
+            for dst in dsts:
+                if dst not in seen:
+                    seen.add(dst)
+                    parent[dst] = (q, c)
+                    frontier.append(dst)
+    if goal not in parent:
         raise NotTrimError(f"state {target!r} is unreachable")
     word: list[DigitVector] = []
-    node = target
+    node = goal
     while node in parent:
-        node, sym = parent[node]
-        word.append(sym)
+        node, c = parent[node]
+        word.append(a.symbols_used[c])
     word.reverse()
     return tuple(word)
 
 
 def _run_word(a: Automaton, word: Word) -> frozenset[str]:
-    current = frozenset(a.start)
-    for sym in word:
-        current = a.step_set(current, sym)
-    return current
+    """The states the runs of ``word`` from a start state end in."""
+    return frozenset(a.states[q] for q in _bits(_reached(a, word)))
 
 
 def _cycle_prefixes_complete(a: Automaton, q: int, cap: int) -> bool:

@@ -1,5 +1,4 @@
-"""Counting and transfer matrices, the certified Perron solver, and
-entropy of prefix languages.
+"""The certified Perron solver and entropy of prefix languages.
 
 Entropy here is the exponential growth rate, in natural-log units, of the
 number of distinct length-n prefixes of the accepted language.  For a
@@ -28,16 +27,15 @@ is the row sums of the dense B^p on class 0 squared until they settle,
 and every power of B so reached counts against the step cap.  Hitting
 the cap or an underflowing entry raises
 :class:`~omegafract.errors.NotConvergedError`; no unconverged value is
-returned.  :func:`counting_matrix`, :func:`transfer_matrix` and
-:class:`CountMatrix` remain as public constructors; :func:`spectral_radius`
-converts them to an edge list at the API edge.
+returned.  No dense counting or transfer matrix is built: the counting
+matrix of an automaton is its edge list with unit weights, and the
+transfer matrix at exponent s the same list with weights k^(-s).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -65,67 +63,6 @@ _DENSE_SEED_NODES = 160
 
 #: Entries below the smallest normal float count as underflowed.
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class CountMatrix:
-    """Square nonnegative matrix indexed by automaton states in declaration
-    order.  Two flavors share the type: exact integer transition counts and
-    real weighted entries."""
-
-    entries: tuple[tuple[float, ...], ...]
-    states: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.states)
-        rows = tuple(tuple(row) for row in self.entries)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square with one row per state")
-        if any(value < 0 for row in rows for value in row):
-            raise ValueError("matrix entries must be nonnegative")
-        object.__setattr__(self, "entries", rows)
-
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[float]], states: Sequence[str] | None = None
-    ) -> "CountMatrix":
-        if states is None:
-            states = tuple(str(i) for i in range(len(rows)))
-        return cls(entries=tuple(tuple(row) for row in rows), states=tuple(states))
-
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
-
-def transfer_matrix(a: Automaton, s: float) -> CountMatrix:
-    """Transfer operator of the digit maps at exponent ``s``: entry (i, j)
-    sums (1/k)^s over the c_ij parallel transitions, i.e. c_ij * k^(-s).
-
-    Its unit spectral radius characterizes the critical exponent, since
-    every transition contracts the box by 1/k per coordinate.  At s = 0
-    the entries are the exact integer transition counts.
-    """
-    if s < 0:
-        raise ValueError("exponent must be nonnegative")
-    counts = a.transition_counts()
-    weight = 1 if s == 0 else float(a.base) ** (-s)
-    rows = []
-    for src in a.states:
-        row = tuple(
-            counts.get((src, dst), 0) * weight for dst in a.states
-        )
-        rows.append(row)
-    return CountMatrix(entries=tuple(rows), states=a.states)
-
-
-def counting_matrix(a: Automaton) -> CountMatrix:
-    """Exact integer counting matrix: entry (i, j) is the number of symbols
-    with a transition i -> j."""
-    return transfer_matrix(a, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +339,6 @@ def max_root(blocks, weight: np.ndarray, tol: float = DEFAULT_SPECTRAL_TOL) -> f
     """Largest certified Perron root over ``blocks`` of one weighted edge
     list; exactly 0.0 when there is no block (the digraph has no cycle)."""
     return max((perron(b, weight, tol).root for b in blocks), default=0.0)
-
-
-def spectral_radius(
-    m: CountMatrix | np.ndarray, tol: float = DEFAULT_SPECTRAL_TOL
-) -> float:
-    """Perron root of a nonnegative square matrix to relative tolerance.
-
-    Accepts a :class:`CountMatrix` or a square float array, converted to an
-    edge list of its positive entries.  The radius is the maximum over the
-    strongly connected blocks (see :func:`perron`), with cycle-free blocks
-    contributing exactly 0, so nilpotent matrices return 0.0 exactly.
-    """
-    if isinstance(m, CountMatrix):
-        array = m.to_numpy()
-    else:
-        array = np.asarray(m, dtype=float)
-        if array.ndim != 2 or array.shape[0] != array.shape[1]:
-            raise ValueError("matrix must be square")
-        if np.any(array < 0):
-            raise ValueError("matrix entries must be nonnegative")
-    src, dst = np.nonzero(array > 0)
-    return max_root(irreducible_blocks(array.shape[0], src, dst), array[src, dst], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from omegafract.core import (
     _prefix_graph,
     _single_block,
     _start_mask,
+    irreducible_blocks,
     require_trim,
     tarjan_components,
 )
@@ -23,8 +24,9 @@ from omegafract.errors import (
     CapExceededError,
     EmptyLanguageError,
     NotStronglyConnectedError,
+    NotTrimError,
 )
-from omegafract.spectral import DEFAULT_SPECTRAL_TOL, perron
+from omegafract.spectral import DEFAULT_SPECTRAL_TOL, max_root, perron
 
 
 def _symbols(base: int, arity: int) -> list[DigitVector]:
@@ -276,10 +278,135 @@ def random_multi_scc(
     )
 
 
+def dense_root(rows, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
+    """Perron root of the nonnegative square matrix ``rows``: the largest
+    certified root over the strongly connected blocks of its positive
+    entries, exactly 0.0 when they form no cycle."""
+    matrix = np.asarray(rows, dtype=float)
+    src, dst = np.nonzero(matrix > 0)
+    return max_root(irreducible_blocks(len(matrix), src, dst), matrix[src, dst], tol)
+
+
 # ---------------------------------------------------------------------------
 # reference routines: earlier implementations, kept verbatim as oracles for
-# the ones in omegafract
+# the ones in omegafract.  They read the name-keyed adjacency below, built
+# from ``a.transitions``, instead of the integer edge arrays.
 # ---------------------------------------------------------------------------
+
+
+def _delta(a: Automaton) -> dict[tuple[str, DigitVector], tuple[str, ...]]:
+    """(state, symbol) -> the successor states, in ``transitions`` order."""
+    table: dict[tuple[str, DigitVector], list[str]] = {}
+    for src, sym, dst in a.transitions:
+        table.setdefault((src, sym), []).append(dst)
+    return {key: tuple(v) for key, v in table.items()}
+
+
+def _out_edges(a: Automaton) -> dict[str, tuple[tuple[DigitVector, str], ...]]:
+    """state -> its (symbol, successor) pairs, in ``transitions`` order."""
+    table: dict[str, list[tuple[DigitVector, str]]] = {q: [] for q in a.states}
+    for src, sym, dst in a.transitions:
+        table[src].append((sym, dst))
+    return {q: tuple(v) for q, v in table.items()}
+
+
+def _step_set(delta, states, symbol: DigitVector) -> frozenset[str]:
+    """Image of a state set under one symbol."""
+    out: set[str] = set()
+    for q in states:
+        out.update(delta.get((q, symbol), ()))
+    return frozenset(out)
+
+
+def reference_accepts(a: Automaton, word) -> bool:
+    """Finite-automaton semantics: does some run of ``word`` from a start
+    state end in an accept state?"""
+    delta = _delta(a)
+    current = frozenset(a.start)
+    for sym in word:
+        sym = sym if isinstance(sym, DigitVector) else DigitVector(tuple(sym))
+        current = _step_set(delta, current, sym)
+        if not current:
+            return False
+    return bool(current & a.accept)
+
+
+def reference_shortest_word_to(a: Automaton, target: str) -> Word:
+    """Shortest word labeling a run from a start state to ``target``."""
+    if target in a.start:
+        return ()
+    out_edges = _out_edges(a)
+    parent: dict[str, tuple[str, DigitVector]] = {}
+    seen = set(a.start)
+    frontier = deque(sorted(a.start))
+    while frontier and target not in parent:
+        q = frontier.popleft()
+        for sym, dst in out_edges[q]:
+            if dst not in seen:
+                seen.add(dst)
+                parent[dst] = (q, sym)
+                frontier.append(dst)
+    if target not in parent:
+        raise NotTrimError(f"state {target!r} is unreachable")
+    word: list[DigitVector] = []
+    node = target
+    while node in parent:
+        node, sym = parent[node]
+        word.append(sym)
+    word.reverse()
+    return tuple(word)
+
+
+def reference_multigraph_to_digraph(a: Automaton) -> Automaton:
+    """Equivalent automaton whose transition graph is a true digraph: at
+    most one transition between any ordered pair of states.
+
+    States are (state, incoming-symbol) pairs of the trim part, so parallel
+    edges of the original become edges between distinct pair states.  The
+    start tag uses the lexicographically least alphabet symbol, which makes
+    the construction reproducible.  Input must be deterministic; the
+    accepted infinite-word language is preserved, and closed inputs yield
+    closed outputs.
+    """
+    sigma0 = DigitVector((0,) * a.arity)
+
+    def name(q: str, sym: DigitVector) -> str:
+        return f"{q}|{'-'.join(str(d) for d in sym.digits)}"
+
+    out_edges = _out_edges(a)
+    (s0,) = a.start
+    pair_states: list[tuple[str, DigitVector]] = [(s0, sigma0)]
+    seen = {(s0, sigma0)}
+    transitions: list[Transition] = []
+    frontier = deque(pair_states)
+    while frontier:
+        q, tag = frontier.popleft()
+        for sym, dst in out_edges[q]:
+            target = (dst, sym)
+            transitions.append((name(q, tag), sym, name(dst, sym)))
+            if target not in seen:
+                seen.add(target)
+                pair_states.append(target)
+                frontier.append(target)
+    product = Automaton(
+        base=a.base,
+        arity=a.arity,
+        states=tuple(name(q, sym) for q, sym in pair_states),
+        transitions=tuple(transitions),
+        start=frozenset({name(s0, sigma0)}),
+        accept=frozenset(
+            name(q, sym) for q, sym in pair_states if q in a.accept
+        ),
+    )
+    return trim(product)
+
+
+def reference_run_word(a: Automaton, word: Word) -> frozenset[str]:
+    delta = _delta(a)
+    current = frozenset(a.start)
+    for sym in word:
+        current = _step_set(delta, current, sym)
+    return current
 
 
 def reference_check_unambiguous(a: Automaton) -> AmbiguityReport:
@@ -292,6 +419,7 @@ def reference_check_unambiguous(a: Automaton) -> AmbiguityReport:
     two accepting runs that differ at least once.  Deterministic automata
     are always unambiguous.
     """
+    delta = _delta(a)
     starts = sorted(a.start)
     init = [(p, q) for p in starts for q in starts]
     # BFS keeps, per product pair, a shortest word reaching it.
@@ -302,8 +430,8 @@ def reference_check_unambiguous(a: Automaton) -> AmbiguityReport:
         p, q = frontier.popleft()
         here = word_to[(p, q)]
         for sym in a.symbols_used:
-            for p2 in a.delta(p, sym):
-                for q2 in a.delta(q, sym):
+            for p2 in delta.get((p, sym), ()):
+                for q2 in delta.get((q, sym), ()):
                     succ[(p, q)].append((p2, q2))
                     if (p2, q2) not in word_to:
                         word_to[(p2, q2)] = here + (sym,)
@@ -358,6 +486,7 @@ def reference_prefix_determinization(
     result is trim, closed and deterministic.
     """
     require_trim(a)
+    delta = _delta(a)
     order = a.state_index
 
     def name(subset: frozenset[str]) -> str:
@@ -371,7 +500,7 @@ def reference_prefix_determinization(
     while frontier:
         subset = frontier.popleft()
         for sym in a.symbols_used:
-            target = a.step_set(subset, sym)
+            target = _step_set(delta, subset, sym)
             if not target:
                 continue
             transitions.append((name(subset), sym, name(target)))

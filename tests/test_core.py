@@ -28,7 +28,12 @@ from omegafract import (
     serialize_automaton,
     trim,
 )
-from helpers_random import disjoint_union, random_automaton, random_trim_automaton
+from helpers_random import (
+    disjoint_union,
+    random_automaton,
+    random_trim_automaton,
+    reference_multigraph_to_digraph,
+)
 
 DYADIC_DOC = """
 {"base": 2, "arity": 1,
@@ -60,7 +65,8 @@ def test_parse_dyadic_document():
     assert a.start == frozenset({"q0"})
     assert a.accept == frozenset({"q1"})
     assert len(a.transitions) == 4
-    assert a.delta("q0", sym(0)) == ("q0", "q1")
+    q0_on_0 = [d for s, c, d in a.transitions if (s, c) == ("q0", sym(0))]
+    assert q0_on_0 == ["q0", "q1"]
 
 
 def test_parse_digit_out_of_range():
@@ -214,6 +220,15 @@ def test_closure_dyadic_accepts_everything(dyadic):
         assert accepts(closed, w)
 
 
+def test_accepts_rejects_symbols_outside_the_alphabet(golden_mean):
+    # golden_mean reads one binary digit per symbol and forbids 11
+    assert accepts(golden_mean, [(1,), (0,)])
+    assert not accepts(golden_mean, [(1,), (1,)])
+    for bad in ([(0, 0)], [(7,)], [(2,)], [()], [(-1,)], [(1,), (1,), (7,)]):
+        with pytest.raises(ValidationError):
+            accepts(golden_mean, bad)
+
+
 def test_closure_requires_trim(dyadic):
     padded = dyadic.replace(
         states=dyadic.states + ("dead",),
@@ -343,7 +358,7 @@ def test_digraph_cantor(cantor):
     dg = multigraph_to_digraph(cantor)
     assert len(dg.states) == 2
     assert len(dg.transitions) == 4
-    assert all(c == 1 for c in dg.transition_counts().values())
+    assert len({(s, d) for s, _, d in dg.transitions}) == len(dg.transitions)
     for n in (0, 5, 10):
         assert enumerate_prefixes(dg, n) == enumerate_prefixes(cantor, n)
     assert classify_properties(dg).closed
@@ -368,7 +383,8 @@ def test_digraph_prefix_equality_random():
     for _ in range(10):
         a = random_deterministic_trim(rng, n_states=4, base=rng.choice([2, 3]))
         dg = multigraph_to_digraph(a)
-        assert all(c == 1 for c in dg.transition_counts().values())
+        assert dg == reference_multigraph_to_digraph(a)
+        assert len({(s, d) for s, _, d in dg.transitions}) == len(dg.transitions)
         for n in (1, 4, 8, 10):
             assert enumerate_prefixes(dg, n) == enumerate_prefixes(a, n)
 
@@ -545,9 +561,8 @@ def test_trim_idempotent_and_prefix_stable(a):
 @settings(max_examples=40, deadline=None)
 def test_deterministic_check_matches_definition(a):
     flags = classify_properties(a)
-    by_hand = len(a.start) == 1 and all(
-        len(a.delta(q, s)) <= 1 for q in a.states for s in a.symbols_used
-    )
+    keys = [(q, s) for q, s, _ in a.transitions]
+    by_hand = len(a.start) == 1 and len(set(keys)) == len(keys)
     assert flags.deterministic == by_hand
     if flags.trim and flags.deterministic:
         assert check_unambiguous(a).unambiguous

@@ -111,7 +111,9 @@ def test_cover_contains_random_walk_prefixes(golden_mean):
         state = next(iter(golden_mean.start))
         w = []
         for _ in range(6):
-            symb, dst = rng.choice(golden_mean.out_edges[state])
+            symb, dst = rng.choice(
+                [(c, d) for s, c, d in golden_mean.transitions if s == state]
+            )
             w.append(symb)
             state = dst
         assert nu_k(w, golden_mean.base) in cover

@@ -12,9 +12,9 @@ import pytest
 
 from omegafract import (
     Automaton,
-    CountMatrix,
     DigitVector,
     NotConvergedError,
+    accepts,
     check_unambiguous,
     density_classifier,
     dimension_report,
@@ -22,17 +22,21 @@ from omegafract import (
     entropy,
     prefix_determinization,
     scc_measure,
-    spectral_radius,
 )
 from omegafract import dimension, measure, spectral
+from omegafract.dimension import _run_word, _shortest_word_to
 from omegafract.spectral import irreducible_blocks, perron
 from conftest import bundled, child_env
 from helpers_random import (
+    dense_root,
     random_multi_scc,
     random_strongly_connected,
     random_trim_automaton,
+    reference_accepts,
     reference_check_unambiguous,
     reference_prefix_determinization,
+    reference_run_word,
+    reference_shortest_word_to,
 )
 
 BUNDLED = [
@@ -109,9 +113,7 @@ def check_brackets(matrix: np.ndarray) -> None:
         assert solve.hi - solve.lo <= 1e-12 * solve.hi
         assert block.period == brute_period(dense)
     eig = np.max(np.abs(np.linalg.eigvals(matrix.astype(float)))) if n else 0.0
-    assert spectral_radius(matrix.astype(float)) == pytest.approx(
-        eig, rel=1e-11, abs=1e-12
-    )
+    assert dense_root(matrix) == pytest.approx(eig, rel=1e-11, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,7 @@ def test_nilpotent_has_no_blocks_and_radius_exactly_zero():
         )
         _, src, dst, _ = edges_of(matrix)
         assert irreducible_blocks(n, src, dst) == []
-        assert spectral_radius(CountMatrix.from_rows(matrix.tolist())) == 0.0
+        assert dense_root(matrix) == 0.0
 
 
 @pytest.mark.parametrize("period", [2, 5, 7])
@@ -216,7 +218,7 @@ def test_400_cycle_measure_at_radius_one_meets_tolerance():
 def test_step_cap_raises(monkeypatch, golden_mean):
     monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", 3)
     with pytest.raises(NotConvergedError) as info:
-        spectral_radius(CountMatrix.from_rows([[1, 1], [1, 0]]))
+        dense_root([[1, 1], [1, 0]])
     assert info.value.code == "not-converged"
     with pytest.raises(NotConvergedError):
         entropy(golden_mean)
@@ -235,7 +237,7 @@ def test_underflowing_vector_raises():
     matrix[0, 1] = matrix[1, 2] = 1e-200
     matrix[2, 0] = 1e300
     with pytest.raises(NotConvergedError):
-        spectral_radius(matrix)
+        dense_root(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +486,25 @@ def test_check_unambiguous_matches_reference():
         assert (got.unambiguous, got.witness) == (want.unambiguous, want.witness)
         seen_ambiguous += not got.unambiguous
     assert seen_ambiguous >= 10
+
+
+def test_walks_on_the_edge_arrays_match_reference():
+    rng = random.Random(76)
+    inputs = [bundled(name) for name in BUNDLED]
+    inputs += [_scrambled(rng, a) for a in inputs + list(_random_nfas())]
+    unused = 0
+    for a in inputs:
+        for q in a.states:
+            u = _shortest_word_to(a, q)
+            assert u == reference_shortest_word_to(a, q)
+            assert _run_word(a, u) == reference_run_word(a, u)
+        alphabet = [DigitVector(d) for d in np.ndindex(*(a.base,) * a.arity)]
+        for _ in range(20):
+            w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+            assert accepts(a, w) == reference_accepts(a, w)
+            assert _run_word(a, w) == reference_run_word(a, w)
+            unused += any(s not in a.symbols_used for s in w)
+    assert len(inputs) >= 100 and unused >= 100
 
 
 def test_density_on_deterministic_input_skips_the_reroot(monkeypatch):

@@ -8,7 +8,6 @@ one determinization per state) serve here as the oracle.
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from omegafract import (
@@ -17,7 +16,6 @@ from omegafract import (
     DigitVector,
     NotTrimError,
     classify_properties,
-    counting_matrix,
     cycle_automaton,
     cycle_entropies,
     density_classifier,
@@ -25,9 +23,7 @@ from omegafract import (
     hausdorff_dimension,
     prefix_determinization,
     scc_decompose,
-    spectral_radius,
     states_on_cycles,
-    transfer_matrix,
     trim,
 )
 from omegafract.core import require_trim
@@ -36,10 +32,13 @@ from omegafract.dimension import (
     DensityReport,
     _complete_cycle_states,
     _cycle_prefixes_complete,
-    _run_word,
-    _shortest_word_to,
 )
-from helpers_random import random_automaton, random_multi_scc
+from helpers_random import (
+    random_automaton,
+    random_multi_scc,
+    reference_run_word,
+    reference_shortest_word_to,
+)
 
 SEEDS = range(40)
 
@@ -118,8 +117,8 @@ def _density_per_state(a):
     if not witnesses:
         return DensityReport(True, False, None)
     for q in witnesses:
-        u = _shortest_word_to(a, q)
-        rerooted = trim(a.replace(start=_run_word(a, u)))
+        u = reference_shortest_word_to(a, q)
+        rerooted = trim(a.replace(start=reference_run_word(a, u)))
         if hausdorff_dimension(rerooted) < 1.0 - REPORT_TOL:
             left = sum(
                 (Fraction(sym[0], a.base ** (i + 1)) for i, sym in enumerate(u)),
@@ -128,7 +127,9 @@ def _density_per_state(a):
             interval = (left, left + Fraction(1, a.base ** len(u)))
             return DensityReport(False, True, interval, q, u)
     first = witnesses[0]
-    return DensityReport(False, True, None, first, _shortest_word_to(a, first))
+    return DensityReport(
+        False, True, None, first, reference_shortest_word_to(a, first)
+    )
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
@@ -191,27 +192,3 @@ def test_require_trim_agrees_with_flag():
         else:
             with pytest.raises(NotTrimError):
                 require_trim(a)
-
-
-def test_spectral_radius_accepts_arrays():
-    rng = random.Random(8)
-    for _ in range(20):
-        a = random_multi_scc(rng, base=3)
-        m = counting_matrix(a)
-        assert spectral_radius(m.to_numpy()) == spectral_radius(m)
-    with pytest.raises(ValueError):
-        spectral_radius(np.array([[1.0, -1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        spectral_radius(np.ones((2, 3)))
-
-
-def test_scaled_counting_matrix_equals_transfer_matrix_bitwise():
-    rng = random.Random(12)
-    for _ in range(20):
-        a = random_multi_scc(rng, base=rng.choice([2, 3]))
-        counts = counting_matrix(a).to_numpy()
-        for alpha in [0.0, 1e-7, rng.random(), 0.5, 1.0]:
-            weight = 1.0 if alpha == 0 else float(a.base) ** (-alpha)
-            assert np.array_equal(
-                counts * weight, transfer_matrix(a, alpha).to_numpy()
-            )

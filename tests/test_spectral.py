@@ -3,62 +3,40 @@ import random
 
 import pytest
 
+import omegafract
 from omegafract import (
-    CountMatrix,
+    Automaton,
     NotTrimError,
-    counting_matrix,
     entropy,
     entropy_estimate,
     prefix_count,
     prefix_growth,
-    spectral_radius,
+    spectral,
     substring_automaton,
-    transfer_matrix,
 )
-from helpers_random import disjoint_union, random_trim_automaton
+from helpers_random import dense_root, disjoint_union, random_trim_automaton
 
 PHI = (1 + math.sqrt(5)) / 2
 
 
-def test_transfer_matrix_cantor(cantor):
-    assert transfer_matrix(cantor, 1).entries == ((2 / 3,),)
-    alpha = math.log(2) / math.log(3)
-    (entry,) = transfer_matrix(cantor, alpha).entries[0]
-    assert entry == pytest.approx(1.0, abs=1e-15)
-
-
-def test_matrix_constructors_agree_on_true_digraphs(golden_mean):
-    # no parallel transitions: the transfer form equals the weighted
-    # adjacency form (c_ij / k)^s, with 0^0 = 0
-    from omegafract import multigraph_to_digraph
-
-    dg = multigraph_to_digraph(golden_mean)
-    counts = dg.transition_counts()
-    for s in (0.0, 0.5, 1.0, 1.7):
-        t = transfer_matrix(dg, s)
-        for i, p in enumerate(dg.states):
-            for j, q in enumerate(dg.states):
-                c = counts.get((p, q), 0)
-                weighted = 0 if c == 0 else (c / dg.base) ** s if s != 0 else 1
-                assert t.entries[i][j] == pytest.approx(weighted, rel=1e-15)
-
-
-def test_count_matrix_validation():
-    with pytest.raises(ValueError, match="square"):
-        CountMatrix.from_rows([[1, 2]])
-    with pytest.raises(ValueError, match="nonnegative"):
-        CountMatrix.from_rows([[1, -2], [0, 1]])
-
-
-def test_counting_matrix_is_scaled_weighted(cantor, dyadic, golden_mean):
-    # k * (c_ij / k)^1: the number of symbols from state i to state j
-    for a in (cantor, dyadic, golden_mean):
-        c = counting_matrix(a)
-        counts = a.transition_counts()
-        for i, p in enumerate(a.states):
-            for j, q in enumerate(a.states):
-                assert c.entries[i][j] == counts.get((p, q), 0)
-                assert isinstance(c.entries[i][j], int)
+def test_dense_layer_and_name_keyed_adjacency_stay_removed():
+    # every analysis runs on ``Automaton.edges``; neither the dense matrix
+    # constructors nor the name-keyed successor dicts come back
+    removed = [
+        "CountMatrix",
+        "counting_matrix",
+        "transfer_matrix",
+        "spectral_radius",
+        "_delta",
+        "out_edges",
+        "delta",
+        "step_set",
+        "transition_counts",
+    ]
+    for owner in (omegafract, spectral, Automaton):
+        assert [name for name in removed if hasattr(owner, name)] == []
+    for name in omegafract.__all__:
+        getattr(omegafract, name)
 
 
 # ---------------------------------------------------------------------------
@@ -67,39 +45,31 @@ def test_counting_matrix_is_scaled_weighted(cantor, dyadic, golden_mean):
 
 
 def test_spectral_radius_scalar():
-    assert spectral_radius(CountMatrix.from_rows([[2]])) == 2.0
+    assert dense_root([[2]]) == 2.0
 
 
 def test_spectral_radius_golden_ratio():
     # root of x^2 - x - 1, frozen from the characteristic polynomial
-    rho = spectral_radius(CountMatrix.from_rows([[1, 1], [1, 0]]))
+    rho = dense_root([[1, 1], [1, 0]])
     assert rho == pytest.approx(PHI, rel=1e-12)
 
 
 def test_spectral_radius_nilpotent_exact_zero():
-    assert spectral_radius(CountMatrix.from_rows([[0, 1], [0, 0]])) == 0.0
-    assert spectral_radius(
-        CountMatrix.from_rows([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
-    ) == 0.0
+    assert dense_root([[0, 1], [0, 0]]) == 0.0
+    assert dense_root([[0, 1, 1], [0, 0, 1], [0, 0, 0]]) == 0.0
 
 
 def test_spectral_radius_imprimitive_cycle():
     # period-2 matrices defeat naive power iteration; the shift does not
-    assert spectral_radius(CountMatrix.from_rows([[0, 1], [1, 0]])) == pytest.approx(
-        1.0, rel=1e-12
-    )
-    assert spectral_radius(CountMatrix.from_rows([[0, 2], [3, 0]])) == pytest.approx(
-        math.sqrt(6), rel=1e-12
-    )
+    assert dense_root([[0, 1], [1, 0]]) == pytest.approx(1.0, rel=1e-12)
+    assert dense_root([[0, 2], [3, 0]]) == pytest.approx(math.sqrt(6), rel=1e-12)
 
 
 def test_spectral_radius_reducible_blocks():
-    rho = spectral_radius(CountMatrix.from_rows([[2, 5], [0, 3]]))
+    rho = dense_root([[2, 5], [0, 3]])
     assert rho == pytest.approx(3.0, rel=1e-12)
     # two identical blocks: the Perron root has multiplicity two across blocks
-    rho = spectral_radius(
-        CountMatrix.from_rows([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]])
-    )
+    rho = dense_root([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]])
     assert rho == pytest.approx(PHI, rel=1e-12)
 
 
@@ -108,7 +78,7 @@ def test_spectral_radius_long_imprimitive_ring():
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][(i + 1) % n] = 2
-    assert spectral_radius(CountMatrix.from_rows(rows)) == pytest.approx(2.0, rel=1e-10)
+    assert dense_root(rows) == pytest.approx(2.0, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
