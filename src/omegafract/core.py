@@ -99,6 +99,29 @@ class EdgeList:
             dst=np.array(dst, dtype=np.intp),
         )
 
+    # the adjacency, built once per edge list (frozen, so caching is safe)
+
+    @cached_property
+    def successors(self) -> list[list[int]]:
+        """``successors[u]``: the heads of the edges leaving node u, in
+        edge order."""
+        return _grouped(self.n, self.src, self.dst)
+
+    @cached_property
+    def predecessors(self) -> list[list[int]]:
+        """``predecessors[v]``: the tails of the edges entering node v, in
+        edge order."""
+        return _grouped(self.n, self.dst, self.src)
+
+
+def _grouped(n: int, key: np.ndarray, value: np.ndarray) -> list[list[int]]:
+    """``out[i]``: the entries of ``value`` whose ``key`` is i, for i in
+    0..n-1, each list in array order."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for k, v in zip(key.tolist(), value.tolist()):
+        out[k].append(v)
+    return out
+
 
 def _checked_symbol(
     sym: DigitVector | Sequence[int], base: int, arity: int
@@ -141,17 +164,24 @@ class Automaton:
         if not states:
             raise ValidationError("automaton needs at least one state")
         declared = set(states)
-        cooked: list[Transition] = []
+        # each distinct symbol is checked once; the triples are deduplicated
+        # and sorted as plain (from, digits, to) tuples
+        checked: dict[tuple[int, ...], DigitVector] = {}
+        rows: list[tuple[str, tuple[int, ...], str]] = []
         for src, sym, dst in self.transitions:
-            sym = _checked_symbol(sym, self.base, self.arity)
+            if not isinstance(sym, DigitVector):
+                sym = DigitVector(tuple(sym))
+            digits = sym.digits
+            if digits not in checked:
+                checked[digits] = _checked_symbol(sym, self.base, self.arity)
             if src not in declared:
                 raise ValidationError(f"transition from unknown state {src!r}")
             if dst not in declared:
                 raise ValidationError(f"transition to unknown state {dst!r}")
-            cooked.append((src, sym, dst))
-        if len(set(cooked)) != len(cooked):
+            rows.append((src, digits, dst))
+        if len(set(rows)) != len(rows):
             raise ValidationError("duplicate transition triple")
-        cooked.sort(key=lambda t: (t[0], t[1].digits, t[2]))
+        rows.sort()
         start = frozenset(str(s) for s in self.start)
         accept = frozenset(str(s) for s in self.accept)
         if not start:
@@ -163,7 +193,9 @@ class Automaton:
                 f"accept states {sorted(accept - declared)} undeclared"
             )
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", tuple(cooked))
+        object.__setattr__(
+            self, "transitions", tuple([(p, checked[d], q) for p, d, q in rows])
+        )
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "accept", accept)
 
@@ -175,18 +207,19 @@ class Automaton:
 
     @cached_property
     def symbols_used(self) -> tuple[DigitVector, ...]:
-        return tuple(sorted({sym for _, sym, _ in self.transitions}))
+        used = {sym.digits: sym for _, sym, _ in self.transitions}
+        return tuple(used[digits] for digits in sorted(used))
 
     @cached_property
     def edges(self) -> EdgeList:
         """The transitions as an :class:`EdgeList` (states in declaration
         order, symbols in ``symbols_used`` order)."""
         index = self.state_index
-        symbol = {sym: i for i, sym in enumerate(self.symbols_used)}
+        symbol = {sym.digits: i for i, sym in enumerate(self.symbols_used)}
         return EdgeList.from_lists(
             len(self.states),
             [index[src] for src, _, _ in self.transitions],
-            [symbol[sym] for _, sym, _ in self.transitions],
+            [symbol[sym.digits] for _, sym, _ in self.transitions],
             [index[dst] for _, _, dst in self.transitions],
         )
 
@@ -194,8 +227,7 @@ class Automaton:
     def sccs(self) -> "Condensation":
         """The strongly connected components of :attr:`edges`; every
         per-component analysis reads this one decomposition."""
-        e = self.edges
-        return _condensation(e.n, e.src, e.dst)
+        return _condensation(self.edges)
 
     def replace(
         self,
@@ -323,20 +355,27 @@ def parse_automaton(text: str) -> Automaton:
         if not isinstance(doc[key], list):
             raise ValidationError(f"field {key!r} must be an array")
     transitions = []
+    # One DigitVector per distinct symbol.  The type check comes first, as
+    # (True,) == (1,), hash(1.0) == hash(1) and a nested list is unhashable;
+    # json.loads makes exact ints, so ``type(d) is int`` excludes bools.
+    interned: dict[tuple[int, ...], DigitVector] = {}
     for i, entry in enumerate(doc["transitions"]):
         if not isinstance(entry, dict):
             raise ValidationError(f"transitions[{i}] must be an object")
-        for key in ("from", "symbol", "to"):
-            if key not in entry:
-                raise ValidationError(f"transitions[{i}] missing field {key!r}")
-        sym = entry["symbol"]
-        if not isinstance(sym, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) for d in sym
-        ):
+        try:
+            src, sym, dst = entry["from"], entry["symbol"], entry["to"]
+        except KeyError:
+            key = next(k for k in ("from", "symbol", "to") if k not in entry)
+            raise ValidationError(f"transitions[{i}] missing field {key!r}") from None
+        if not isinstance(sym, list) or not all(type(d) is int for d in sym):
             raise ValidationError(
                 f"transitions[{i}].symbol must be an array of integers"
             )
-        transitions.append((str(entry["from"]), DigitVector(tuple(sym)), str(entry["to"])))
+        digits = tuple(sym)
+        vec = interned.get(digits)
+        if vec is None:
+            vec = interned[digits] = DigitVector(digits)
+        transitions.append((str(src), vec, str(dst)))
     states = [str(s) for s in doc["states"]]
     return Automaton(
         base=doc["base"],
@@ -389,15 +428,10 @@ def load_automaton(path: str) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
-def _reachable(
-    n: int, src: np.ndarray, dst: np.ndarray, seeds: Iterable[int]
-) -> np.ndarray:
+def _reachable(succ: list[list[int]], seeds: Iterable[int]) -> np.ndarray:
     """Boolean mask of the nodes reachable (in zero or more steps) from
-    ``seeds`` along the edges ``src[e] -> dst[e]``."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        succ[u].append(v)
-    seen = [False] * n
+    ``seeds`` along the adjacency lists ``succ``."""
+    seen = [False] * len(succ)
     stack = list(seeds)
     for u in stack:
         seen[u] = True
@@ -410,11 +444,11 @@ def _reachable(
 
 
 def _forward_reachable(e: EdgeList, sources: Iterable[int]) -> np.ndarray:
-    return _reachable(e.n, e.src, e.dst, sources)
+    return _reachable(e.successors, sources)
 
 
 def _backward_reachable(e: EdgeList, targets: Iterable[int]) -> np.ndarray:
-    return _reachable(e.n, e.dst, e.src, targets)
+    return _reachable(e.predecessors, targets)
 
 
 def _nodes(a: Automaton, names: Iterable[str]) -> list[int]:
@@ -522,53 +556,54 @@ def closure(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
-def tarjan_components(nodes, successors) -> list[list]:
-    """Iterative Tarjan SCC over any hashable nodes; components come out in
-    reverse topological order, nodes inside a component in discovery order."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components: list[list] = []
+def tarjan_components(nodes, successors) -> list[list[int]]:
+    """Iterative Tarjan SCC (Tarjan 1972) on the nodes 0..n-1 listed in
+    ``nodes``, roots tried in that order, with ``successors[u]`` the heads
+    of u's edges.  Components come out in reverse topological order, each
+    listed from its last discovered node back to its root."""
+    n = len(nodes)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
     counter = 0
-
     for root in nodes:
-        if root in index:
+        if index[root] >= 0:
             continue
-        work = [(root, iter(successors[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(successors[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
-                if nxt not in index:
+                if index[nxt] < 0:
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
+                    on_stack[nxt] = True
                     work.append((nxt, iter(successors[nxt])))
-                    advanced = True
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    q = stack.pop()
-                    on_stack.discard(q)
-                    comp.append(q)
-                    if q == node:
-                        break
-                components.append(comp)
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    top = len(stack) - 1
+                    while stack[top] != node:
+                        top -= 1
+                    comp = stack[top:]
+                    del stack[top:]
+                    comp.reverse()
+                    for q in comp:
+                        on_stack[q] = False
+                    components.append(comp)
     return components
 
 
@@ -606,15 +641,13 @@ class Condensation:
     blocks: dict[int, Block]
 
 
-def _condensation(n: int, src: np.ndarray, dst: np.ndarray) -> Condensation:
-    """Tarjan's components of the digraph with edges ``src[e] -> dst[e]``,
-    and for each non-trivial one its period: the gcd of
-    level(u) + 1 - level(v) over the block's edges u -> v, for breadth-first
-    levels from the block's least node, and its cyclic classes, the levels
-    mod the period (Lind & Marcus, section 4.5)."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        succ[u].append(v)
+def _condensation(e: EdgeList) -> Condensation:
+    """Tarjan's components of the digraph of ``e``, and for each
+    non-trivial one its period: the gcd of level(u) + 1 - level(v) over the
+    block's edges u -> v, for breadth-first levels from the block's least
+    node, and its cyclic classes, the levels mod the period (Lind & Marcus,
+    section 4.5)."""
+    n, src, dst, succ = e.n, e.src, e.dst, e.successors
     components = tarjan_components(range(n), succ)
     components.reverse()  # topological order: sources first
     comp_list = [0] * n
@@ -670,7 +703,9 @@ def _single_block(a: Automaton, operation: str) -> Block:
 def irreducible_blocks(n: int, src: np.ndarray, dst: np.ndarray) -> list[Block]:
     """Non-trivial strongly connected blocks of the digraph on nodes 0..n-1
     with edges ``src[e] -> dst[e]``, in topological order."""
-    return list(_condensation(n, src, dst).blocks.values())
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    e = EdgeList(n, src, np.zeros_like(src), dst)
+    return list(_condensation(e).blocks.values())
 
 
 def scc_decompose(a: Automaton) -> SccDecomposition:
@@ -743,7 +778,7 @@ def multigraph_to_digraph(a: Automaton) -> Automaton:
         return f"{a.states[q]}|{'-'.join(str(d) for d in sym.digits)}"
 
     (s0,) = _nodes(a, a.start)
-    used, table = a.symbols_used, _successor_table(a)
+    used, table = a.symbols_used, _successor_table(a.edges)
     pair_states: list[tuple[int, DigitVector]] = [(s0, sigma0)]
     seen = {(s0, sigma0)}
     transitions: list[Transition] = []
@@ -780,15 +815,14 @@ def multigraph_to_digraph(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
-def _successor_table(a: Automaton) -> list[list[list[int]]]:
-    """``table[q][c]``: the successors of state q on symbol number c, in
-    ``transitions`` order.  Transitions are sorted by (from, symbol, to),
-    so walking ``table[q]`` by symbol number visits q's transitions in
-    ``transitions`` order too."""
-    e = a.edges
-    table: list[list[list[int]]] = [
-        [[] for _ in a.symbols_used] for _ in a.states
-    ]
+def _successor_table(e: EdgeList) -> list[list[list[int]]]:
+    """``table[q][c]``: the heads of the edges leaving node q on symbol
+    number c, in edge order, for symbol numbers 0..max(``e.sym``).  On an
+    automaton's edges, whose transitions are sorted by (from, symbol, to),
+    walking ``table[q]`` by symbol number visits q's transitions in
+    ``transitions`` order."""
+    n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
+    table: list[list[list[int]]] = [[[] for _ in range(n_sym)] for _ in range(e.n)]
     for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
         table[q][c].append(d)
     return table
@@ -812,85 +846,94 @@ def check_unambiguous(a: Automaton) -> AmbiguityReport:
     the product) a non-trivial strongly connected component in which both
     coordinates pass through accept states, i.e. one shared word carries
     two accepting runs that differ at least once.  Deterministic automata
-    are always unambiguous.
+    are always unambiguous, and are answered without the product.
     """
+    if _is_deterministic(a):
+        return AmbiguityReport(unambiguous=True)
     n = len(a.states)
-    table = _successor_table(a)
+    table = _successor_table(a.edges)
     starts = [a.state_index[q] for q in sorted(a.start)]
-    # Pair (p, q) is the integer p * n + q.  The breadth-first search keeps,
-    # per pair, the first (hence a shortest) word reaching it as a back
-    # pointer (previous pair, symbol number) and its length.
-    back: dict[int, tuple[int, int] | None] = {}
-    depth: dict[int, int] = {}
-    succ: dict[int, list[int]] = {}
+    # Pairs are numbered 0, 1, ... in breadth-first discovery order; pair
+    # (p, q) has the key p * n + q.  The search keeps, per pair, the first
+    # (hence a shortest) word reaching it as a back pointer (previous pair,
+    # symbol number) and its length.
+    number: dict[int, int] = {}
+    keys: list[int] = []
+    back: list[tuple[int, int] | None] = []
+    depth: list[int] = []
     for p in starts:
         for q in starts:
-            back[p * n + q] = None
-            depth[p * n + q] = 0
-            succ[p * n + q] = []
-    frontier = deque(back)
-    while frontier:
-        pair = frontier.popleft()
-        p_rows, q_rows = table[pair // n], table[pair % n]
-        out = succ[pair]
+            number[p * n + q] = len(keys)
+            keys.append(p * n + q)
+            back.append(None)
+            depth.append(0)
+    succ: list[list[int]] = []
+    i = 0
+    while i < len(keys):
+        p_rows, q_rows = table[keys[i] // n], table[keys[i] % n]
+        out: list[int] = []
         for c, p_next in enumerate(p_rows):
             for p2 in p_next:
                 for q2 in q_rows[c]:
-                    nxt = p2 * n + q2
-                    out.append(nxt)
-                    if nxt not in back:
-                        back[nxt] = (pair, c)
-                        depth[nxt] = depth[pair] + 1
-                        succ[nxt] = []
-                        frontier.append(nxt)
-    pairs = list(back)
-    accept = {a.state_index[q] for q in a.accept}
-    comp_of: dict[int, int] = {}
-    components = tarjan_components(pairs, succ)
-    for i, comp in enumerate(components):
-        for pair in comp:
-            comp_of[pair] = i
-    nontrivial = {
-        comp_of[pair]
-        for pair in pairs
-        if any(comp_of[nxt] == comp_of[pair] for nxt in succ[pair])
-    }
+                    key = p2 * n + q2
+                    j = number.get(key)
+                    if j is None:
+                        j = number[key] = len(keys)
+                        keys.append(key)
+                        back.append((i, c))
+                        depth.append(depth[i] + 1)
+                    out.append(j)
+        succ.append(out)
+        i += 1
+    m = len(keys)
+    accept = _accepting(a).tolist()
+    components = tarjan_components(range(m), succ)
+    comp_of = [0] * m
+    for c, comp in enumerate(components):
+        for i in comp:
+            comp_of[i] = c
+    nontrivial = [False] * len(components)
+    for i in range(m):
+        if any(comp_of[j] == comp_of[i] for j in succ[i]):
+            nontrivial[comp_of[i]] = True
+    good = [
+        cyclic
+        and any(accept[keys[i] // n] for i in comp)
+        and any(accept[keys[i] % n] for i in comp)
+        for cyclic, comp in zip(nontrivial, components)
+    ]
     # pairs that can reach a good component: one reverse search from them
-    preds: dict[int, list[int]] = {pair: [] for pair in pairs}
-    for pair in pairs:
-        for nxt in succ[pair]:
-            preds[nxt].append(pair)
-    reach_good: set[int] = set()
-    for i in nontrivial:
-        comp = components[i]
-        if any(pair // n in accept for pair in comp) and any(
-            pair % n in accept for pair in comp
-        ):
-            reach_good.update(comp)
-    stack = list(reach_good)
+    preds: list[list[int]] = [[] for _ in range(m)]
+    for i in range(m):
+        for j in succ[i]:
+            preds[j].append(i)
+    reach_good = [good[comp_of[i]] for i in range(m)]
+    stack = [i for i in range(m) if reach_good[i]]
     while stack:
         for prev in preds[stack.pop()]:
-            if prev not in reach_good:
-                reach_good.add(prev)
+            if not reach_good[prev]:
+                reach_good[prev] = True
                 stack.append(prev)
-    candidates = [pair for pair in reach_good if pair // n != pair % n]
+    candidates = [
+        i for i in range(m) if reach_good[i] and keys[i] // n != keys[i] % n
+    ]
     if not candidates:
         return AmbiguityReport(unambiguous=True)
-    shortest = min(depth[pair] for pair in candidates)
+    shortest = min(depth[i] for i in candidates)
     used = a.symbols_used
 
-    def word(pair: int) -> Word:
+    def word(i: int) -> Word:
         out: list[DigitVector] = []
-        step = back[pair]
+        step = back[i]
         while step is not None:
-            pair, c = step
+            i, c = step
             out.append(used[c])
-            step = back[pair]
+            step = back[i]
         out.reverse()
         return tuple(out)
 
     witness = min(
-        (word(pair) for pair in candidates if depth[pair] == shortest),
+        (word(i) for i in candidates if depth[i] == shortest),
         key=lambda w: tuple(s.digits for s in w),
     )
     return AmbiguityReport(unambiguous=False, witness=witness)
@@ -1085,7 +1128,7 @@ def _prefix_graph(
         root = start.bit_length() - 1
         return b, Condensation(np.zeros(b.n, dtype=np.intp), {0: whole}), root
     d = _subset_construction(b, start, cap)[1]
-    return d, _condensation(d.n, d.src, d.dst), 0
+    return d, _condensation(d), 0
 
 
 def prefix_determinization(

@@ -226,25 +226,28 @@ def _shortest_word_to(a: Automaton, target: str) -> Word:
         return ()
     goal = a.state_index[target]
     starts = [a.state_index[q] for q in sorted(a.start)]
-    table = _successor_table(a)
-    parent: dict[int, tuple[int, int]] = {}
-    seen = set(starts)
+    table = _successor_table(a.edges)
+    parent: list[tuple[int, int] | None] = [None] * len(a.states)
+    seen = [False] * len(a.states)
+    for q in starts:
+        seen[q] = True
     frontier = deque(starts)
-    while frontier and goal not in parent:
+    while frontier and parent[goal] is None:
         q = frontier.popleft()
         for c, dsts in enumerate(table[q]):
             for dst in dsts:
-                if dst not in seen:
-                    seen.add(dst)
+                if not seen[dst]:
+                    seen[dst] = True
                     parent[dst] = (q, c)
                     frontier.append(dst)
-    if goal not in parent:
+    if parent[goal] is None:
         raise NotTrimError(f"state {target!r} is unreachable")
     word: list[DigitVector] = []
-    node = goal
-    while node in parent:
-        node, c = parent[node]
+    step = parent[goal]
+    while step is not None:
+        node, c = step
         word.append(a.symbols_used[c])
+        step = parent[node]
     word.reverse()
     return tuple(word)
 

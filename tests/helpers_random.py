@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,20 +14,23 @@ from omegafract import Automaton, DigitVector, trim
 from omegafract.core import (
     DEFAULT_ENUMERATION_CAP,
     AmbiguityReport,
+    EdgeList,
     Transition,
     Word,
+    _checked_symbol,
     _prefix_graph,
     _single_block,
     _start_mask,
     irreducible_blocks,
     require_trim,
-    tarjan_components,
 )
 from omegafract.errors import (
     CapExceededError,
     EmptyLanguageError,
+    FormatError,
     NotStronglyConnectedError,
     NotTrimError,
+    ValidationError,
 )
 from omegafract.spectral import DEFAULT_SPECTRAL_TOL, max_root, perron
 
@@ -290,7 +296,8 @@ def dense_root(rows, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
 # ---------------------------------------------------------------------------
 # reference routines: earlier implementations, kept verbatim as oracles for
 # the ones in omegafract.  They read the name-keyed adjacency below, built
-# from ``a.transitions``, instead of the integer edge arrays.
+# from ``a.transitions``, instead of the integer edge arrays; the parser at
+# the end builds its own record, validating every transition's symbol.
 # ---------------------------------------------------------------------------
 
 
@@ -409,6 +416,56 @@ def reference_run_word(a: Automaton, word: Word) -> frozenset[str]:
     return current
 
 
+def reference_tarjan_components(nodes, successors) -> list[list]:
+    """Iterative Tarjan SCC over any hashable nodes; components come out in
+    reverse topological order, nodes inside a component in discovery order."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    components: list[list] = []
+    counter = 0
+
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(successors[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(successors[nxt])))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    q = stack.pop()
+                    on_stack.discard(q)
+                    comp.append(q)
+                    if q == node:
+                        break
+                components.append(comp)
+    return components
+
+
 def reference_check_unambiguous(a: Automaton) -> AmbiguityReport:
     """Decide whether every accepted infinite word has exactly one accepting run.
 
@@ -438,7 +495,7 @@ def reference_check_unambiguous(a: Automaton) -> AmbiguityReport:
                         succ.setdefault((p2, q2), [])
                         frontier.append((p2, q2))
     pairs = list(word_to)
-    decoded = tarjan_components(pairs, succ)
+    decoded = reference_tarjan_components(pairs, succ)
     comp_of: dict[tuple[str, str], int] = {}
     for i, comp in enumerate(decoded):
         for pair in comp:
@@ -568,3 +625,144 @@ def reference_mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float
             hi = mid
         iterations += 1
     return (lo + hi) / 2
+
+
+@dataclass(frozen=True)
+class ReferenceAutomaton:
+    """The automaton record as parsed and validated before symbols were
+    interned: finite/Buchi automaton over the alphabet of base-``base`` digit
+    vectors of arity ``arity``.
+
+    ``states`` is an ordered set: declaration order fixes every matrix
+    indexing downstream.  Transitions are stored canonically sorted by
+    (from, symbol, to); duplicates are rejected rather than merged.
+    """
+
+    base: int
+    arity: int
+    states: tuple[str, ...]
+    transitions: tuple[Transition, ...]
+    start: frozenset[str]
+    accept: frozenset[str]
+
+    def __post_init__(self) -> None:
+        if self.base < 2:
+            raise ValidationError(f"base must be >= 2, got {self.base}")
+        if self.arity < 1:
+            raise ValidationError(f"arity must be >= 1, got {self.arity}")
+        states = tuple(str(s) for s in self.states)
+        if len(set(states)) != len(states):
+            raise ValidationError("duplicate state identifiers")
+        if not states:
+            raise ValidationError("automaton needs at least one state")
+        declared = set(states)
+        cooked: list[Transition] = []
+        for src, sym, dst in self.transitions:
+            sym = _checked_symbol(sym, self.base, self.arity)
+            if src not in declared:
+                raise ValidationError(f"transition from unknown state {src!r}")
+            if dst not in declared:
+                raise ValidationError(f"transition to unknown state {dst!r}")
+            cooked.append((src, sym, dst))
+        if len(set(cooked)) != len(cooked):
+            raise ValidationError("duplicate transition triple")
+        cooked.sort(key=lambda t: (t[0], t[1].digits, t[2]))
+        start = frozenset(str(s) for s in self.start)
+        accept = frozenset(str(s) for s in self.accept)
+        if not start:
+            raise ValidationError("start set must be nonempty")
+        if not start <= declared:
+            raise ValidationError(f"start states {sorted(start - declared)} undeclared")
+        if not accept <= declared:
+            raise ValidationError(
+                f"accept states {sorted(accept - declared)} undeclared"
+            )
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "transitions", tuple(cooked))
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "accept", accept)
+
+    # -- derived structure (cached; the dataclass is frozen, caches are safe) --
+
+    @cached_property
+    def state_index(self) -> dict[str, int]:
+        return {q: i for i, q in enumerate(self.states)}
+
+    @cached_property
+    def symbols_used(self) -> tuple[DigitVector, ...]:
+        return tuple(sorted({sym for _, sym, _ in self.transitions}))
+
+    @cached_property
+    def edges(self) -> EdgeList:
+        """The transitions as an :class:`EdgeList` (states in declaration
+        order, symbols in ``symbols_used`` order)."""
+        index = self.state_index
+        symbol = {sym: i for i, sym in enumerate(self.symbols_used)}
+        return EdgeList.from_lists(
+            len(self.states),
+            [index[src] for src, _, _ in self.transitions],
+            [symbol[sym] for _, sym, _ in self.transitions],
+            [index[dst] for _, _, dst in self.transitions],
+        )
+
+
+def reference_parse_automaton(text: str) -> ReferenceAutomaton:
+    """Parse the JSON automaton document format.
+
+    Expected shape::
+
+        {"base": k, "arity": d, "states": [...], "start": [...],
+         "accept": [...],
+         "transitions": [{"from": id, "symbol": [d0,...], "to": id}, ...]}
+
+    Raises :class:`FormatError` on malformed JSON (with line/column for
+    a syntax error), on an integer literal too long to convert, or on
+    nesting too deep to parse, and :class:`ValidationError` on
+    structural violations (with the offending field in the message).
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # e.g. an integer past the digit limit
+        raise FormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nested too deeply to parse") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("top-level value must be an object")
+    for key in ("base", "arity", "states", "start", "accept", "transitions"):
+        if key not in doc:
+            raise ValidationError(f"missing required field {key!r}")
+    if not isinstance(doc["base"], int) or isinstance(doc["base"], bool):
+        raise ValidationError("field 'base' must be an integer")
+    if not isinstance(doc["arity"], int) or isinstance(doc["arity"], bool):
+        raise ValidationError("field 'arity' must be an integer")
+    for key in ("states", "start", "accept", "transitions"):
+        if not isinstance(doc[key], list):
+            raise ValidationError(f"field {key!r} must be an array")
+    transitions = []
+    for i, entry in enumerate(doc["transitions"]):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"transitions[{i}] must be an object")
+        for key in ("from", "symbol", "to"):
+            if key not in entry:
+                raise ValidationError(f"transitions[{i}] missing field {key!r}")
+        sym = entry["symbol"]
+        if not isinstance(sym, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) for d in sym
+        ):
+            raise ValidationError(
+                f"transitions[{i}].symbol must be an array of integers"
+            )
+        transitions.append((str(entry["from"]), DigitVector(tuple(sym)), str(entry["to"])))
+    states = [str(s) for s in doc["states"]]
+    return ReferenceAutomaton(
+        base=doc["base"],
+        arity=doc["arity"],
+        states=tuple(states),
+        transitions=tuple(transitions),
+        start=frozenset(str(s) for s in doc["start"]),
+        accept=frozenset(str(s) for s in doc["accept"]),
+    )
