@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property, reduce
+from operator import getitem, or_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -83,6 +84,12 @@ class EdgeList:
     symbols in ``symbols_used`` order and the edges listed in
     ``transitions`` order.  Parallel edges stay separate, so summing edge
     weights per (src, dst) pair gives the counting matrix.
+
+    Every edge list built in this module lists the edges of one (src, sym)
+    pair as one contiguous run: an automaton's follow its transitions,
+    sorted by (from, symbol, to); a block's sub-list keeps that order under
+    an injective renumbering; a subset construction emits its edges in
+    (subset, symbol) order.  :func:`_deterministic` relies on it.
     """
 
     n: int
@@ -556,12 +563,16 @@ def closure(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
-def tarjan_components(nodes, successors) -> list[list[int]]:
+def tarjan_components(nodes, successors, depth=None) -> list[list[int]]:
     """Iterative Tarjan SCC (Tarjan 1972) on the nodes 0..n-1 listed in
     ``nodes``, roots tried in that order, with ``successors[u]`` the heads
     of u's edges.  Components come out in reverse topological order, each
-    listed from its last discovered node back to its root."""
+    listed from its last discovered node back to its root.  A ``depth``
+    list of length n, when given, receives each node's depth in the
+    depth-first forest, set when the node is discovered."""
     n = len(nodes)
+    if depth is None:
+        depth = [0] * n
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -572,6 +583,7 @@ def tarjan_components(nodes, successors) -> list[list[int]]:
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
+        depth[root] = 0
         counter += 1
         stack.append(root)
         on_stack[root] = True
@@ -581,6 +593,7 @@ def tarjan_components(nodes, successors) -> list[list[int]]:
             for nxt in it:
                 if index[nxt] < 0:
                     index[nxt] = low[nxt] = counter
+                    depth[nxt] = len(work)
                     counter += 1
                     stack.append(nxt)
                     on_stack[nxt] = True
@@ -643,12 +656,17 @@ class Condensation:
 
 def _condensation(e: EdgeList) -> Condensation:
     """Tarjan's components of the digraph of ``e``, and for each
-    non-trivial one its period: the gcd of level(u) + 1 - level(v) over the
-    block's edges u -> v, for breadth-first levels from the block's least
-    node, and its cyclic classes, the levels mod the period (Lind & Marcus,
-    section 4.5)."""
-    n, src, dst, succ = e.n, e.src, e.dst, e.successors
-    components = tarjan_components(range(n), succ)
+    non-trivial one its period: the gcd of depth(u) + 1 - depth(v) over the
+    block's edges u -> v, and its cyclic classes, depth - depth(nodes[0])
+    mod the period (Lind & Marcus, section 4.5), for the depths of Tarjan's
+    depth-first forest.  The forest's path from a component's root to any
+    member stays inside the component, so a difference of depths is the
+    length of a walk inside the block: any such potential gives the
+    period as that gcd, and the classes up to the shift that puts
+    ``nodes[0]`` in class 0."""
+    n, src, dst = e.n, e.src, e.dst
+    depth = [0] * n
+    components = tarjan_components(range(n), e.successors, depth)
     components.reverse()  # topological order: sources first
     comp_list = [0] * n
     for i, comp in enumerate(components):
@@ -660,31 +678,16 @@ def _condensation(e: EdgeList) -> Condensation:
         return Condensation(comp_of, {})
     inside = inside[np.argsort(comp_of[src[inside]], kind="stable")]
     cids, first = np.unique(comp_of[src[inside]], return_index=True)
-    cids = cids.tolist()
-    level = [-1] * n
-    for cid in cids:
-        root = min(components[cid])
-        level[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in succ[u]:
-                    if level[v] < 0 and comp_list[v] == cid:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-    levels = np.array(level, dtype=np.intp)
+    depths = np.array(depth, dtype=np.intp)
     local = np.empty(n, dtype=np.intp)
     blocks = {}
-    for cid, edges in zip(cids, np.split(inside, first[1:])):
+    for cid, edges in zip(cids.tolist(), np.split(inside, first[1:])):
         nodes = np.array(sorted(components[cid]), dtype=np.intp)
         es, ed = src[edges], dst[edges]
-        period = int(np.gcd.reduce(np.abs(levels[es] + 1 - levels[ed])))
+        period = int(np.gcd.reduce(np.abs(depths[es] + 1 - depths[ed])))
         local[nodes] = np.arange(len(nodes))
-        blocks[cid] = Block(
-            nodes, edges, local[es], local[ed], period, levels[nodes] % period
-        )
+        classes = (depths[nodes] - depths[nodes[0]]) % period
+        blocks[cid] = Block(nodes, edges, local[es], local[ed], period, classes)
     return Condensation(comp_of, blocks)
 
 
@@ -828,16 +831,6 @@ def _successor_table(e: EdgeList) -> list[list[list[int]]]:
     return table
 
 
-def _successor_masks(e: EdgeList) -> list[list[int]]:
-    """``masks[q][c]``: the successors of node q on symbol number c as a
-    bitmask (bit i is node i), for symbol numbers 0..max(``e.sym``)."""
-    n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
-    masks = [[0] * n_sym for _ in range(e.n)]
-    for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
-        masks[q][c] |= 1 << d
-    return masks
-
-
 def check_unambiguous(a: Automaton) -> AmbiguityReport:
     """Decide whether every accepted infinite word has exactly one accepting run.
 
@@ -887,35 +880,27 @@ def check_unambiguous(a: Automaton) -> AmbiguityReport:
         i += 1
     m = len(keys)
     accept = _accepting(a).tolist()
+    # Components come out sinks first, so every edge leaving a component
+    # enters one already decided: one pass settles, per component, whether
+    # it is good (cyclic, both coordinates accepting somewhere) or reaches
+    # a good one.  An edge inside the component reads its own entry, still
+    # False, which changes nothing.
     components = tarjan_components(range(m), succ)
     comp_of = [0] * m
+    reach_good = [False] * len(components)
     for c, comp in enumerate(components):
         for i in comp:
             comp_of[i] = c
-    nontrivial = [False] * len(components)
-    for i in range(m):
-        if any(comp_of[j] == comp_of[i] for j in succ[i]):
-            nontrivial[comp_of[i]] = True
-    good = [
-        cyclic
-        and any(accept[keys[i] // n] for i in comp)
-        and any(accept[keys[i] % n] for i in comp)
-        for cyclic, comp in zip(nontrivial, components)
-    ]
-    # pairs that can reach a good component: one reverse search from them
-    preds: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in succ[i]:
-            preds[j].append(i)
-    reach_good = [good[comp_of[i]] for i in range(m)]
-    stack = [i for i in range(m) if reach_good[i]]
-    while stack:
-        for prev in preds[stack.pop()]:
-            if not reach_good[prev]:
-                reach_good[prev] = True
-                stack.append(prev)
+        u = comp[0]
+        reach_good[c] = (
+            (len(comp) > 1 or u in succ[u])
+            and any(accept[keys[i] // n] for i in comp)
+            and any(accept[keys[i] % n] for i in comp)
+        ) or any(reach_good[comp_of[j]] for i in comp for j in succ[i])
     candidates = [
-        i for i in range(m) if reach_good[i] and keys[i] // n != keys[i] % n
+        i
+        for i in range(m)
+        if reach_good[comp_of[i]] and keys[i] // n != keys[i] % n
     ]
     if not candidates:
         return AmbiguityReport(unambiguous=True)
@@ -958,20 +943,18 @@ def _prefix_levels(a: Automaton, n: int) -> Iterator[dict[int, int]]:
     every length-m word with a run from a start state, packed as an integer
     over the used-symbol alphabet, to the set of states its runs reach (a
     bitmask, bit i the i-th declared state)."""
-    radix = max(len(a.symbols_used), 1)
-    table = _successor_masks(a.edges)
+    n_sym, size = len(a.symbols_used), len(a.states)
+    radix, full, image = max(n_sym, 1), (1 << size) - 1, _image_kernel(a.edges)
     level = {0: _start_mask(a)}
     yield level
     for _ in range(n):
         nxt: dict[int, int] = {}
         for code, states in level.items():
-            rows = [table[q] for q in _bits(states)]
-            for c in range(len(a.symbols_used)):
-                target = 0
-                for row in rows:
-                    target |= row[c]
+            packed, code = image(states), code * radix
+            for c in range(n_sym):
+                target = packed >> c * size & full
                 if target:
-                    nxt[code * radix + c] = target
+                    nxt[code + c] = target
         level = nxt
         yield level
 
@@ -1021,16 +1004,14 @@ def _reached(a: Automaton, word: Iterable[DigitVector]) -> int:
     bitmask (bit i is the i-th declared state); a symbol no transition
     carries ends every run."""
     number = {sym: c for c, sym in enumerate(a.symbols_used)}
-    masks = _successor_masks(a.edges)
+    size, image = len(a.states), _image_kernel(a.edges)
+    full = (1 << size) - 1
     current = _start_mask(a)
     for sym in word:
         c = number.get(sym)
         if c is None or not current:
             return 0
-        target = 0
-        for q in _bits(current):
-            target |= masks[q][c]
-        current = target
+        current = image(current) >> c * size & full
     return current
 
 
@@ -1054,6 +1035,55 @@ def _start_mask(a: Automaton) -> int:
     return sum(1 << q for q in _nodes(a, a.start))
 
 
+class _ByteImages(dict):
+    """The packed images of the values of one byte of a subset, whose bit
+    j stands for node ``first`` + j, each built on first use: a one-node
+    byte from that node's edges, any other byte as the OR of the images of
+    its lowest bit and of the rest."""
+
+    __slots__ = ("heads", "first")
+
+    def __init__(self, heads: list[list[int]], first: int) -> None:
+        super().__init__({0: 0})
+        self.heads, self.first = heads, first
+
+    def __missing__(self, byte: int) -> int:
+        low = byte & -byte
+        if byte == low:
+            packed = 0
+            for bit in self.heads[self.first + low.bit_length() - 1]:
+                packed |= 1 << bit
+        else:
+            packed = self[low] | self[byte ^ low]
+        self[byte] = packed
+        return packed
+
+
+def _image_kernel(e: EdgeList) -> Callable[[int], int]:
+    """``image(subset)``: the successors of a bitmask subset of the n nodes
+    of ``e`` (bit i is node i) on every symbol at once, packed: bits c*n ..
+    c*n + n - 1 hold the successors on symbol number c, so the targets come
+    out as ``image(subset) >> c * n & (1 << n) - 1``.
+
+    A subset's image is the OR of one image per nonzero byte of
+    ``subset.to_bytes(ceil(n/8), "little")``.  Each per-byte image is
+    memoized on first use, per byte position and value, so the memo holds
+    at most 255 * ceil(n/8) entries of (symbols * n) bits, and only the
+    bytes the subsets met cost any.
+    """
+    n = e.n
+    heads: list[list[int]] = [[] for _ in range(n)]
+    for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
+        heads[q].append(c * n + d)
+    width = (n + 7) // 8
+    memos = [_ByteImages(heads, 8 * i) for i in range(width)]
+
+    def image(subset: int) -> int:
+        return reduce(or_, map(getitem, memos, subset.to_bytes(width, "little")))
+
+    return image
+
+
 def _subset_construction(
     e: EdgeList, start: int, cap: int
 ) -> tuple[list[int], EdgeList]:
@@ -1061,22 +1091,24 @@ def _subset_construction(
     is node i), from the subset ``start``.  Subsets are numbered in
     breadth-first discovery order, trying symbols in increasing number;
     the empty set is never entered.  Returns the subsets and the edges
-    between their numbers (symbol numbers as in ``e``).  Raises
-    :class:`CapExceededError` once more than ``cap`` subsets appear."""
-    masks = _successor_masks(e)
-    n_sym = len(masks[0]) if masks else 0
+    between their numbers (symbol numbers as in ``e``), whose
+    ``successors`` come already built.  Raises :class:`CapExceededError`
+    once more than ``cap`` subsets appear."""
+    n, image = e.n, _image_kernel(e)
+    n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
+    full = (1 << n) - 1
     subsets = [start]
     number = {start: 0}
     src: list[int] = []
     sym: list[int] = []
     dst: list[int] = []
+    successors: list[list[int]] = []
     i = 0
     while i < len(subsets):
-        rows = [masks[q] for q in _bits(subsets[i])]
+        packed = image(subsets[i])
+        out: list[int] = []
         for c in range(n_sym):
-            target = 0
-            for row in rows:
-                target |= row[c]
+            target = packed >> c * n & full
             if not target:
                 continue
             j = number.get(target)
@@ -1090,14 +1122,19 @@ def _subset_construction(
             src.append(i)
             sym.append(c)
             dst.append(j)
+            out.append(j)
+        successors.append(out)
         i += 1
-    return subsets, EdgeList.from_lists(len(subsets), src, sym, dst)
+    d = EdgeList.from_lists(len(subsets), src, sym, dst)
+    vars(d)["successors"] = successors  # what the cached property would build
+    return subsets, d
 
 
 def _deterministic(e: EdgeList) -> bool:
-    """At most one edge of ``e`` per node and symbol."""
-    key = e.src * (int(e.sym.max(initial=0)) + 1) + e.sym
-    return len(np.unique(key)) == len(key)
+    """At most one edge of ``e`` per node and symbol.  The edges of one
+    (node, symbol) pair form one run (see :class:`EdgeList`), so a repeat
+    is two adjacent edges."""
+    return not np.any((e.src[1:] == e.src[:-1]) & (e.sym[1:] == e.sym[:-1]))
 
 
 def _prefix_graph(

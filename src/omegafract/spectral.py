@@ -12,8 +12,8 @@ Every Perron root and vector in the package comes from one routine,
 node arrays and one weight per edge) rather than on a dense matrix.  The
 blocks are the non-trivial strongly connected components of
 :attr:`~omegafract.core.Automaton.sccs` (or, after a subset construction,
-of :func:`~omegafract.core.irreducible_blocks` on its edges), each with its
-period p and cyclic classes.  The solver seeds, then certifies.  The
+of the condensation of its edges), each with its period p and cyclic
+classes.  The solver seeds, then certifies.  The
 certificate is the Collatz-Wielandt bracket of B^p on cyclic class 0,
 which holds for any positive vector: iteration x <- B^p x stops once the
 bracket has relative width at most the tolerance, and, when asked, B's
@@ -43,6 +43,7 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
     Block,
+    _condensation,
     _is_deterministic,
     _start_mask,
     _subset_construction,
@@ -384,7 +385,7 @@ def entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
         e, blocks = a.edges, a.sccs.blocks.values()
     else:
         e = _subset_construction(a.edges, _start_mask(a), cap)[1]
-        blocks = irreducible_blocks(e.n, e.src, e.dst)
+        blocks = _condensation(e).blocks.values()
     return math.log(max_root(blocks, np.ones(len(e.src))))
 
 

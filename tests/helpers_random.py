@@ -14,6 +14,8 @@ from omegafract import Automaton, DigitVector, trim
 from omegafract.core import (
     DEFAULT_ENUMERATION_CAP,
     AmbiguityReport,
+    Block,
+    Condensation,
     EdgeList,
     Transition,
     Word,
@@ -23,6 +25,7 @@ from omegafract.core import (
     _start_mask,
     irreducible_blocks,
     require_trim,
+    tarjan_components,
 )
 from omegafract.errors import (
     CapExceededError,
@@ -176,6 +179,34 @@ def disjoint_union(a: Automaton, b: Automaton) -> Automaton:
         | frozenset(rn("b", q) for q in b.start),
         accept=frozenset(rn("a", q) for q in a.accept)
         | frozenset(rn("b", q) for q in b.accept),
+    )
+
+
+def guessing_automaton(a: Automaton) -> Automaton:
+    """Unambiguous NFA for the words of the unary automaton ``a``: state
+    (q, b) guesses that the next digit is b and reads only b, going to
+    every (r, b') with q -b-> r in ``a``.  On a deterministic ``a`` each
+    word keeps at most one run alive, though every state has ``base``
+    targets per digit and every start state ``base`` copies; a state of
+    ``a`` without a b-edge leaves (q, b) a dead end, so the result is
+    seldom trim."""
+    assert a.arity == 1
+
+    def name(q: str, b: int) -> str:
+        return f"{q}^{b}"
+
+    digits = range(a.base)
+    return Automaton(
+        base=a.base,
+        arity=1,
+        states=tuple(name(q, b) for q in a.states for b in digits),
+        transitions=tuple(
+            (name(q, sym[0]), sym, name(r, b))
+            for q, sym, r in a.transitions
+            for b in digits
+        ),
+        start=frozenset(name(q, b) for q in a.start for b in digits),
+        accept=frozenset(name(q, b) for q in a.accept for b in digits),
     )
 
 
@@ -464,6 +495,69 @@ def reference_tarjan_components(nodes, successors) -> list[list]:
                         break
                 components.append(comp)
     return components
+
+
+def reference_condensation(e: EdgeList) -> Condensation:
+    """Tarjan's components of the digraph of ``e``, and for each
+    non-trivial one its period: the gcd of level(u) + 1 - level(v) over the
+    block's edges u -> v, for breadth-first levels from the block's least
+    node, and its cyclic classes, the levels mod the period (Lind & Marcus,
+    section 4.5)."""
+    n, src, dst, succ = e.n, e.src, e.dst, e.successors
+    components = tarjan_components(range(n), succ)
+    components.reverse()  # topological order: sources first
+    comp_list = [0] * n
+    for i, comp in enumerate(components):
+        for u in comp:
+            comp_list[u] = i
+    comp_of = np.array(comp_list, dtype=np.intp)
+    inside = np.flatnonzero(comp_of[src] == comp_of[dst])
+    if inside.size == 0:
+        return Condensation(comp_of, {})
+    inside = inside[np.argsort(comp_of[src[inside]], kind="stable")]
+    cids, first = np.unique(comp_of[src[inside]], return_index=True)
+    cids = cids.tolist()
+    level = [-1] * n
+    for cid in cids:
+        root = min(components[cid])
+        level[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in succ[u]:
+                    if level[v] < 0 and comp_list[v] == cid:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+    levels = np.array(level, dtype=np.intp)
+    local = np.empty(n, dtype=np.intp)
+    blocks = {}
+    for cid, edges in zip(cids, np.split(inside, first[1:])):
+        nodes = np.array(sorted(components[cid]), dtype=np.intp)
+        es, ed = src[edges], dst[edges]
+        period = int(np.gcd.reduce(np.abs(levels[es] + 1 - levels[ed])))
+        local[nodes] = np.arange(len(nodes))
+        blocks[cid] = Block(
+            nodes, edges, local[es], local[ed], period, levels[nodes] % period
+        )
+    return Condensation(comp_of, blocks)
+
+
+def reference_enumerate_prefixes(a: Automaton, n: int) -> set[Word]:
+    """All length-n words with a run from a start state, grown one symbol
+    at a time on state sets."""
+    delta = _delta(a)
+    level: dict[Word, frozenset[str]] = {(): frozenset(a.start)}
+    for _ in range(n):
+        nxt: dict[Word, frozenset[str]] = {}
+        for word, states in level.items():
+            for sym in a.symbols_used:
+                target = _step_set(delta, states, sym)
+                if target:
+                    nxt[word + (sym,)] = target
+        level = nxt
+    return set(level)
 
 
 def reference_check_unambiguous(a: Automaton) -> AmbiguityReport:

@@ -221,9 +221,9 @@ def _count_tarjan_runs(monkeypatch) -> list:
     runs = []
     original = core.tarjan_components
 
-    def counting(nodes, successors):
+    def counting(nodes, successors, depth=None):
         runs.append(len(nodes))
-        return original(nodes, successors)
+        return original(nodes, successors, depth)
 
     monkeypatch.setattr(core, "tarjan_components", counting)
     return runs

@@ -98,10 +98,10 @@ def _count_tarjan_runs(monkeypatch) -> list:
     runs = []
     original = core.tarjan_components
 
-    def recording(nodes, successors):
+    def recording(nodes, successors, depth=None):
         nodes = list(nodes)
         runs.append((nodes, {u: list(successors[u]) for u in nodes}))
-        return original(nodes, successors)
+        return original(nodes, successors, depth)
 
     for module in (core, spectral):
         if hasattr(module, "tarjan_components"):

@@ -16,6 +16,7 @@ from omegafract import (
     NotConvergedError,
     accepts,
     check_unambiguous,
+    classify_properties,
     density_classifier,
     dimension_report,
     trim,
@@ -29,6 +30,10 @@ from omegafract.spectral import irreducible_blocks, perron
 from conftest import bundled, child_env
 from helpers_random import (
     dense_root,
+    disjoint_union,
+    guessing_automaton,
+    random_automaton,
+    random_deterministic_trim,
     random_multi_scc,
     random_strongly_connected,
     random_trim_automaton,
@@ -474,6 +479,31 @@ def test_prefix_determinization_matches_reference():
         assert prefix_determinization(a) == reference_prefix_determinization(a)
 
 
+def _larger_ambiguity_inputs(rng: random.Random) -> list[Automaton]:
+    """NFAs of 9-30 states, ambiguous and unambiguous, several of them not
+    trim, with one to three start states: their pair graphs have many
+    components."""
+
+    def deterministic(base: int, low: int, high: int) -> Automaton:
+        while True:
+            d = random_deterministic_trim(
+                rng, n_states=rng.randint(low, high), base=base
+            )
+            if len(d.states) >= low:
+                return d
+
+    out = []
+    for _ in range(12):
+        n = rng.randint(9, 30)
+        a = random_strongly_connected(rng, n_states=n, extra=n // 2)
+        out.append(a.replace(start=rng.sample(a.states, rng.randint(1, 3))))
+        base = rng.choice([2, 3])
+        out.append(guessing_automaton(deterministic(base, -(-9 // base), 30 // base)))
+        d = deterministic(2, 5, 15)
+        out.append(disjoint_union(d, d))
+    return out
+
+
 def test_check_unambiguous_matches_reference():
     seen_ambiguous = 0
     rng = random.Random(74)
@@ -481,11 +511,38 @@ def test_check_unambiguous_matches_reference():
         random_strongly_connected(rng, n_states=rng.randint(2, 6), extra=6)
         for _ in range(30)
     ]
+    extra += [
+        a.replace(start=rng.sample(a.states, rng.randint(2, min(3, len(a.states)))))
+        for a in (
+            random_strongly_connected(rng, n_states=rng.randint(2, 8), extra=4)
+            for _ in range(20)
+        )
+    ]
+    untrimmed = [
+        random_automaton(
+            rng,
+            n_states=rng.randint(3, 10),
+            base=rng.choice([2, 3]),
+            arity=rng.choice([1, 2]),
+            nondet=0.4,
+        )
+        for _ in range(40)
+    ]
+    larger = _larger_ambiguity_inputs(rng)
     for a in [bundled(name) for name in BUNDLED] + list(_random_nfas()) + extra:
         got, want = check_unambiguous(a), reference_check_unambiguous(a)
         assert (got.unambiguous, got.witness) == (want.unambiguous, want.witness)
         seen_ambiguous += not got.unambiguous
     assert seen_ambiguous >= 10
+    verdicts = []
+    for a in untrimmed + larger:
+        got, want = check_unambiguous(a), reference_check_unambiguous(a)
+        assert (got.unambiguous, got.witness) == (want.unambiguous, want.witness)
+        verdicts.append((got.unambiguous, classify_properties(a).trim))
+    assert sum(not trimmed for _, trimmed in verdicts) >= 20
+    assert all(9 <= len(a.states) <= 30 for a in larger)
+    unambiguous = sum(ok for ok, _ in verdicts[len(untrimmed) :])
+    assert 10 <= unambiguous <= len(larger) - 10
 
 
 def test_walks_on_the_edge_arrays_match_reference():
