@@ -1041,17 +1041,17 @@ class _ByteImages(dict):
     byte from that node's edges, any other byte as the OR of the images of
     its lowest bit and of the rest."""
 
-    __slots__ = ("heads", "first")
+    __slots__ = ("positions", "first")
 
-    def __init__(self, heads: list[list[int]], first: int) -> None:
+    def __init__(self, positions: list[list[int]], first: int) -> None:
         super().__init__({0: 0})
-        self.heads, self.first = heads, first
+        self.positions, self.first = positions, first
 
     def __missing__(self, byte: int) -> int:
         low = byte & -byte
         if byte == low:
             packed = 0
-            for bit in self.heads[self.first + low.bit_length() - 1]:
+            for bit in self.positions[self.first + low.bit_length() - 1]:
                 packed |= 1 << bit
         else:
             packed = self[low] | self[byte ^ low]
@@ -1072,11 +1072,11 @@ def _image_kernel(e: EdgeList) -> Callable[[int], int]:
     bytes the subsets met cost any.
     """
     n = e.n
-    heads: list[list[int]] = [[] for _ in range(n)]
+    positions: list[list[int]] = [[] for _ in range(n)]  # bits of q's image
     for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
-        heads[q].append(c * n + d)
+        positions[q].append(c * n + d)
     width = (n + 7) // 8
-    memos = [_ByteImages(heads, 8 * i) for i in range(width)]
+    memos = [_ByteImages(positions, 8 * i) for i in range(width)]
 
     def image(subset: int) -> int:
         return reduce(or_, map(getitem, memos, subset.to_bytes(width, "little")))
