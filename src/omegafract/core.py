@@ -703,14 +703,6 @@ def _single_block(a: Automaton, operation: str) -> Block:
     return blocks[0]
 
 
-def irreducible_blocks(n: int, src: np.ndarray, dst: np.ndarray) -> list[Block]:
-    """Non-trivial strongly connected blocks of the digraph on nodes 0..n-1
-    with edges ``src[e] -> dst[e]``, in topological order."""
-    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
-    e = EdgeList(n, src, np.zeros_like(src), dst)
-    return list(_condensation(e).blocks.values())
-
-
 def scc_decompose(a: Automaton) -> SccDecomposition:
     """Strongly connected components of the transition digraph, numbered in
     topological order of the condensation: :attr:`Automaton.sccs` with
@@ -1069,7 +1061,12 @@ def _image_kernel(e: EdgeList) -> Callable[[int], int]:
     ``subset.to_bytes(ceil(n/8), "little")``.  Each per-byte image is
     memoized on first use, per byte position and value, so the memo holds
     at most 255 * ceil(n/8) entries of (symbols * n) bits, and only the
-    bytes the subsets met cost any.
+    bytes the subsets met cost any.  That reads every byte position, so a
+    sparse subset, with fewer than one member per 8 byte positions, ORs
+    the one-node images of its members instead: a subset costs about
+    min(ceil(n/8), 8 * members) lookups, and shifts and ORs on integers of
+    (symbols * n) bits, which is what a large automaton walked by small
+    subsets pays per step.
     """
     n = e.n
     positions: list[list[int]] = [[] for _ in range(n)]  # bits of q's image
@@ -1079,6 +1076,11 @@ def _image_kernel(e: EdgeList) -> Callable[[int], int]:
     memos = [_ByteImages(positions, 8 * i) for i in range(width)]
 
     def image(subset: int) -> int:
+        if subset.bit_count() * 8 < width:
+            packed = 0
+            for q in _bits(subset):
+                packed |= memos[q >> 3][1 << (q & 7)]
+            return packed
         return reduce(or_, map(getitem, memos, subset.to_bytes(width, "little")))
 
     return image

@@ -47,7 +47,6 @@ from .core import (
     _is_deterministic,
     _start_mask,
     _subset_construction,
-    irreducible_blocks,
     prefix_count,
     require_trim,
 )

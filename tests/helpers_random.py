@@ -20,10 +20,10 @@ from omegafract.core import (
     Transition,
     Word,
     _checked_symbol,
+    _condensation,
     _prefix_graph,
     _single_block,
     _start_mask,
-    irreducible_blocks,
     require_trim,
     tarjan_components,
 )
@@ -313,6 +313,14 @@ def random_multi_scc(
             accept=frozenset(accept),
         )
     )
+
+
+def irreducible_blocks(n: int, src, dst) -> list[Block]:
+    """Non-trivial strongly connected blocks of the digraph on nodes 0..n-1
+    with edges ``src[e] -> dst[e]``, in topological order."""
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    e = EdgeList(n, src, np.zeros_like(src), dst)
+    return list(_condensation(e).blocks.values())
 
 
 def dense_root(rows, tol: float = DEFAULT_SPECTRAL_TOL) -> float:

@@ -25,7 +25,9 @@ from omegafract.core import (
 from conftest import bundled
 from helpers_random import (
     _symbols,
+    disjoint_union,
     random_automaton,
+    random_deterministic_trim,
     random_strongly_connected,
     reference_accepts,
     reference_condensation,
@@ -102,6 +104,49 @@ def test_enumeration_and_acceptance_match_reference():
         for _ in range(20):
             w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
             assert accepts(a, w) == reference_accepts(a, w)
+
+
+def _member_image(e: EdgeList, subset: int) -> int:
+    packed = 0
+    for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
+        if subset >> q & 1:
+            packed |= 1 << (c * e.n + d)
+    return packed
+
+
+def test_kernel_sparse_and_byte_paths_agree_with_members():
+    """Subsets of 1 to n/4 members on graphs of 130-1000 nodes, so that
+    both sides of the one-member-per-8-bytes switch are read, and the
+    byte memo is reused across subsets."""
+    rng = random.Random(1204)
+    for n, n_sym in ((130, 1), (300, 3), (1000, 2)):
+        m = 3 * n
+        e = EdgeList(
+            n,
+            np.sort(rng.choices(range(n), k=m)),
+            np.array(rng.choices(range(n_sym), k=m)),
+            np.array(rng.choices(range(n), k=m)),
+        )
+        image = core._image_kernel(e)
+        width = (n + 7) // 8
+        sizes = [1, 2, width // 8 - 1, width // 8, width // 8 + 1, n // 4]
+        for size in sizes * 4:
+            subset = sum(1 << q for q in rng.sample(range(n), max(size, 1)))
+            assert image(subset) == _member_image(e, subset)
+
+
+def test_large_sparse_subsets_match_reference():
+    """A deterministic automaton of a few hundred states beside a copy of
+    itself: two-member subsets of a 20-byte-wide bitmask."""
+    rng = random.Random(1205)
+    d = random_deterministic_trim(rng, n_states=160, base=2, arity=1)
+    a = disjoint_union(d, d)
+    assert len(a.states) > 160
+    assert prefix_determinization(a) == reference_prefix_determinization(a)
+    alphabet = _symbols(a.base, a.arity)
+    for _ in range(20):
+        w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 200)))
+        assert accepts(a, w) == reference_accepts(a, w)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,13 @@ from omegafract import (
 )
 from omegafract import dimension, measure, spectral
 from omegafract.dimension import _run_word, _shortest_word_to
-from omegafract.spectral import irreducible_blocks, perron
+from omegafract.spectral import perron
 from conftest import bundled, child_env
 from helpers_random import (
     dense_root,
     disjoint_union,
     guessing_automaton,
+    irreducible_blocks,
     random_automaton,
     random_deterministic_trim,
     random_multi_scc,
