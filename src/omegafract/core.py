@@ -1064,9 +1064,11 @@ def _image_kernel(e: EdgeList) -> Callable[[int], int]:
     bytes the subsets met cost any.  That reads every byte position, so a
     sparse subset, with fewer than one member per 8 byte positions, ORs
     the one-node images of its members instead: a subset costs about
-    min(ceil(n/8), 8 * members) lookups, and shifts and ORs on integers of
-    (symbols * n) bits, which is what a large automaton walked by small
-    subsets pays per step.
+    min(ceil(n/8), 8 * members) lookups.  Every step still shifts and ORs
+    integers of (symbols * n) bits, so on a large automaton walked by small
+    subsets a step costs O(n) bit operations whatever the subset's size,
+    and about 1.5 times what separate n-bit masks per node and symbol
+    would cost there.
     """
     n = e.n
     positions: list[list[int]] = [[] for _ in range(n)]  # bits of q's image
