@@ -120,6 +120,12 @@ class EdgeList:
         edge order."""
         return _grouped(self.n, self.dst, self.src)
 
+    @cached_property
+    def image(self) -> Callable[[int], int]:
+        """The packed image kernel of the graph (see :func:`_image_kernel`),
+        its per-byte memo kept across calls."""
+        return _image_kernel(self)
+
 
 def _grouped(n: int, key: np.ndarray, value: np.ndarray) -> list[list[int]]:
     """``out[i]``: the entries of ``value`` whose ``key`` is i, for i in
@@ -936,7 +942,7 @@ def _prefix_levels(a: Automaton, n: int) -> Iterator[dict[int, int]]:
     over the used-symbol alphabet, to the set of states its runs reach (a
     bitmask, bit i the i-th declared state)."""
     n_sym, size = len(a.symbols_used), len(a.states)
-    radix, full, image = max(n_sym, 1), (1 << size) - 1, _image_kernel(a.edges)
+    radix, full, image = max(n_sym, 1), (1 << size) - 1, a.edges.image
     level = {0: _start_mask(a)}
     yield level
     for _ in range(n):
@@ -996,7 +1002,7 @@ def _reached(a: Automaton, word: Iterable[DigitVector]) -> int:
     bitmask (bit i is the i-th declared state); a symbol no transition
     carries ends every run."""
     number = {sym: c for c, sym in enumerate(a.symbols_used)}
-    size, image = len(a.states), _image_kernel(a.edges)
+    size, image = len(a.states), a.edges.image
     full = (1 << size) - 1
     current = _start_mask(a)
     for sym in word:
@@ -1098,7 +1104,7 @@ def _subset_construction(
     between their numbers (symbol numbers as in ``e``), whose
     ``successors`` come already built.  Raises :class:`CapExceededError`
     once more than ``cap`` subsets appear."""
-    n, image = e.n, _image_kernel(e)
+    n, image = e.n, e.image
     n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
     full = (1 << n) - 1
     subsets = [start]
@@ -1141,6 +1147,12 @@ def _deterministic(e: EdgeList) -> bool:
     return not np.any((e.src[1:] == e.src[:-1]) & (e.sym[1:] == e.sym[:-1]))
 
 
+def _block_edges(e: EdgeList, block: Block) -> EdgeList:
+    """The edge sub-list of ``block``, its nodes renumbered by position in
+    ``block.nodes``."""
+    return EdgeList(len(block.nodes), block.src, e.sym[block.edges], block.dst)
+
+
 def _prefix_graph(
     e: EdgeList, block: Block, start: int, cap: int
 ) -> tuple[EdgeList, Condensation, int]:
@@ -1156,7 +1168,7 @@ def _prefix_graph(
     subsets).  Nodes and edges keep the order of ``e``, so every solve on
     the result sees the arrays it would see on the component alone.
     """
-    b = EdgeList(len(block.nodes), block.src, e.sym[block.edges], block.dst)
+    b = _block_edges(e, block)
     if start & (start - 1) == 0 and _deterministic(b):
         whole = Block(
             np.arange(b.n),

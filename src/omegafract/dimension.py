@@ -24,6 +24,8 @@ from .core import (
     DigitVector,
     Word,
     _bits,
+    _block_edges,
+    _deterministic,
     _is_deterministic,
     _prefix_graph,
     _reached,
@@ -268,26 +270,26 @@ def _cycle_prefixes_complete(a: Automaton, q: int, cap: int) -> bool:
     return bool(np.all(np.bincount(p.src, minlength=p.n) == a.base**a.arity))
 
 
-def _complete_cycle_states(a: Automaton, deterministic: bool, cap: int) -> list[str]:
+def _complete_cycle_states(a: Automaton, cap: int) -> list[str]:
     """States on cycles whose cycle-prefix set is complete, in declaration
     order.
 
-    On a deterministic automaton the prefix graph of a block is the block
-    itself whatever its root, so completeness is a property of the block
-    and is decided once per block.  On an NFA the subsets reached depend on
-    the root state and every state is checked.
+    A block with at most one edge per node and symbol is its own prefix
+    graph whatever its root, so completeness is a property of the block
+    and is decided once for it.  In any other block the subsets reached
+    depend on the root state, and every state is checked.
     """
-    blocks = a.sccs.blocks
-    if deterministic:
-        complete = {
-            c: _cycle_prefixes_complete(a, int(b.nodes[0]), cap)
-            for c, b in blocks.items()
-        }
+    e, blocks = a.edges, a.sccs.blocks
+    complete = {
+        c: _cycle_prefixes_complete(a, int(b.nodes[0]), cap)
+        for c, b in blocks.items()
+        if _deterministic(_block_edges(e, b))
+    }
     return [
         a.states[q]
         for q, c in enumerate(a.sccs.component_of.tolist())
         if c in blocks
-        and (complete[c] if deterministic else _cycle_prefixes_complete(a, q, cap))
+        and (complete[c] if c in complete else _cycle_prefixes_complete(a, q, cap))
     ]
 
 
@@ -309,7 +311,7 @@ def density_classifier(
         raise ArityError("density classification is defined for arity 1")
     require_trim(a)
     deterministic = _is_deterministic(a)
-    witnesses = _complete_cycle_states(a, deterministic, cap)
+    witnesses = _complete_cycle_states(a, cap)
     if not witnesses:
         return DensityReport(
             nowhere_dense=True,

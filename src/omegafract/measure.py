@@ -9,7 +9,10 @@ Perron eigenvector of its transfer matrix at the critical exponent.
 
 Components are the blocks of ``Automaton.sccs``, the one decomposition of
 ``Automaton.edges``, entered at their key states and determinized under
-the caller's cap; key prefixes form an index set over the same arrays.
+the caller's cap.  The key-prefix series of every state come from one
+sweep over the same condensation in topological order: each component
+passes the weighted count of the paths reaching it along the edges that
+leave it, with one linear solve of its own size per block.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from .core import (
     Condensation,
     EdgeList,
     _accepting,
-    _backward_reachable,
-    _forward_reachable,
     _nodes,
     _prefix_graph,
     _single_block,
@@ -152,91 +153,60 @@ def _block_measure(
 # ---------------------------------------------------------------------------
 
 
-def _transient(
-    e: EdgeList, d: Condensation, q: int, starts: list[int]
-) -> tuple[EdgeList, list[int], list[Block]] | None:
-    """The key-prefix graph of node ``q``: its paths from a start node to
-    the last node spell the key prefixes of q, the words labeling a run
-    from a start to the first arrival in q, never touching q's component
-    on the way.  ``d`` is the condensation of ``e``.
-
-    It is an index set over ``e``: the edges leaving nodes outside q's
-    component, minus those entering it elsewhere than at q, with q's entry
-    edges redirected to one fresh key node, restricted to the nodes on a
-    path from a start to the key and renumbered in increasing order (the
-    key last).  Returned with its start nodes and its non-trivial blocks,
-    the blocks of ``d`` it keeps, renumbered.  None when no key prefix
-    exists (``q`` is then never a key state).
-    """
-    outside = d.component_of != d.component_of[q]
-    kept = np.flatnonzero(outside[e.src] & (outside[e.dst] | (e.dst == q)))
-    src = e.src[kept]
-    dst = np.where(e.dst[kept] == q, e.n, e.dst[kept])
-    key_starts = [s for s in starts if outside[s]] + ([e.n] if q in starts else [])
-    t = EdgeList(e.n + 1, src, e.sym[kept], dst)
-    useful = _forward_reachable(t, key_starts) & _backward_reachable(t, [e.n])
-    if not useful[e.n] or not useful[key_starts].any():
-        return None
-    local = np.cumsum(useful) - 1
-    inner = useful[src] & useful[dst]
-    restricted = EdgeList(
-        int(useful.sum()), local[src[inner]], t.sym[inner], local[dst[inner]]
-    )
-    # a block of d outside q's component is useful whole or not at all
-    position = kept[inner]  # edge number in e of each edge kept
-    blocks = [
-        Block(
-            local[b.nodes],
-            np.searchsorted(position, b.edges),
-            b.src,
-            b.dst,
-            b.period,
-            b.classes,
-        )
-        for b in d.blocks.values()
-        if outside[b.nodes[0]] and useful[b.nodes[0]]
-    ]
-    return restricted, [int(local[s]) for s in key_starts if useful[s]], blocks
+def _entered(e: EdgeList, d: Condensation, starts: list[int]) -> np.ndarray:
+    """Mask of the nodes that can key a run: the start nodes and the heads
+    of the edges of ``e`` between two components of its condensation
+    ``d``."""
+    comp = d.component_of
+    entered = np.zeros(e.n, dtype=bool)
+    entered[e.dst[comp[e.src] != comp[e.dst]]] = True
+    entered[starts] = True
+    return entered
 
 
 def _key_prefix_series(
-    t: EdgeList, starts: list[int], blocks: list[Block], base: int, alpha: float
-) -> float:
-    """Sum of k^(-alpha * |u|) over the words ``u`` spelled by the paths of
-    the key-prefix graph ``t`` from ``starts`` to its last node, whose
-    non-trivial components are ``blocks`` (see :func:`_transient`).  Counts
-    are exact big integers (one accepting run per word, by unambiguity of
-    the source automaton)."""
-    n = t.n
-    key = n - 1
+    e: EdgeList, d: Condensation, starts: list[int], base: int, alpha: float
+) -> np.ndarray:
+    """Key-prefix series of every node q of ``e``: the sum of
+    k^(-alpha * |u|) over the paths u from a start node to q that do not
+    touch q's component before their last node, with ``d`` the
+    condensation of ``e``.  On an unambiguous graph paths and words
+    coincide.
+
+    The condensation is a DAG, so a path to a node u outside q's
+    component C never touched C: with x = k^(-alpha) and F(u) the sum of
+    x^|w| over all paths w from a start to u, series(q) = [q is a start]
+    + x * sum F(u) over the edges u -> q entering C.  One sweep over the
+    components in topological order pushes F along those edges: F is the
+    series on a trivial component, and on a block with counting matrix B
+    the solution of (I - x B^T) F = series, or infinity on the block (and
+    so downstream) when its inflow is infinite or rho(B) >= k^alpha.  A
+    component no edge leaves needs no F."""
     x = float(base) ** (-alpha)
-    if blocks:
-        counts = np.ones(len(t.src))
-        radius = max(perron(block, counts).root for block in blocks)
-        if radius >= float(base) ** alpha - 1e-12:
-            return math.inf
-        array = np.zeros((n, n))
-        np.add.at(array, (t.src, t.dst), 1.0)
-        target = np.zeros(n)
-        target[key] = 1.0
-        solution = np.linalg.solve(np.eye(n) - x * array, target)
-        return float(sum(solution[s] for s in starts))
-    # Cycle-free transient part: the series is a finite sum; accumulate it
-    # with exact integer counts and iterated float powers of k^(-alpha).
-    pairs = list(zip(t.src.tolist(), t.dst.tolist()))
-    vec = [0] * n
-    for s in starts:
-        vec[s] = 1
-    total = float(vec[key])
-    term = 1.0
-    for _ in range(n):
-        nxt = [0] * n
-        for i, j in pairs:
-            nxt[j] += vec[i]
-        vec = nxt
-        term *= x
-        total += vec[key] * term
-    return total
+    limit = float(base) ** alpha - 1e-12
+    comp = d.component_of
+    series = np.zeros(e.n)
+    series[starts] = 1.0
+    leaving = np.flatnonzero(comp[e.src] != comp[e.dst])
+    leaving = leaving[np.argsort(comp[e.src[leaving]], kind="stable")]
+    tails, first = np.unique(comp[e.src[leaving]], return_index=True)
+    reach = np.zeros(e.n)  # F, on the components some edge leaves
+    counts = np.ones(len(e.src))
+    for c, edges in zip(tails.tolist(), np.split(leaving, first[1:])):
+        block = d.blocks.get(c)
+        if block is None:
+            u = int(e.src[edges[0]])
+            reach[u] = series[u]
+        else:
+            inflow = series[block.nodes]
+            if np.isinf(inflow).any() or perron(block, counts).root >= limit:
+                reach[block.nodes] = math.inf
+            else:
+                matrix = np.eye(len(block.nodes))  # I - x B^T
+                np.add.at(matrix, (block.dst, block.src), -x)
+                reach[block.nodes] = np.linalg.solve(matrix, inflow)
+        np.add.at(series, e.dst[edges], x * reach[e.src[edges]])
+    return series
 
 
 def _key_state_terms(
@@ -260,20 +230,14 @@ def _key_state_terms(
     ``cap`` subsets."""
     comp = d.component_of
     keyed = np.bincount(comp[accepting], minlength=e.n) > 0
-    # only a start or a node entered from another component can be a key
-    entered = np.zeros(e.n, dtype=bool)
-    entered[e.dst[comp[e.src] != comp[e.dst]]] = True
-    entered[starts] = True
+    every_series = _key_prefix_series(e, d, starts, base, alpha)
     terms: dict[int, tuple[float, float, float]] = {}
-    for q in np.flatnonzero(entered).tolist():
+    for q in np.flatnonzero(_entered(e, d, starts)).tolist():
         c = int(comp[q])
         block = d.blocks.get(c)
         if block is None or not keyed[c]:
             continue
-        t = _transient(e, d, q, starts)
-        if t is None:
-            continue
-        series = _key_prefix_series(*t, base, alpha)
+        series = float(every_series[q])
         root = int(np.searchsorted(block.nodes, q))
         m = _block_measure(base, e, block, 1 << root, alpha, cap)[0]
         if m == 0.0:
@@ -308,10 +272,10 @@ def key_prefix_series(a: Automaton, q: str, alpha: float) -> float:
             f"state {q!r} cannot key an accepting run: its component has no"
             " accepting cycle"
         )
-    t = _transient(a.edges, d, i, _nodes(a, a.start))
-    if t is None:
+    starts = _nodes(a, a.start)
+    if not _entered(a.edges, d, starts)[i]:
         raise UnreachableStateError(f"no accepting run enters its component at {q!r}")
-    return _key_prefix_series(*t, a.base, alpha)
+    return float(_key_prefix_series(a.edges, d, starts, a.base, alpha)[i])
 
 
 # ---------------------------------------------------------------------------

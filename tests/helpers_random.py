@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -19,8 +20,12 @@ from omegafract.core import (
     EdgeList,
     Transition,
     Word,
+    _accepting,
+    _backward_reachable,
     _checked_symbol,
     _condensation,
+    _forward_reachable,
+    _nodes,
     _prefix_graph,
     _single_block,
     _start_mask,
@@ -33,8 +38,10 @@ from omegafract.errors import (
     FormatError,
     NotStronglyConnectedError,
     NotTrimError,
+    UnreachableStateError,
     ValidationError,
 )
+from omegafract.measure import _block_measure
 from omegafract.spectral import DEFAULT_SPECTRAL_TOL, max_root, perron
 
 
@@ -868,3 +875,162 @@ def reference_parse_automaton(text: str) -> ReferenceAutomaton:
         start=frozenset(str(s) for s in doc["start"]),
         accept=frozenset(str(s) for s in doc["accept"]),
     )
+
+
+# ---------------------------------------------------------------------------
+# key prefixes, one transient graph and one dense solve per key state
+# ---------------------------------------------------------------------------
+
+
+def comb(length: int) -> Automaton:
+    """Deterministic comb in base 2: ring n (``length`` states joined by
+    digit 0), digit 1 from n_i to a_i, and ring a (``length`` states, both
+    digits on every edge).  Starts at n0 and accepts at a0: every a_i is a
+    key state, and the total measure is 1."""
+    zero, one = DigitVector((0,)), DigitVector((1,))
+    transitions = []
+    for i in range(length):
+        after = (i + 1) % length
+        transitions += [
+            (f"n{i}", zero, f"n{after}"),
+            (f"n{i}", one, f"a{i}"),
+            (f"a{i}", zero, f"a{after}"),
+            (f"a{i}", one, f"a{after}"),
+        ]
+    return Automaton(
+        base=2,
+        arity=1,
+        states=tuple(f"{ring}{i}" for ring in "na" for i in range(length)),
+        transitions=tuple(transitions),
+        start=frozenset({"n0"}),
+        accept=frozenset({"a0"}),
+    )
+
+
+def _reference_transient(
+    e: EdgeList, d: Condensation, q: int, starts: list[int]
+) -> tuple[EdgeList, list[int], list[Block]] | None:
+    """The key-prefix graph of node ``q``: its paths from a start node to
+    the last node spell the key prefixes of q, the words labeling a run
+    from a start to the first arrival in q, never touching q's component
+    on the way.  ``d`` is the condensation of ``e``.
+
+    It is an index set over ``e``: the edges leaving nodes outside q's
+    component, minus those entering it elsewhere than at q, with q's entry
+    edges redirected to one fresh key node, restricted to the nodes on a
+    path from a start to the key and renumbered in increasing order (the
+    key last).  Returned with its start nodes and its non-trivial blocks,
+    the blocks of ``d`` it keeps, renumbered.  None when no key prefix
+    exists (``q`` is then never a key state).
+    """
+    outside = d.component_of != d.component_of[q]
+    kept = np.flatnonzero(outside[e.src] & (outside[e.dst] | (e.dst == q)))
+    src = e.src[kept]
+    dst = np.where(e.dst[kept] == q, e.n, e.dst[kept])
+    key_starts = [s for s in starts if outside[s]] + ([e.n] if q in starts else [])
+    t = EdgeList(e.n + 1, src, e.sym[kept], dst)
+    useful = _forward_reachable(t, key_starts) & _backward_reachable(t, [e.n])
+    if not useful[e.n] or not useful[key_starts].any():
+        return None
+    local = np.cumsum(useful) - 1
+    inner = useful[src] & useful[dst]
+    restricted = EdgeList(
+        int(useful.sum()), local[src[inner]], t.sym[inner], local[dst[inner]]
+    )
+    # a block of d outside q's component is useful whole or not at all
+    position = kept[inner]  # edge number in e of each edge kept
+    blocks = [
+        Block(
+            local[b.nodes],
+            np.searchsorted(position, b.edges),
+            b.src,
+            b.dst,
+            b.period,
+            b.classes,
+        )
+        for b in d.blocks.values()
+        if outside[b.nodes[0]] and useful[b.nodes[0]]
+    ]
+    return restricted, [int(local[s]) for s in key_starts if useful[s]], blocks
+
+
+def _reference_series(
+    t: EdgeList, starts: list[int], blocks: list[Block], base: int, alpha: float
+) -> float:
+    """Sum of k^(-alpha * |u|) over the words ``u`` spelled by the paths of
+    the key-prefix graph ``t`` from ``starts`` to its last node, whose
+    non-trivial components are ``blocks`` (see :func:`_reference_transient`).  Counts
+    are exact big integers (one accepting run per word, by unambiguity of
+    the source automaton)."""
+    n = t.n
+    key = n - 1
+    x = float(base) ** (-alpha)
+    if blocks:
+        counts = np.ones(len(t.src))
+        radius = max(perron(block, counts).root for block in blocks)
+        if radius >= float(base) ** alpha - 1e-12:
+            return math.inf
+        array = np.zeros((n, n))
+        np.add.at(array, (t.src, t.dst), 1.0)
+        target = np.zeros(n)
+        target[key] = 1.0
+        solution = np.linalg.solve(np.eye(n) - x * array, target)
+        return float(sum(solution[s] for s in starts))
+    # Cycle-free transient part: the series is a finite sum; accumulate it
+    # with exact integer counts and iterated float powers of k^(-alpha).
+    pairs = list(zip(t.src.tolist(), t.dst.tolist()))
+    vec = [0] * n
+    for s in starts:
+        vec[s] = 1
+    total = float(vec[key])
+    term = 1.0
+    for _ in range(n):
+        nxt = [0] * n
+        for i, j in pairs:
+            nxt[j] += vec[i]
+        vec = nxt
+        term *= x
+        total += vec[key] * term
+    return total
+
+
+def reference_key_prefix_series(a: Automaton, q: str, alpha: float) -> float:
+    """Key-prefix series of state ``q`` of a trim unambiguous automaton,
+    from its own key-prefix graph: raises :class:`UnreachableStateError`
+    when no key prefix of q exists."""
+    t = _reference_transient(a.edges, a.sccs, a.state_index[q], _nodes(a, a.start))
+    if t is None:
+        raise UnreachableStateError(f"no accepting run enters its component at {q!r}")
+    return _reference_series(*t, a.base, alpha)
+
+
+def reference_key_state_terms(
+    a: Automaton, alpha: float
+) -> dict[str, tuple[float, float, float]]:
+    """The (series, component measure, contribution) triple of every key
+    state of a trim unambiguous automaton at exponent ``alpha``: each
+    state of a non-trivial component holding an accept state that has a
+    key prefix, its series from :func:`reference_key_prefix_series`."""
+    d = a.sccs
+    accepting = _accepting(a)
+    terms = {}
+    for q, c in zip(a.states, d.component_of.tolist()):
+        block = d.blocks.get(c)
+        if block is None or not accepting[d.component_of == c].any():
+            continue
+        try:
+            series = reference_key_prefix_series(a, q, alpha)
+        except UnreachableStateError:
+            continue
+        root = int(np.searchsorted(block.nodes, a.state_index[q]))
+        m = _block_measure(
+            a.base, a.edges, block, 1 << root, alpha, DEFAULT_ENUMERATION_CAP
+        )[0]
+        if m == 0.0:
+            contribution = 0.0
+        elif math.isinf(series) or math.isinf(m):
+            contribution = math.inf
+        else:
+            contribution = series * m
+        terms[q] = (series, m, contribution)
+    return terms

@@ -93,6 +93,22 @@ def test_subset_construction_hands_over_its_successor_lists():
         assert vars(d)["successors"] == core._grouped(d.n, d.src, d.dst)
 
 
+def test_acceptance_builds_the_kernel_once_per_automaton(monkeypatch):
+    built = []
+    original = core._image_kernel
+
+    def counting(e):
+        built.append(e)
+        return original(e)
+
+    monkeypatch.setattr(core, "_image_kernel", counting)
+    a = bundled("dyadic")
+    word = [(1,), (0,), (1,)]
+    assert accepts(a, word) == reference_accepts(a, word)
+    assert accepts(a, [(0,)]) == reference_accepts(a, [(0,)])
+    assert built == [a.edges]
+
+
 def test_enumeration_and_acceptance_match_reference():
     rng = random.Random(1202)
     for a in [bundled(name) for name in BUNDLED] + KERNEL_NFAS[::3]:

@@ -221,18 +221,17 @@ def _key_candidates(a: Automaton) -> list[str]:
 def test_measure_builds_key_prefixes_of_candidates_only(monkeypatch, name, a):
     a = _fresh(a)
     calls = []
-    original = measure._transient
+    original = measure._key_prefix_series
 
-    def counting(e, d, q, starts):
+    def counting(e, d, starts, base, alpha):
         if e is a.edges:
-            calls.append(a.states[q])
-        return original(e, d, q, starts)
+            calls.append(d)
+        return original(e, d, starts, base, alpha)
 
-    monkeypatch.setattr(measure, "_transient", counting)
+    monkeypatch.setattr(measure, "_key_prefix_series", counting)
     report = hausdorff_measure(a)
-    candidates = _key_candidates(a)
-    assert calls == candidates
-    assert set(report.per_key_state) <= set(candidates)
+    assert calls == [a.sccs]
+    assert set(report.per_key_state) <= set(_key_candidates(a))
 
 
 def _count_perron_calls(monkeypatch) -> list:

@@ -102,7 +102,7 @@ def test_density_witnesses_match_per_state_check(deterministic):
             q for q in states_on_cycles(a) if _complete_by_subsets(a, q)
         ]
         assert (
-            _complete_cycle_states(a, deterministic, DEFAULT_ENUMERATION_CAP)
+            _complete_cycle_states(a, DEFAULT_ENUMERATION_CAP)
             == per_state
         )
         complete_seen += bool(per_state)
@@ -181,6 +181,27 @@ def test_density_nfa_checks_each_witness_of_a_component():
     assert report == _density_per_state(a)
     assert report.witness_state == "g"
     assert report.dense_codense_on_interval == (Fraction(1, 2), Fraction(1))
+
+
+def test_density_decides_a_deterministic_block_once(monkeypatch):
+    # two_rings is an NFA (n0 has two edges on digit 1), but each ring's
+    # own edges are deterministic: one completeness check per ring
+    from omegafract import dimension
+    from test_perron import two_rings
+
+    a = two_rings(100)
+    assert not classify_properties(a).deterministic
+    calls = []
+    original = dimension._cycle_prefixes_complete
+
+    def counting(a, q, cap):
+        calls.append(q)
+        return original(a, q, cap)
+
+    monkeypatch.setattr(dimension, "_cycle_prefixes_complete", counting)
+    report = density_classifier(a)
+    assert len(calls) == 2
+    assert report.nowhere_dense
 
 
 def test_require_trim_agrees_with_flag():
