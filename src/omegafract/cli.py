@@ -168,7 +168,7 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
 
 def _cmd_check(a: Automaton, config: AnalysisConfig, args) -> dict:
     flags = classify_properties(a)
-    ambiguity = check_unambiguous(a)
+    ambiguity = check_unambiguous(a, cap=config.enumeration_cap)
     return {
         "properties": _jsonable(flags),
         "unambiguous": ambiguity.unambiguous,

@@ -816,110 +816,209 @@ def multigraph_to_digraph(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
-def _successor_table(e: EdgeList) -> list[list[list[int]]]:
+def _successor_table(
+    e: EdgeList, keep: np.ndarray | None = None
+) -> list[list[list[int]]]:
     """``table[q][c]``: the heads of the edges leaving node q on symbol
-    number c, in edge order, for symbol numbers 0..max(``e.sym``).  On an
+    number c, in edge order, for symbol numbers 0..max(``e.sym``); with a
+    node mask ``keep``, only the edges between two kept nodes.  On an
     automaton's edges, whose transitions are sorted by (from, symbol, to),
     walking ``table[q]`` by symbol number visits q's transitions in
     ``transitions`` order."""
     n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
+    src, sym, dst = e.src, e.sym, e.dst
+    if keep is not None:
+        kept = keep[src] & keep[dst]
+        src, sym, dst = src[kept], sym[kept], dst[kept]
     table: list[list[list[int]]] = [[[] for _ in range(n_sym)] for _ in range(e.n)]
-    for q, c, d in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist()):
+    for q, c, d in zip(src.tolist(), sym.tolist(), dst.tolist()):
         table[q][c].append(d)
     return table
 
 
-def check_unambiguous(a: Automaton) -> AmbiguityReport:
+def _productive(a: Automaton, accepting: np.ndarray) -> np.ndarray:
+    """Mask of the states that reach (in zero or more steps) an accept
+    state inside a non-trivial block of ``a.sccs``, for the accept state
+    mask ``accepting``: the states some accepting run passes through."""
+    cyclic = np.zeros(len(a.states), dtype=bool)
+    for block in a.sccs.blocks.values():
+        cyclic[block.nodes] = True
+    return _backward_reachable(a.edges, np.flatnonzero(cyclic & accepting).tolist())
+
+
+# Search marks of a pair in :func:`check_unambiguous`: not searched yet,
+# reaches no good component, reaches one.  A pair on the search stack is
+# marked with its low-link instead, which is nonnegative.
+_UNSEEN, _NO, _YES = -1, -2, -3
+# Back pointers of the start pairs and of the pairs no level holds yet.
+_START, _UNREACHED = -1, -2
+
+
+def check_unambiguous(
+    a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP
+) -> AmbiguityReport:
     """Decide whether every accepted infinite word has exactly one accepting run.
 
-    Works on the self-product over ordered state pairs: the automaton is
-    ambiguous iff some reachable pair of distinct states can reach (within
-    the product) a non-trivial strongly connected component in which both
-    coordinates pass through accept states, i.e. one shared word carries
-    two accepting runs that differ at least once.  Deterministic automata
-    are always unambiguous, and are answered without the product.
+    Works on the self-product over ordered state pairs (Weber & Seidl
+    1991): the automaton is ambiguous iff some reachable pair of distinct
+    states can reach (within the product) a non-trivial strongly connected
+    component in which both coordinates pass through accept states, i.e.
+    one shared word carries two accepting runs that differ at least once.
+    The witness is a shortest word leading to such a pair: among the words
+    by which the breadth-first search from the start pairs first reaches
+    each such pair, the least in digit order of the least length.
+    Deterministic automata are always unambiguous, and are answered
+    without the product.
+
+    Only the pairs the answer needs are built.  A state is productive when
+    some accepting run passes through it; a pair with an unproductive
+    state reaches no good component, so the product leaves those states
+    out, and a diagonal pair (r, r) of productive states reaches the
+    diagonal copy of r's accepting lasso.  The breadth-first levels are
+    built one at a time, and the distinct pairs of each are tested in the
+    order of their words, each by one depth-first search with Tarjan's
+    low-links, on the fly as in Couvreur (1999).  The search stops at the
+    first diagonal pair it meets or the first good component it closes;
+    every other component it closes is marked, and later searches skip
+    it.  The first pair that passes gives the witness; when the levels run
+    out, the automaton is unambiguous.  Every pair of two distinct states
+    built counts against ``cap``, and :class:`CapExceededError` is raised
+    past it; the diagonal pairs, at most one per state, are not counted.
     """
     if _is_deterministic(a):
         return AmbiguityReport(unambiguous=True)
-    n = len(a.states)
-    table = _successor_table(a.edges)
-    starts = [a.state_index[q] for q in sorted(a.start)]
-    # Pairs are numbered 0, 1, ... in breadth-first discovery order; pair
-    # (p, q) has the key p * n + q.  The search keeps, per pair, the first
-    # (hence a shortest) word reaching it as a back pointer (previous pair,
-    # symbol number) and its length.
+    n, used = len(a.states), a.symbols_used
+    n_sym = len(used)
+    accepting = _accepting(a)
+    productive = _productive(a, accepting)
+    table = _successor_table(a.edges, None if productive.all() else productive)
+    accept = accepting.tolist()
+    # Pair (p, q) has the key p * n + q and is numbered 0, 1, ... as it is
+    # built.  Per pair: its key, its successor list (built once, on first
+    # use, by the levels or by a search), its search mark, and its back
+    # pointer, parent * n_sym + symbol number, to the pair whose expansion
+    # first reached it in breadth-first order: the word it spells is the
+    # first (hence a shortest) word reaching the pair.
     number: dict[int, int] = {}
     keys: list[int] = []
-    back: list[tuple[int, int] | None] = []
-    depth: list[int] = []
-    for p in starts:
-        for q in starts:
-            number[p * n + q] = len(keys)
-            keys.append(p * n + q)
-            back.append(None)
-            depth.append(0)
-    succ: list[list[int]] = []
-    i = 0
-    while i < len(keys):
-        p_rows, q_rows = table[keys[i] // n], table[keys[i] % n]
-        out: list[int] = []
-        for c, p_next in enumerate(p_rows):
-            for p2 in p_next:
-                for q2 in q_rows[c]:
-                    key = p2 * n + q2
-                    j = number.get(key)
-                    if j is None:
-                        j = number[key] = len(keys)
-                        keys.append(key)
-                        back.append((i, c))
-                        depth.append(depth[i] + 1)
-                    out.append(j)
-        succ.append(out)
-        i += 1
-    m = len(keys)
-    accept = _accepting(a).tolist()
-    # Components come out sinks first, so every edge leaving a component
-    # enters one already decided: one pass settles, per component, whether
-    # it is good (cyclic, both coordinates accepting somewhere) or reaches
-    # a good one.  An edge inside the component reads its own entry, still
-    # False, which changes nothing.
-    components = tarjan_components(range(m), succ)
-    comp_of = [0] * m
-    reach_good = [False] * len(components)
-    for c, comp in enumerate(components):
-        for i in comp:
-            comp_of[i] = c
-        u = comp[0]
-        reach_good[c] = (
-            (len(comp) > 1 or u in succ[u])
-            and any(accept[keys[i] // n] for i in comp)
-            and any(accept[keys[i] % n] for i in comp)
-        ) or any(reach_good[comp_of[j]] for i in comp for j in succ[i])
-    candidates = [
-        i
-        for i in range(m)
-        if reach_good[comp_of[i]] and keys[i] // n != keys[i] % n
-    ]
-    if not candidates:
-        return AmbiguityReport(unambiguous=True)
-    shortest = min(depth[i] for i in candidates)
-    used = a.symbols_used
+    succ: list[list[int] | None] = []
+    mark: list[int] = []
+    back: list[int] = []
+
+    distinct = 0  # pairs of two distinct states built, against the cap
+
+    def add(key: int) -> int:
+        nonlocal distinct
+        j = number[key] = len(keys)
+        keys.append(key)
+        succ.append(None)
+        back.append(_UNREACHED)
+        if key // n == key % n:
+            mark.append(_YES)
+        else:
+            distinct += 1
+            if distinct > cap:
+                raise CapExceededError(f"ambiguity pair product exceeded cap {cap}")
+            mark.append(_UNSEEN)
+        return j
+
+    def successors(i: int) -> list[int]:
+        out = succ[i]
+        if out is None:
+            out = succ[i] = []
+            for p_next, q_next in zip(table[keys[i] // n], table[keys[i] % n]):
+                if q_next:
+                    for p2 in p_next:
+                        row = p2 * n
+                        for q2 in q_next:
+                            j = number.get(row + q2)
+                            out.append(add(row + q2) if j is None else j)
+        return out
+
+    def reaches_good(t: int) -> bool:
+        # Tarjan's search, with a pair's position on the search stack as
+        # its discovery index: components leave the stack whole, from the
+        # top, so the positions of the pairs still on it keep their
+        # discovery order, and a low-link names a pair still on it.
+        out = successors(t)
+        if not out:
+            mark[t] = _NO
+            return False
+        mark[t] = 0
+        stack, path, its = [t], [t], [iter(out)]
+        while its:
+            node = path[-1]
+            for nxt in its[-1]:
+                m = mark[nxt]
+                if m == _UNSEEN:
+                    mark[nxt] = len(stack)
+                    stack.append(nxt)
+                    path.append(nxt)
+                    its.append(iter(successors(nxt)))
+                    break
+                if m == _YES:
+                    return True
+                if 0 <= m < mark[node]:
+                    mark[node] = m
+            else:
+                path.pop()
+                its.pop()
+                low = mark[node]
+                if path and low < mark[path[-1]]:
+                    mark[path[-1]] = low
+                if stack[low] == node:
+                    comp = stack[low:]
+                    del stack[low:]
+                    if (
+                        (len(comp) > 1 or node in succ[node])
+                        and any(accept[keys[i] // n] for i in comp)
+                        and any(accept[keys[i] % n] for i in comp)
+                    ):
+                        return True
+                    for i in comp:
+                        mark[i] = _NO
+        return False
 
     def word(i: int) -> Word:
         out: list[DigitVector] = []
-        step = back[i]
-        while step is not None:
-            i, c = step
+        while back[i] >= 0:
+            i, c = divmod(back[i], n_sym)
             out.append(used[c])
-            step = back[i]
         out.reverse()
         return tuple(out)
 
-    witness = min(
-        (word(i) for i in candidates if depth[i] == shortest),
-        key=lambda w: tuple(s.digits for s in w),
-    )
-    return AmbiguityReport(unambiguous=False, witness=witness)
+    starts = [
+        q for q in (a.state_index[s] for s in sorted(a.start)) if productive[q]
+    ]
+    level = [add(p * n + q) for p in starts for q in starts]
+    for i in level:
+        back[i] = _START
+    # A level's words have one length, so their order is the order of
+    # their numbers in base n_sym.
+    codes = [0] * len(level)
+    while level:
+        for _, i in sorted(zip(codes, level)):
+            if mark[i] == _UNSEEN and reaches_good(i):
+                return AmbiguityReport(unambiguous=False, witness=word(i))
+        below: list[int] = []
+        below_codes: list[int] = []
+        for i, code in zip(level, codes):
+            out = successors(i)
+            if not out:
+                continue
+            pos, code = 0, code * n_sym
+            for c, (p_next, q_next) in enumerate(
+                zip(table[keys[i] // n], table[keys[i] % n])
+            ):
+                end = pos + len(p_next) * len(q_next)
+                for j in out[pos:end]:
+                    if back[j] == _UNREACHED:
+                        back[j] = i * n_sym + c
+                        below.append(j)
+                        below_codes.append(code + c)
+                pos = end
+        level, codes = below, below_codes
+    return AmbiguityReport(unambiguous=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .core import (
     Condensation,
     EdgeList,
     _accepting,
+    _block_edges,
+    _deterministic,
     _nodes,
     _prefix_graph,
     _single_block,
@@ -115,6 +118,17 @@ def _block_measure(
     with the transfer radius it was read at: 0 below radius 1, infinity
     above (off by more than 1e-9)."""
     p, pd, root = _prefix_graph(e, block, start, cap)
+    return _rooted_measure(base, p, pd, alpha, cap)(root)
+
+
+def _rooted_measure(
+    base: int, p: EdgeList, pd: Condensation, alpha: float, cap: int
+) -> Callable[[int], tuple[float, float]]:
+    """The measure at exponent ``alpha`` of the closed set that the prefix
+    graph ``p`` (with condensation ``pd``) recognizes from a root node, as
+    a function of the root, with the transfer radius it was read at (see
+    :func:`_block_measure`).  The Perron solves are made here, once, so
+    every root of one graph shares them."""
     weight = np.full(len(p.src), 1.0 if alpha == 0 else float(base) ** (-alpha))
     blocks = list(pd.blocks.values())
     # the root and the vector of a strongly connected prefix graph come
@@ -131,21 +145,25 @@ def _block_measure(
         for b in blocks
     ]
     radius = max(solve.root for solve in solves)
-    if abs(radius - 1.0) > REPORT_TOL:
-        return (0.0 if radius < 1.0 else math.inf), radius
-    if not whole:
-        # Only a subset construction can split (the block is strongly
-        # connected).  It is closed, so every non-trivial component is
-        # accepting and can key accepting runs: sum the key-state terms,
-        # eigenvector leaves.
-        total = 0.0
-        accepting = np.ones(p.n, dtype=bool)
-        for _, _, contribution in _key_state_terms(
-            base, p, pd, [root], accepting, alpha, cap
-        ).values():
-            total += contribution  # inf absorbs
-        return total, radius
-    return float(solves[0].vector[root]), radius
+
+    def at(root: int) -> tuple[float, float]:
+        if abs(radius - 1.0) > REPORT_TOL:
+            return (0.0 if radius < 1.0 else math.inf), radius
+        if not whole:
+            # Only a subset construction can split (the block is strongly
+            # connected).  It is closed, so every non-trivial component is
+            # accepting and can key accepting runs: sum the key-state
+            # terms, eigenvector leaves.
+            total = 0.0
+            accepting = np.ones(p.n, dtype=bool)
+            for _, _, contribution in _key_state_terms(
+                base, p, pd, [root], accepting, alpha, cap
+            ).values():
+                total += contribution  # inf absorbs
+            return total, radius
+        return float(solves[0].vector[root]), radius
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +250,9 @@ def _key_state_terms(
     keyed = np.bincount(comp[accepting], minlength=e.n) > 0
     every_series = _key_prefix_series(e, d, starts, base, alpha)
     terms: dict[int, tuple[float, float, float]] = {}
+    # A deterministic block entered at one node is its own prefix graph,
+    # whatever the node, so one set of solves serves all its keys.
+    shared: dict[int, Callable[[int], tuple[float, float]]] = {}
     for q in np.flatnonzero(_entered(e, d, starts)).tolist():
         c = int(comp[q])
         block = d.blocks.get(c)
@@ -239,7 +260,13 @@ def _key_state_terms(
             continue
         series = float(every_series[q])
         root = int(np.searchsorted(block.nodes, q))
-        m = _block_measure(base, e, block, 1 << root, alpha, cap)[0]
+        measure_at = shared.get(c)
+        if measure_at is None:
+            p, pd, root = _prefix_graph(e, block, 1 << root, cap)
+            measure_at = _rooted_measure(base, p, pd, alpha, cap)
+            if _deterministic(_block_edges(e, block)):
+                shared[c] = measure_at
+        m = measure_at(root)[0]
         if m == 0.0:
             contribution = 0.0
         elif math.isinf(series) or math.isinf(m):
@@ -295,11 +322,12 @@ def hausdorff_measure(
     q.  A zero-measure component contributes 0 even when its prefix series
     diverges; a positive-measure component with divergent series
     contributes infinity.  Every step reads the blocks of
-    :attr:`Automaton.sccs`; subset constructions take at most ``cap``
-    subsets.
+    :attr:`Automaton.sccs`; the unambiguity check builds at most ``cap``
+    pairs of distinct states and subset constructions take at most
+    ``cap`` subsets.
     """
     require_trim(a)
-    if not check_unambiguous(a):
+    if not check_unambiguous(a, cap=cap):
         raise AmbiguousError("measure decomposition requires an unambiguous automaton")
     entropies = cycle_entropies(a, cap=cap)
     _, alpha = _witnessed_dimension(a, entropies, accept_only=True)

@@ -641,6 +641,24 @@ def reference_check_unambiguous(a: Automaton) -> AmbiguityReport:
     return AmbiguityReport(unambiguous=False, witness=witness)
 
 
+def reference_product_pairs(a: Automaton) -> set[tuple[str, str]]:
+    """The state pairs of the self-product of ``a`` reachable from its
+    start pairs."""
+    delta = _delta(a)
+    starts = sorted(a.start)
+    seen = {(p, q) for p in starts for q in starts}
+    frontier = deque(seen)
+    while frontier:
+        p, q = frontier.popleft()
+        for sym in a.symbols_used:
+            for p2 in delta.get((p, sym), ()):
+                for q2 in delta.get((q, sym), ()):
+                    if (p2, q2) not in seen:
+                        seen.add((p2, q2))
+                        frontier.append((p2, q2))
+    return seen
+
+
 def reference_prefix_determinization(
     a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Automaton:

@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+from omegafract import Automaton, DigitVector, serialize_automaton
 from omegafract.cli import main
 
 from conftest import AUTOMATA_DIR, child_env
+from helpers_random import reference_product_pairs
 
 CANTOR = str(AUTOMATA_DIR / "cantor.json")
 DYADIC = str(AUTOMATA_DIR / "dyadic.json")
@@ -118,6 +120,29 @@ def test_semantic_error_exit(tmp_path, capsys):
     code, report = run_cli(capsys, "check", str(bad))
     assert code == 1
     assert report["error"]["code"] == "semantic-error"
+
+
+def test_check_counts_pairs_against_the_cap(tmp_path, capsys):
+    # state d guesses that the next digit is d: the check finds no
+    # witness, so it builds all 6 pairs of distinct states
+    a = Automaton(
+        base=3,
+        arity=1,
+        states=("0", "1", "2"),
+        transitions=tuple(
+            (q, DigitVector((int(q),)), r) for q in "012" for r in "012"
+        ),
+        start=frozenset("012"),
+        accept=frozenset("012"),
+    )
+    path = tmp_path / "guess.json"
+    path.write_text(serialize_automaton(a))
+    assert sum(p != q for p, q in reference_product_pairs(a)) == 6
+    code, report = run_cli(capsys, "check", "--cap", "6", str(path))
+    assert code == 0 and report["result"]["unambiguous"] is True
+    code, report = run_cli(capsys, "check", "--cap", "5", str(path))
+    assert code == 2
+    assert report["error"]["code"] == "cap-exceeded"
 
 
 def test_unknown_subcommand_usage_exit():

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from omegafract import measure
 from omegafract import (
     UnreachableStateError,
     check_unambiguous,
@@ -127,3 +128,21 @@ def test_comb_measure_at_scale():
     assert len(report.per_key_state) == 1000
     assert abs(report.total - 1.0) <= 1e-9
     assert elapsed < 5.0
+    assert elapsed < 0.25
+
+
+def test_comb_measure_solves_its_ring_once(monkeypatch):
+    # every a_i keys the one deterministic ring a, which is its own prefix
+    # graph whatever the key, so one vector solve serves all 1000 keys
+    # (the other solve is the key-prefix series' divergence test on ring n)
+    calls = []
+    original = measure.perron
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("vector", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "perron", counting)
+    report = hausdorff_measure(comb(1000))
+    assert len(report.per_key_state) == 1000
+    assert len(calls) <= 2 and calls.count(True) == 1

@@ -12,6 +12,7 @@ import pytest
 
 from omegafract import (
     Automaton,
+    CapExceededError,
     DigitVector,
     NotConvergedError,
     accepts,
@@ -41,6 +42,7 @@ from helpers_random import (
     reference_accepts,
     reference_check_unambiguous,
     reference_prefix_determinization,
+    reference_product_pairs,
     reference_run_word,
     reference_shortest_word_to,
 )
@@ -505,6 +507,121 @@ def _larger_ambiguity_inputs(rng: random.Random) -> list[Automaton]:
     return out
 
 
+def _behind_dead_pairs(rng: random.Random) -> Automaton:
+    """An ambiguous automaton whose witness 1^k, k in 3..5, sits behind
+    off-diagonal pairs that reach no good component.  The start s reads 0
+    into ring n (not accepting, both digits on every edge but its exit,
+    which reads 1 into an accepting 1-loop f) and into ring a (accepting,
+    digit 0 only): the pairs of n x a and a x n, from depth 1 on, only run
+    round their rings.  A chain of 1s leads to u and v, which read 0 into
+    n0 and a0 respectively, and 1 into one accepting state g: the search
+    from (u, v) at depth k first meets (n0, a0), marked at depth 1, then
+    the diagonal pair (g, g)."""
+    zero, one = DigitVector((0,)), DigitVector((1,))
+    n_ring, a_ring, k = rng.randint(2, 5), rng.randint(2, 5), rng.randint(3, 5)
+    chain = ["s"] + [f"c{i}" for i in range(1, k)]
+    t = [("s", zero, "n0"), ("s", zero, "a0"), ("f", one, "f")]
+    for i in range(n_ring):
+        after = f"n{(i + 1) % n_ring}"
+        t.append((f"n{i}", zero, after))
+        t.append((f"n{i}", one, "f" if i == n_ring - 1 else after))
+    t += [(f"a{i}", zero, f"a{(i + 1) % a_ring}") for i in range(a_ring)]
+    t += [(x, one, y) for x, y in zip(chain, chain[1:])]
+    t += [(chain[-1], one, "u"), (chain[-1], one, "v")]
+    t += [("u", zero, "n0"), ("v", zero, "a0")]
+    t += [("u", one, "g"), ("v", one, "g"), ("g", zero, "g"), ("g", one, "g")]
+    a_states = [f"a{i}" for i in range(a_ring)]
+    return Automaton(
+        base=2,
+        arity=1,
+        states=tuple(chain[1:] + [f"n{i}" for i in range(n_ring)] + a_states)
+        + ("s", "f", "u", "v", "g"),
+        transitions=tuple(t),
+        start=frozenset({"s"}),
+        accept=frozenset(a_states + ["f", "g"]),
+    )
+
+
+def _stops_inside_a_cycle(rng: random.Random) -> Automaton:
+    """Runs x and y split on the first 0 and walk a cycle of m pairs in
+    step, 0 closing it and 1 merging them into an accepting state g: the
+    search from (x0, y0) closes the cycle, lowering the low-links of the
+    pairs on its stack, and stops at (g, g) with all m pairs unfinished."""
+    zero, one = DigitVector((0,)), DigitVector((1,))
+    m = rng.randint(2, 6)
+    t = [("s", zero, "x0"), ("s", zero, "y0"), ("g", zero, "g"), ("g", one, "g")]
+    for r in "xy":
+        t += [(f"{r}{i}", zero, f"{r}{(i + 1) % m}") for i in range(m)]
+        t.append((f"{r}{m - 1}", one, "g"))
+    return Automaton(
+        base=2,
+        arity=1,
+        states=("s", "g") + tuple(f"{r}{i}" for r in "xy" for i in range(m)),
+        transitions=tuple(t),
+        start=frozenset({"s"}),
+        accept=frozenset({"g"}),
+    )
+
+
+def _smaller_word_found_later() -> Automaton:
+    """Starts s0 and s1 split into two runs each, s0 on digit 1 and s1 on
+    digit 0, and every run then reads 0 into one accepting state g.  The
+    pairs the breadth-first search reaches first at depth 1 come from
+    (s0, s0) and spell 1; those from (s1, s1) spell 0, the witness."""
+    zero, one = DigitVector((0,)), DigitVector((1,))
+    t = [("s0", one, "x0"), ("s0", one, "x1"), ("s1", zero, "y0"), ("s1", zero, "y1")]
+    t += [(r, zero, "g") for r in ("x0", "x1", "y0", "y1")]
+    t += [("g", zero, "g"), ("g", one, "g")]
+    return Automaton(
+        base=2,
+        arity=1,
+        states=("s0", "s1", "x0", "x1", "y0", "y1", "g"),
+        transitions=tuple(t),
+        start=frozenset({"s0", "s1"}),
+        accept=frozenset({"g"}),
+    )
+
+
+def _with_unproductive(rng: random.Random, a: Automaton) -> Automaton:
+    """``a`` with three states no accepting run passes through: an
+    accepting dead end d and a non-accepting two-cycle z0 <-> z1, entered
+    on used symbols from random states of ``a``."""
+    used = a.symbols_used
+    extra = {(rng.choice(a.states), rng.choice(used), z) for z in ("d", "z0", "z1")}
+    extra |= {(rng.choice(a.states), rng.choice(used), "d") for _ in range(2)}
+    extra |= {("z0", rng.choice(used), "z1"), ("z1", rng.choice(used), "z0")}
+    return a.replace(
+        states=a.states + ("d", "z0", "z1"),
+        transitions=a.transitions + tuple(sorted(extra)),
+        accept=a.accept | {"d"},
+    )
+
+
+def _staged_ambiguity_inputs(rng: random.Random) -> dict[str, list[Automaton]]:
+    """Inputs that exercise the stages of the ambiguity search: marks
+    reused across levels, unproductive states, witnesses at depth 0 from
+    several start states, a search stopping inside a cycle, and a level
+    whose least word is not the one reached first."""
+    return {
+        "behind": [_behind_dead_pairs(rng) for _ in range(8)],
+        "unproductive": [
+            _with_unproductive(
+                rng, random_strongly_connected(rng, n_states=rng.randint(3, 9), extra=4)
+            )
+            for _ in range(20)
+        ],
+        "unions": [
+            disjoint_union(d, d)
+            for d in (
+                random_deterministic_trim(rng, n_states=rng.randint(2, 9), base=b)
+                for b in (2, 3, 2, 3, 2)
+            )
+        ],
+        "cycle": [_stops_inside_a_cycle(rng) for _ in range(5)],
+        "order": [_smaller_word_found_later()],
+    }
+
+
 def test_check_unambiguous_matches_reference():
     seen_ambiguous = 0
     rng = random.Random(74)
@@ -535,6 +652,20 @@ def test_check_unambiguous_matches_reference():
         assert (got.unambiguous, got.witness) == (want.unambiguous, want.witness)
         seen_ambiguous += not got.unambiguous
     assert seen_ambiguous >= 10
+    staged = _staged_ambiguity_inputs(rng)
+    for kind, inputs in staged.items():
+        for a in inputs:
+            got, want = check_unambiguous(a), reference_check_unambiguous(a)
+            assert (got.unambiguous, got.witness) == (want.unambiguous, want.witness)
+            if kind == "behind":
+                assert len(got.witness) >= 3 and set(got.witness) == {DigitVector((1,))}
+            elif kind == "unproductive":
+                assert not classify_properties(a).trim
+            elif kind == "unions":
+                assert len(a.start) == 2 and got.witness == ()
+            else:
+                assert got.witness == (DigitVector((0,)),)
+    assert sum(not check_unambiguous(a) for a in staged["unproductive"]) >= 5
     verdicts = []
     for a in untrimmed + larger:
         got, want = check_unambiguous(a), reference_check_unambiguous(a)
@@ -544,6 +675,38 @@ def test_check_unambiguous_matches_reference():
     assert all(9 <= len(a.states) <= 30 for a in larger)
     unambiguous = sum(ok for ok, _ in verdicts[len(untrimmed) :])
     assert 10 <= unambiguous <= len(larger) - 10
+
+
+def _trim_guessing_automata(rng: random.Random, count: int) -> list[Automaton]:
+    """Trim nondeterministic unambiguous guessing automata: the check
+    finds no witness, so it builds every reachable pair."""
+    out = []
+    while len(out) < count:
+        d = random_deterministic_trim(
+            rng, n_states=rng.randint(6, 15), base=rng.choice([2, 3])
+        )
+        a = trim(guessing_automaton(d))
+        if not classify_properties(a).deterministic:
+            out.append(a)
+    return out
+
+
+def test_ambiguity_pair_cap_is_exact():
+    # the cap counts the pairs of two distinct states
+    for a in _trim_guessing_automata(random.Random(75), 4):
+        pairs = sum(p != q for p, q in reference_product_pairs(a))
+        assert check_unambiguous(a, cap=pairs).unambiguous
+        with pytest.raises(CapExceededError):
+            check_unambiguous(a, cap=pairs - 1)
+
+
+def test_ambiguity_check_stops_at_its_witness():
+    # 127 626 reachable pairs, of which the check builds a few thousand
+    a = random_strongly_connected(random.Random(3), 1000, extra=500)
+    assert len(reference_product_pairs(a)) == 127_626
+    report = check_unambiguous(a, cap=20_000)
+    assert not report.unambiguous
+    assert [s.digits for s in report.witness] == [(0,), (0,), (1,), (1,)] * 2
 
 
 def test_walks_on_the_edge_arrays_match_reference():
