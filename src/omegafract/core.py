@@ -1193,8 +1193,13 @@ def _image_kernel(e: EdgeList) -> Callable[[int], int]:
     return image
 
 
+class _Dropped(Exception):
+    """A probing subset construction gave up (see
+    :func:`_subset_construction`)."""
+
+
 def _subset_construction(
-    e: EdgeList, start: int, cap: int
+    e: EdgeList, start: int, cap: int, floor: int = 0
 ) -> tuple[list[int], EdgeList]:
     """Subset construction on bitmask subsets of the nodes of ``e`` (bit i
     is node i), from the subset ``start``.  Subsets are numbered in
@@ -1202,7 +1207,12 @@ def _subset_construction(
     the empty set is never entered.  Returns the subsets and the edges
     between their numbers (symbol numbers as in ``e``), whose
     ``successors`` come already built.  Raises :class:`CapExceededError`
-    once more than ``cap`` subsets appear."""
+    once more than ``cap`` subsets appear.
+
+    A positive ``floor`` makes the construction a probe that gives up
+    cheaply: it raises :class:`_Dropped` instead, at the first new subset
+    of fewer than ``floor`` members or once more than ``cap`` subsets
+    appear."""
     n, image = e.n, e.image
     n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
     full = (1 << n) - 1
@@ -1222,9 +1232,13 @@ def _subset_construction(
                 continue
             j = number.get(target)
             if j is None:
+                if target.bit_count() < floor:
+                    raise _Dropped
                 j = number[target] = len(subsets)
                 subsets.append(target)
                 if len(subsets) > cap:
+                    if floor:
+                        raise _Dropped
                     raise CapExceededError(
                         f"subset construction exceeded cap {cap}"
                     )
@@ -1252,6 +1266,15 @@ def _block_edges(e: EdgeList, block: Block) -> EdgeList:
     return EdgeList(len(block.nodes), block.src, e.sym[block.edges], block.dst)
 
 
+def _own_block(b: EdgeList, block: Block) -> Block:
+    """``block`` as the one block of its own edge sub-list ``b`` (see
+    :func:`_block_edges`): every node and edge of ``b``, numbered by
+    position."""
+    return Block(
+        np.arange(b.n), np.arange(len(b.src)), b.src, b.dst, block.period, block.classes
+    )
+
+
 def _prefix_graph(
     e: EdgeList, block: Block, start: int, cap: int
 ) -> tuple[EdgeList, Condensation, int]:
@@ -1269,14 +1292,7 @@ def _prefix_graph(
     """
     b = _block_edges(e, block)
     if start & (start - 1) == 0 and _deterministic(b):
-        whole = Block(
-            np.arange(b.n),
-            np.arange(len(b.src)),
-            b.src,
-            b.dst,
-            block.period,
-            block.classes,
-        )
+        whole = _own_block(b, block)
         root = start.bit_length() - 1
         return b, Condensation(np.zeros(b.n, dtype=np.intp), {0: whole}), root
     d = _subset_construction(b, start, cap)[1]

@@ -37,7 +37,7 @@ from .core import (
     trim,
 )
 from .errors import ArityError, NotClosedError, NotTrimError
-from .spectral import DEFAULT_SPECTRAL_TOL, entropy, max_root
+from .spectral import DEFAULT_SPECTRAL_TOL, _block_root, entropy, max_root
 
 #: Guard band for dimension comparisons, an order of magnitude above the
 #: spectral tolerance the underlying quantities are computed to.
@@ -89,18 +89,21 @@ def cycle_entropies(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[st
     The entropy is the same for all states of a strongly connected
     component: for q, p in one component with words u: q -> p and
     v: p -> q, the map w -> v w u injects the cycle language of q into that
-    of p (and symmetrically), so the two grow at the same rate.  It is
-    therefore computed once per block of :attr:`Automaton.sccs`, rooted at
-    the block's first state in declaration order, whose counting matrix and
-    prefix determinization are those of that state's cycle automaton.
+    of p (and symmetrically), so the two grow at the same rate, which is
+    also that of the words with a run inside the component.  It is
+    therefore computed once per block of :attr:`Automaton.sccs`, by the
+    routine whose maximum :func:`~omegafract.spectral.entropy` takes: the
+    block's own counting matrix when it is deterministic, else the
+    determinization of its edges from all its states or, when that probe
+    is dropped, from its first state in declaration order (the prefix
+    determinization of that state's cycle automaton), with at most ``cap``
+    subsets.
     """
     require_trim(a)
     d = a.sccs
-    per_component = {}
-    for c, block in d.blocks.items():
-        p, pd, _ = _prefix_graph(a.edges, block, 1, cap)
-        root = max_root(pd.blocks.values(), np.ones(len(p.src)))
-        per_component[c] = math.log(root)
+    per_component = {
+        c: math.log(_block_root(a.edges, block, cap)) for c, block in d.blocks.items()
+    }
     return {
         q: per_component[c]
         for q, c in zip(a.states, d.component_of.tolist())

@@ -1,11 +1,13 @@
 """The certified Perron solver and entropy of prefix languages.
 
 Entropy here is the exponential growth rate, in natural-log units, of the
-number of distinct length-n prefixes of the accepted language.  For a
-deterministic trim automaton that rate is the logarithm of the Perron root
-of the integer counting matrix; nondeterministic inputs are first
-determinized as finite automata on their (prefix-closed, regular) prefix
-language, so strings are counted rather than runs.
+number of distinct length-n prefixes of the accepted language.  For a trim
+automaton that rate is the largest over its strongly connected blocks of
+the growth rate of the words with a run inside the block (Lind & Marcus,
+section 4.4).  A block with at most one edge per node and symbol counts
+those words with its own integer counting matrix; any other block is
+first determinized on its own edges, so strings are counted rather than
+runs, with at most ``cap`` subsets per block.
 
 Every Perron root and vector in the package comes from one routine,
 :func:`perron`, working on one block of an edge list (``src``/``dst``
@@ -43,9 +45,12 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
     Block,
+    EdgeList,
+    _block_edges,
     _condensation,
-    _is_deterministic,
-    _start_mask,
+    _deterministic,
+    _Dropped,
+    _own_block,
     _subset_construction,
     prefix_count,
     require_trim,
@@ -121,12 +126,18 @@ class _ClassSweep:
     one scalar, the product of its weights taken once.  One application
     therefore costs O(transitions + p), and a ring's root is exact.  The
     sweep numbers the nodes by class (stably, so class 0 is in block
-    order), which makes each class one slice; period 1 is the one-class
-    case of the same sweep.
+    order), which makes each class one slice.  A block of period 1 and
+    several nodes is one class in block order, one bincount over the
+    block's own edges, so it needs no renumbering.
     """
 
     def __init__(self, block: Block, w: np.ndarray) -> None:
         m, p = len(block.nodes), block.period
+        if p == 1 and m > 1:  # one class, in block order: the block's edges
+            self.order = np.arange(m)
+            self.m = self.n0 = m
+            self.stages = [("bincount", slice(0, m), block.src, block.dst, w, m)]
+            return
         classes = block.classes
         self.order = np.argsort(classes, kind="stable")
         rank = np.empty(m, dtype=np.intp)
@@ -371,21 +382,49 @@ def prefix_growth(a: Automaton, N: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _block_root(e: EdgeList, block: Block, cap: int) -> float:
+    """Certified Perron root whose logarithm is the growth rate of the
+    words with a run inside ``block`` of ``e``.
+
+    Every nonempty set of the block's nodes, as the start of such runs,
+    gives the same growth rate (see :func:`substring_automaton`), so the
+    cheaper of two is used.  A block with at most one edge per node and
+    symbol is its own deterministic counting graph.  Any other block first
+    tries the subset construction of its own edges from all its nodes,
+    which stays small when every image of the full set is large.  That
+    probe is dropped at the first subset of fewer than half the block's
+    nodes, or once it would hold more subsets than the block has edges or
+    than ``cap``.  A dropped block is determinized from its first node, as
+    in :func:`~omegafract.core._prefix_graph`, with at most ``cap``
+    subsets.
+    """
+    b = _block_edges(e, block)
+    if _deterministic(b):
+        return perron(_own_block(b, block), np.ones(len(b.src))).root
+    n = len(block.nodes)
+    try:
+        d = _subset_construction(b, (1 << n) - 1, min(cap, len(b.src)), (n + 1) // 2)[1]
+    except _Dropped:
+        d = _subset_construction(b, 1, cap)[1]
+    return max_root(_condensation(d).blocks.values(), np.ones(len(d.src)))
+
+
 def entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Growth rate of the number of distinct prefixes, in natural-log units.
 
-    Computed as log of the Perron root of the integer counting matrix of
-    the prefix-determinized automaton; deterministic inputs are used as-is.
-    The value lies in [0, d * log k] and equals the entropy of the accepted
-    infinite-word language.
+    The prefix language of a trim automaton grows at the largest rate of
+    the words with a run inside one of its strongly connected blocks (Lind
+    & Marcus, section 4.4), so this is log of the largest
+    :func:`_block_root` over the blocks of :attr:`Automaton.sccs`: one
+    Perron root of an integer counting matrix per block, of the block
+    itself when it is deterministic, else of a determinization of the
+    block alone, with at most ``cap`` subsets each.  The value lies in
+    [0, d * log k] and equals the entropy of the accepted infinite-word
+    language.
     """
     require_trim(a)
-    if _is_deterministic(a):
-        e, blocks = a.edges, a.sccs.blocks.values()
-    else:
-        e = _subset_construction(a.edges, _start_mask(a), cap)[1]
-        blocks = _condensation(e).blocks.values()
-    return math.log(max_root(blocks, np.ones(len(e.src))))
+    e = a.edges
+    return math.log(max(_block_root(e, b, cap) for b in a.sccs.blocks.values()))
 
 
 def entropy_estimate(a: Automaton, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:

@@ -25,10 +25,12 @@ from omegafract.core import (
     _checked_symbol,
     _condensation,
     _forward_reachable,
+    _is_deterministic,
     _nodes,
     _prefix_graph,
     _single_block,
     _start_mask,
+    _subset_construction,
     require_trim,
     tarjan_components,
 )
@@ -163,6 +165,37 @@ def random_strongly_connected(
         transitions=tuple(transitions),
         start=frozenset({states[0]}),
         accept=accept,
+    )
+
+
+def random_dense_nfa(
+    rng: random.Random, n_states: int, base: int = 2, second: float = 0.45
+) -> Automaton:
+    """Dense strongly connected NFA, shaped like the benchmark's: a ring
+    through the states in random order, then per state and digit one random
+    target with probability 0.7 and another with probability ``second``.
+    The start is s0 and about 30% of the states accept."""
+    states = [f"s{i}" for i in range(n_states)]
+    symbols = _symbols(base, 1)
+    ring = list(range(n_states))
+    rng.shuffle(ring)
+    transitions = {
+        (states[q], rng.choice(symbols), states[ring[(i + 1) % n_states]])
+        for i, q in enumerate(ring)
+    }
+    for q in states:
+        for sym in symbols:
+            for share in (0.7, second):
+                if rng.random() < share:
+                    transitions.add((q, sym, rng.choice(states)))
+    accept = [q for q in states if rng.random() < 0.3] or [states[0]]
+    return Automaton(
+        base=base,
+        arity=1,
+        states=tuple(states),
+        transitions=tuple(transitions),
+        start=frozenset({states[0]}),
+        accept=frozenset(accept),
     )
 
 
@@ -705,6 +738,20 @@ def reference_prefix_determinization(
         start=frozenset({name(start)}),
         accept=frozenset(names),
     )
+
+
+def reference_entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+    """Growth rate of the number of distinct prefixes, in natural-log units,
+    from the whole automaton: log of the Perron root of the integer
+    counting matrix of its prefix determinization from the start states;
+    deterministic inputs are used as-is."""
+    require_trim(a)
+    if _is_deterministic(a):
+        e, blocks = a.edges, a.sccs.blocks.values()
+    else:
+        e = _subset_construction(a.edges, _start_mask(a), cap)[1]
+        blocks = _condensation(e).blocks.values()
+    return math.log(max_root(blocks, np.ones(len(e.src))))
 
 
 def reference_mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
