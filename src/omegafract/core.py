@@ -476,11 +476,16 @@ def _accepting(a: Automaton) -> np.ndarray:
     return mask
 
 
-def _coaccessible_nonzero(a: Automaton) -> np.ndarray:
-    """Mask of the states with a path of length >= 1 to an accept state."""
-    e = a.edges
-    to_accept = _backward_reachable(e, _nodes(a, a.accept))  # zero length allowed
-    return np.bincount(e.src[to_accept[e.dst]], minlength=e.n) > 0
+def _live(a: Automaton) -> np.ndarray:
+    """Mask of the states some accepting run passes through: those
+    reachable from a start state that reach an accept state on a cycle
+    (see :func:`_productive`).  A state has a nonzero-length path to an
+    accept state iff it is productive, and every state on a path from a
+    start state to a live one is live, so this is the state set of
+    :func:`trim` and ``a`` is trim iff it holds every state."""
+    return _forward_reachable(a.edges, _nodes(a, a.start)) & _productive(
+        a, _accepting(a)
+    )
 
 
 def classify_properties(a: Automaton) -> PropertyFlags:
@@ -495,9 +500,10 @@ def classify_properties(a: Automaton) -> PropertyFlags:
     reachable = _forward_reachable(a.edges, _nodes(a, a.start))
     coacc0 = _backward_reachable(a.edges, _nodes(a, a.accept))
     finite_trim = bool(np.all(reachable & coacc0))
-    trim = _is_trim(a, reachable)
+    accepting = _accepting(a)
+    trim = bool(np.all(reachable & _productive(a, accepting)))
     closed = trim and a.accept == frozenset(a.states)
-    comp_of, accepting = a.sccs.component_of, _accepting(a)
+    comp_of = a.sccs.component_of
     weak = not set(comp_of[accepting].tolist()) & set(comp_of[~accepting].tolist())
     return PropertyFlags(
         deterministic=deterministic,
@@ -513,16 +519,10 @@ def _is_deterministic(a: Automaton) -> bool:
     return len(a.start) == 1 and _deterministic(a.edges)
 
 
-def _is_trim(a: Automaton, reachable: np.ndarray) -> bool:
-    """Strict trim test, given the mask of states reachable from a start
-    state."""
-    return bool(np.all(reachable & _coaccessible_nonzero(a)))
-
-
 def require_trim(a: Automaton) -> None:
     """Raise :class:`NotTrimError` unless ``a`` is trim; computes only the
     trim flag of :func:`classify_properties`."""
-    if not _is_trim(a, _forward_reachable(a.edges, _nodes(a, a.start))):
+    if not _live(a).all():
         raise NotTrimError("operation requires a trim automaton")
 
 
@@ -535,23 +535,18 @@ def trim(a: Automaton) -> Automaton:
     """Largest sub-automaton in which every state is reachable from a start
     state and has a nonzero-length path to an accept state.
 
-    The accepted infinite-word language is preserved: any state visited by
-    an accepting run survives every pruning round.  Raises
+    The accepted infinite-word language is preserved: the kept states are
+    those some accepting run passes through (see :func:`_live`), so one
+    restriction reaches the fixpoint of pruning.  Raises
     :class:`EmptyLanguageError` when nothing survives, which happens
     exactly when the automaton accepts no infinite word.
     """
-    current = a
-    while True:
-        starts = _nodes(current, current.start)
-        keep = _forward_reachable(current.edges, starts)
-        keep &= _coaccessible_nonzero(current)
-        if not keep[starts].any():
-            raise EmptyLanguageError("trimming removed every state")
-        if keep.all():
-            return current
-        current = current.restrict(
-            q for q, kept in zip(current.states, keep.tolist()) if kept
-        )
+    keep = _live(a)
+    if not keep.any():
+        raise EmptyLanguageError("trimming removed every state")
+    if keep.all():
+        return a
+    return a.restrict(q for q, kept in zip(a.states, keep.tolist()) if kept)
 
 
 def closure(a: Automaton) -> Automaton:
@@ -1199,15 +1194,17 @@ class _Dropped(Exception):
 
 
 def _subset_construction(
-    e: EdgeList, start: int, cap: int, floor: int = 0
+    e: EdgeList, starts: list[int], cap: int, floor: int = 0
 ) -> tuple[list[int], EdgeList]:
     """Subset construction on bitmask subsets of the nodes of ``e`` (bit i
-    is node i), from the subset ``start``.  Subsets are numbered in
+    is node i), from the distinct nonempty subsets ``starts``, numbered 0..
+    len(starts) - 1 in the order given.  Further subsets are numbered in
     breadth-first discovery order, trying symbols in increasing number;
     the empty set is never entered.  Returns the subsets and the edges
     between their numbers (symbol numbers as in ``e``), whose
     ``successors`` come already built.  Raises :class:`CapExceededError`
-    once more than ``cap`` subsets appear.
+    at the first new subset that brings the count, starts included, past
+    ``cap``.
 
     A positive ``floor`` makes the construction a probe that gives up
     cheaply: it raises :class:`_Dropped` instead, at the first new subset
@@ -1216,8 +1213,8 @@ def _subset_construction(
     n, image = e.n, e.image
     n_sym = int(e.sym.max()) + 1 if len(e.sym) else 0
     full = (1 << n) - 1
-    subsets = [start]
-    number = {start: 0}
+    subsets = list(starts)
+    number = {start: i for i, start in enumerate(subsets)}
     src: list[int] = []
     sym: list[int] = []
     dst: list[int] = []
@@ -1276,27 +1273,30 @@ def _own_block(b: EdgeList, block: Block) -> Block:
 
 
 def _prefix_graph(
-    e: EdgeList, block: Block, start: int, cap: int
-) -> tuple[EdgeList, Condensation, int]:
-    """A graph whose paths from its start node spell, each exactly once,
+    e: EdgeList, block: Block, starts: list[int], cap: int
+) -> tuple[EdgeList, Condensation, list[int]]:
+    """A graph whose paths from its i-th root spell, each exactly once,
     the words with a run inside ``block`` from the block's nodes in
-    ``start`` (a bitmask over positions in ``block.nodes``); returned with
-    its condensation and its start node.
+    ``starts[i]`` (a bitmask over positions in ``block.nodes``); returned
+    with its condensation and its roots.
 
-    When ``start`` is one node and the block has at most one edge per node
-    and symbol, that graph is the block itself, renumbered by position and
-    already decomposed: one component holding every node.  Otherwise it is
-    the subset construction from ``start`` (start node 0, at most ``cap``
-    subsets).  Nodes and edges keep the order of ``e``, so every solve on
-    the result sees the arrays it would see on the component alone.
+    When every start is one node and the block has at most one edge per
+    node and symbol, that graph is the block itself, renumbered by
+    position and already decomposed: one component holding every node,
+    rooted at the start positions.  Otherwise it is the subset
+    construction from all the starts at once (roots 0 .. len(starts) - 1,
+    at most ``cap`` subsets in all, so a graph rooted at many starts
+    counts its union against ``cap`` once).  Nodes and edges keep the
+    order of ``e``, so every solve on the result sees the arrays it would
+    see on the component alone.
     """
     b = _block_edges(e, block)
-    if start & (start - 1) == 0 and _deterministic(b):
+    if all(start & (start - 1) == 0 for start in starts) and _deterministic(b):
         whole = _own_block(b, block)
-        root = start.bit_length() - 1
-        return b, Condensation(np.zeros(b.n, dtype=np.intp), {0: whole}), root
-    d = _subset_construction(b, start, cap)[1]
-    return d, _condensation(d), 0
+        roots = [start.bit_length() - 1 for start in starts]
+        return b, Condensation(np.zeros(b.n, dtype=np.intp), {0: whole}), roots
+    d = _subset_construction(b, starts, cap)[1]
+    return d, _condensation(d), list(range(len(starts)))
 
 
 def prefix_determinization(
@@ -1312,7 +1312,7 @@ def prefix_determinization(
     their members in declaration order.
     """
     require_trim(a)
-    subsets, edges = _subset_construction(a.edges, _start_mask(a), cap)
+    subsets, edges = _subset_construction(a.edges, [_start_mask(a)], cap)
     names = [
         "{" + ",".join(a.states[q] for q in _bits(subset)) + "}"
         for subset in subsets

@@ -23,9 +23,9 @@ from .core import (
     Block,
     DigitVector,
     Word,
+    _backward_reachable,
     _bits,
-    _block_edges,
-    _deterministic,
+    _forward_reachable,
     _is_deterministic,
     _prefix_graph,
     _reached,
@@ -34,7 +34,6 @@ from .core import (
     _successor_table,
     classify_properties,
     require_trim,
-    trim,
 )
 from .errors import ArityError, NotClosedError, NotTrimError
 from .spectral import DEFAULT_SPECTRAL_TOL, _block_root, entropy, max_root
@@ -209,7 +208,7 @@ def _block_mw_alpha(
     ``start`` (a bitmask over positions in ``block.nodes``), with at most
     ``cap`` subsets in its determinization.  The endpoints 0 and d are
     returned exactly (log(k^d) / log k need not round to d)."""
-    p, pd, _ = _prefix_graph(a.edges, block, start, cap)
+    p, pd, _ = _prefix_graph(a.edges, block, [start], cap)
     root = max_root(pd.blocks.values(), np.ones(len(p.src)), tol)
     if root <= 1.0:
         return 0.0
@@ -257,43 +256,30 @@ def _shortest_word_to(a: Automaton, target: str) -> Word:
     return tuple(word)
 
 
-def _run_word(a: Automaton, word: Word) -> frozenset[str]:
-    """The states the runs of ``word`` from a start state end in."""
-    return frozenset(a.states[q] for q in _bits(_reached(a, word)))
-
-
-def _cycle_prefixes_complete(a: Automaton, q: int, cap: int) -> bool:
-    """Does every finite digit string extend to a word of the cycle
-    language of state number ``q``?  Decided exactly on the prefix graph of
-    q's block rooted at q (the prefix language of its cycle language):
-    complete iff no node of it is missing an outgoing digit."""
-    block = a.sccs.blocks[int(a.sccs.component_of[q])]
-    root = int(np.searchsorted(block.nodes, q))
-    p = _prefix_graph(a.edges, block, 1 << root, cap)[0]
-    return bool(np.all(np.bincount(p.src, minlength=p.n) == a.base**a.arity))
-
-
 def _complete_cycle_states(a: Automaton, cap: int) -> list[str]:
     """States on cycles whose cycle-prefix set is complete, in declaration
     order.
 
-    A block with at most one edge per node and symbol is its own prefix
-    graph whatever its root, so completeness is a property of the block
-    and is decided once for it.  In any other block the subsets reached
-    depend on the root state, and every state is checked.
+    A state's cycle-prefix set is the prefix language of its block rooted
+    at it, so it is complete iff no node its root reaches in the block's
+    prefix graph is missing an outgoing digit.  Each block gets one prefix
+    graph, rooted at all its nodes at once (see
+    :func:`~omegafract.core._prefix_graph`; the union of a
+    nondeterministic block's constructions counts against ``cap`` once per
+    block), and one backward search from its short nodes.  A graph that is
+    one component is skipped: every root reaches every node there.
     """
-    e, blocks = a.edges, a.sccs.blocks
-    complete = {
-        c: _cycle_prefixes_complete(a, int(b.nodes[0]), cap)
-        for c, b in blocks.items()
-        if _deterministic(_block_edges(e, b))
-    }
-    return [
-        a.states[q]
-        for q, c in enumerate(a.sccs.component_of.tolist())
-        if c in blocks
-        and (complete[c] if c in complete else _cycle_prefixes_complete(a, q, cap))
-    ]
+    e, full = a.edges, a.base**a.arity
+    complete = np.zeros(len(a.states), dtype=bool)
+    for block in a.sccs.blocks.values():
+        starts = [1 << i for i in range(len(block.nodes))]
+        p, pd, roots = _prefix_graph(e, block, starts, cap)
+        short = np.flatnonzero(np.bincount(p.src, minlength=p.n) < full)
+        if not short.size:
+            complete[block.nodes] = True
+        elif pd.component_of.any():
+            complete[block.nodes] = ~_backward_reachable(p, short.tolist())[roots]
+    return [a.states[q] for q in np.flatnonzero(complete).tolist()]
 
 
 def density_classifier(
@@ -303,12 +289,19 @@ def density_classifier(
     certifying dense-and-codense-on-an-interval where possible.
 
     The set is dense in some interval iff some state q on a cycle has a
-    complete cycle-prefix set; the access word u to q then pins the
-    interval [nu(u0...), nu(u(k-1)...)].  Codensity on that interval is
-    certified by a dimension defect: if the sub-automaton rerooted below u
-    has Hausdorff dimension < 1 its points are Lebesgue-null there, so the
+    complete cycle-prefix set (:func:`_complete_cycle_states`, decided
+    once per block); the access word u to q then pins the interval
+    [nu(u0...), nu(u(k-1)...)].  Codensity on that interval is certified
+    by a dimension defect: if the sub-automaton rerooted below u has
+    Hausdorff dimension < 1 its points are Lebesgue-null there, so the
     complement is dense.  (A dense part of full dimension is reported as
     not codense; the full dichotomy needs machinery beyond this tool.)
+    Since ``a`` is trim, that sub-automaton keeps exactly the states
+    reachable from the run set of u: whole blocks of ``a``, with their
+    cycle entropies unchanged.  So its dimension is read off
+    :func:`cycle_entropies` of ``a``, computed once, with no rerooted
+    automaton built.  ``cap`` bounds each block's prefix graph, all its
+    roots together, and each determinization of the cycle entropies.
     """
     if a.arity != 1:
         raise ArityError("density classification is defined for arity 1")
@@ -325,12 +318,15 @@ def density_classifier(
     # inside it at every state, so no run leaves it; trimness then puts an
     # accept state in it, and the automaton rerooted at any of its states
     # has Hausdorff dimension 1.  The dimension defect never certifies
-    # codensity there, so only NFAs are rerooted.
+    # codensity there, so only NFAs are checked.
     candidates = [] if deterministic else witnesses
+    entropies = cycle_entropies(a, cap) if candidates else {}
+    accepting = [(a.state_index[q], h) for q, h in entropies.items() if q in a.accept]
     for q in candidates:
         u = _shortest_word_to(a, q)
-        rerooted = trim(a.replace(start=_run_word(a, u)))
-        if hausdorff_dimension(rerooted, cap=cap) < 1.0 - REPORT_TOL:
+        kept = _forward_reachable(a.edges, _bits(_reached(a, u)))
+        best = max(h for r, h in accepting if kept[r])
+        if best / math.log(a.base) < 1.0 - REPORT_TOL:
             left = Fraction(0)
             for i, sym in enumerate(u):
                 left += Fraction(sym[0], a.base ** (i + 1))

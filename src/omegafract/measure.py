@@ -117,7 +117,7 @@ def _block_measure(
     its nodes in ``start`` (a bitmask over positions in ``block.nodes``),
     with the transfer radius it was read at: 0 below radius 1, infinity
     above (off by more than 1e-9)."""
-    p, pd, root = _prefix_graph(e, block, start, cap)
+    p, pd, (root,) = _prefix_graph(e, block, [start], cap)
     return _rooted_measure(base, p, pd, alpha, cap)(root)
 
 
@@ -262,7 +262,7 @@ def _key_state_terms(
         root = int(np.searchsorted(block.nodes, q))
         measure_at = shared.get(c)
         if measure_at is None:
-            p, pd, root = _prefix_graph(e, block, 1 << root, cap)
+            p, pd, (root,) = _prefix_graph(e, block, [1 << root], cap)
             measure_at = _rooted_measure(base, p, pd, alpha, cap)
             if _deterministic(_block_edges(e, block)):
                 shared[c] = measure_at

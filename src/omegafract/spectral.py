@@ -403,9 +403,10 @@ def _block_root(e: EdgeList, block: Block, cap: int) -> float:
         return perron(_own_block(b, block), np.ones(len(b.src))).root
     n = len(block.nodes)
     try:
-        d = _subset_construction(b, (1 << n) - 1, min(cap, len(b.src)), (n + 1) // 2)[1]
+        full = [(1 << n) - 1]
+        d = _subset_construction(b, full, min(cap, len(b.src)), (n + 1) // 2)[1]
     except _Dropped:
-        d = _subset_construction(b, 1, cap)[1]
+        d = _subset_construction(b, [1], cap)[1]
     return max_root(_condensation(d).blocks.values(), np.ones(len(d.src)))
 
 

@@ -355,6 +355,37 @@ def random_multi_scc(
     )
 
 
+def complete_nfa_block(n: int, extra: int, seed: int) -> Automaton:
+    """Unary base-2 NFA whose states b0..b{n-1} form one complete,
+    non-accepting, nondeterministic block: a ring with both digits on
+    every edge plus ``extra`` random edges inside it.  b{n-1} exits on
+    digit 0 into the accepting Cantor-like ring c0 -0-> c1 -0,1-> c0, of
+    dimension 1/2.  Starts at b0, so b0 witnesses density and the set is
+    dense and codense on [0, 1]."""
+    rng = random.Random(seed)
+    zero, one = DigitVector((0,)), DigitVector((1,))
+    ring = [f"b{i}" for i in range(n)]
+    transitions = {
+        (q, sym, ring[(i + 1) % n]) for i, q in enumerate(ring) for sym in (zero, one)
+    }
+    while len(transitions) < 2 * n + extra:
+        transitions.add((rng.choice(ring), rng.choice((zero, one)), rng.choice(ring)))
+    transitions |= {
+        (ring[-1], zero, "c0"),
+        ("c0", zero, "c1"),
+        ("c1", zero, "c0"),
+        ("c1", one, "c0"),
+    }
+    return Automaton(
+        base=2,
+        arity=1,
+        states=(*ring, "c0", "c1"),
+        transitions=tuple(sorted(transitions, key=str)),
+        start=frozenset({"b0"}),
+        accept=frozenset({"c0"}),
+    )
+
+
 def irreducible_blocks(n: int, src, dst) -> list[Block]:
     """Non-trivial strongly connected blocks of the digraph on nodes 0..n-1
     with edges ``src[e] -> dst[e]``, in topological order."""
@@ -493,6 +524,17 @@ def reference_run_word(a: Automaton, word: Word) -> frozenset[str]:
     for sym in word:
         current = _step_set(delta, current, sym)
     return current
+
+
+def reference_cycle_prefixes_complete(a: Automaton, q: int, cap: int) -> bool:
+    """Does every finite digit string extend to a word of the cycle
+    language of state number ``q``?  Decided exactly on the prefix graph of
+    q's block rooted at q (the prefix language of its cycle language):
+    complete iff no node of it is missing an outgoing digit."""
+    block = a.sccs.blocks[int(a.sccs.component_of[q])]
+    root = int(np.searchsorted(block.nodes, q))
+    p = _prefix_graph(a.edges, block, [1 << root], cap)[0]
+    return bool(np.all(np.bincount(p.src, minlength=p.n) == a.base**a.arity))
 
 
 def reference_tarjan_components(nodes, successors) -> list[list]:
@@ -749,7 +791,7 @@ def reference_entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float
     if _is_deterministic(a):
         e, blocks = a.edges, a.sccs.blocks.values()
     else:
-        e = _subset_construction(a.edges, _start_mask(a), cap)[1]
+        e = _subset_construction(a.edges, [_start_mask(a)], cap)[1]
         blocks = _condensation(e).blocks.values()
     return math.log(max_root(blocks, np.ones(len(e.src))))
 
@@ -770,7 +812,7 @@ def reference_mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float
     solves them with the edge weights scaled by k^(-alpha).
     """
     block = _single_block(a, "critical exponent")
-    p, pd, _ = _prefix_graph(a.edges, block, _start_mask(a), DEFAULT_ENUMERATION_CAP)
+    p, pd, _ = _prefix_graph(a.edges, block, [_start_mask(a)], DEFAULT_ENUMERATION_CAP)
     blocks = list(pd.blocks.values())
     counts = np.ones(len(p.src))
 

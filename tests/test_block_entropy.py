@@ -49,9 +49,10 @@ def _constructions(monkeypatch) -> list[tuple[int, int, int, int | None]]:
     calls = []
     original = core._subset_construction
 
-    def recording(e, start, cap, floor=0):
+    def recording(e, starts, cap, floor=0):
+        (start,) = starts
         try:
-            subsets, d = original(e, start, cap, floor)
+            subsets, d = original(e, starts, cap, floor)
         except _Dropped:
             calls.append((start, floor, len(e.src), None))
             raise
@@ -211,7 +212,7 @@ def test_cycle_entropies_agree_with_the_rooted_construction():
         per_state = cycle_entropies(a)
         e = a.edges
         for block in a.sccs.blocks.values():
-            p, pd, _ = core._prefix_graph(e, block, 1, core.DEFAULT_ENUMERATION_CAP)
+            p, pd, _ = core._prefix_graph(e, block, [1], core.DEFAULT_ENUMERATION_CAP)
             want = math.log(spectral.max_root(pd.blocks.values(), np.ones(len(p.src))))
             got = per_state[a.states[int(block.nodes[0])]]
             assert _relative(got, want) <= 1e-12, shape
@@ -225,7 +226,7 @@ def test_cycle_entropies_agree_with_the_rooted_construction():
 def _full_set_probe(a):
     (block,) = a.sccs.blocks.values()
     b = core._block_edges(a.edges, block)
-    return b, (1 << b.n) - 1
+    return b, [(1 << b.n) - 1]
 
 
 def test_floor_of_one_only_changes_what_the_cap_raises():

@@ -89,7 +89,7 @@ def test_subset_cap_is_exact():
 
 def test_subset_construction_hands_over_its_successor_lists():
     for a in KERNEL_NFAS:
-        d = _subset_construction(a.edges, core._start_mask(a), 10**6)[1]
+        d = _subset_construction(a.edges, [core._start_mask(a)], 10**6)[1]
         assert vars(d)["successors"] == core._grouped(d.n, d.src, d.dst)
 
 
@@ -201,7 +201,7 @@ def test_adjacent_repeat_test_matches_unique():
             answers += _deterministic(sub)
     assert checked >= 400 and 50 <= answers <= checked - 50
     for a in KERNEL_NFAS:
-        d = _subset_construction(a.edges, core._start_mask(a), 10**6)[1]
+        d = _subset_construction(a.edges, [core._start_mask(a)], 10**6)[1]
         assert _deterministic(d) and _unique_answer(d)
 
 
@@ -302,7 +302,7 @@ def test_condensation_matches_reference_on_subset_graphs():
     for _ in range(12):
         n = rng.randint(24, 28)
         a = random_strongly_connected(rng, n_states=n, base=2, extra=n)
-        d = _subset_construction(a.edges, core._start_mask(a), 10**6)[1]
+        d = _subset_construction(a.edges, [core._start_mask(a)], 10**6)[1]
         blocks += len(_assert_same_condensation(d).blocks)
     assert blocks >= 12
 

@@ -251,7 +251,7 @@ def _count_perron_calls(monkeypatch) -> list:
 def _prefix_blocks(a: Automaton, block, start: int) -> int:
     """Number of non-trivial blocks of the prefix graph of ``block``
     entered at ``start``."""
-    pd = core._prefix_graph(a.edges, block, start, core.DEFAULT_ENUMERATION_CAP)[1]
+    pd = core._prefix_graph(a.edges, block, [start], core.DEFAULT_ENUMERATION_CAP)[1]
     return len(pd.blocks)
 
 

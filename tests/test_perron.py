@@ -26,7 +26,8 @@ from omegafract import (
     scc_measure,
 )
 from omegafract import dimension, measure, spectral
-from omegafract.dimension import _run_word, _shortest_word_to
+from omegafract.core import _bits, _reached
+from omegafract.dimension import _shortest_word_to
 from omegafract.spectral import perron
 from conftest import bundled, child_env
 from helpers_random import (
@@ -709,6 +710,10 @@ def test_ambiguity_check_stops_at_its_witness():
     assert [s.digits for s in report.witness] == [(0,), (0,), (1,), (1,)] * 2
 
 
+def _run_set(a, word):
+    return frozenset(a.states[q] for q in _bits(_reached(a, word)))
+
+
 def test_walks_on_the_edge_arrays_match_reference():
     rng = random.Random(76)
     inputs = [bundled(name) for name in BUNDLED]
@@ -718,12 +723,12 @@ def test_walks_on_the_edge_arrays_match_reference():
         for q in a.states:
             u = _shortest_word_to(a, q)
             assert u == reference_shortest_word_to(a, q)
-            assert _run_word(a, u) == reference_run_word(a, u)
+            assert _run_set(a, u) == reference_run_word(a, u)
         alphabet = [DigitVector(d) for d in np.ndindex(*(a.base,) * a.arity)]
         for _ in range(20):
             w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
             assert accepts(a, w) == reference_accepts(a, w)
-            assert _run_word(a, w) == reference_run_word(a, w)
+            assert _run_set(a, w) == reference_run_word(a, w)
             unused += any(s not in a.symbols_used for s in w)
     assert len(inputs) >= 100 and unused >= 100
 

@@ -8,6 +8,7 @@ one determinization per state) serve here as the oracle.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from omegafract import (
@@ -26,16 +27,16 @@ from omegafract import (
     states_on_cycles,
     trim,
 )
+from omegafract import core, dimension
 from omegafract.core import require_trim
-from omegafract.dimension import (
-    REPORT_TOL,
-    DensityReport,
-    _complete_cycle_states,
-    _cycle_prefixes_complete,
-)
+from omegafract.dimension import REPORT_TOL, DensityReport, _complete_cycle_states
+from omegafract.errors import CapExceededError
 from helpers_random import (
+    complete_nfa_block,
     random_automaton,
     random_multi_scc,
+    random_strongly_connected,
+    reference_cycle_prefixes_complete,
     reference_run_word,
     reference_shortest_word_to,
 )
@@ -94,7 +95,7 @@ def test_density_witnesses_match_per_state_check(deterministic):
         per_state = [
             q
             for q in states_on_cycles(a)
-            if _cycle_prefixes_complete(
+            if reference_cycle_prefixes_complete(
                 a, a.state_index[q], DEFAULT_ENUMERATION_CAP
             )
         ]
@@ -183,25 +184,99 @@ def test_density_nfa_checks_each_witness_of_a_component():
     assert report.dense_codense_on_interval == (Fraction(1, 2), Fraction(1))
 
 
-def test_density_decides_a_deterministic_block_once(monkeypatch):
+def _count_prefix_graphs(monkeypatch) -> list:
+    calls = []
+    original = dimension._prefix_graph
+
+    def counting(e, block, starts, cap):
+        calls.append(len(starts))
+        return original(e, block, starts, cap)
+
+    monkeypatch.setattr(dimension, "_prefix_graph", counting)
+    return calls
+
+
+def test_density_builds_one_prefix_graph_per_block(monkeypatch):
     # two_rings is an NFA (n0 has two edges on digit 1), but each ring's
-    # own edges are deterministic: one completeness check per ring
-    from omegafract import dimension
+    # own edges are deterministic: one prefix graph per ring, rooted at
+    # all its nodes
     from test_perron import two_rings
 
     a = two_rings(100)
     assert not classify_properties(a).deterministic
-    calls = []
-    original = dimension._cycle_prefixes_complete
-
-    def counting(a, q, cap):
-        calls.append(q)
-        return original(a, q, cap)
-
-    monkeypatch.setattr(dimension, "_cycle_prefixes_complete", counting)
+    calls = _count_prefix_graphs(monkeypatch)
     report = density_classifier(a)
-    assert len(calls) == 2
+    assert calls == [len(b.nodes) for b in a.sccs.blocks.values()]
     assert report.nowhere_dense
+    rng = random.Random(14)
+    for _ in range(10):
+        a = random_multi_scc(rng, n_blocks=4, deterministic=False, full_last=True)
+        calls.clear()
+        density_classifier(a)
+        assert len(calls) == len(a.sccs.blocks) == 4
+
+
+def _complete_nfa_blocks():
+    return [complete_nfa_block(n, n // 2, n) for n in range(10, 15)]
+
+
+def test_density_on_a_complete_nfa_block_matches_per_state_loop():
+    for a in _complete_nfa_blocks():
+        report = density_classifier(a)
+        assert report == _density_per_state(a)
+        assert report.dense_codense_on_interval == (Fraction(0), Fraction(1))
+        assert report.witness_state == "b0"
+
+
+def test_density_reads_codensity_off_the_cycle_entropies(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("density classification re-analysed a rerooted automaton")
+
+    monkeypatch.setattr(core, "trim", fail)
+    monkeypatch.setattr(dimension, "trim", fail, raising=False)
+    monkeypatch.setattr(dimension, "hausdorff_dimension", fail)
+    for a in _complete_nfa_blocks():
+        report = density_classifier(a)
+        assert report.dense_codense_on_interval == (Fraction(0), Fraction(1))
+
+
+def _union_prefix_graph(a, block):
+    starts = [1 << i for i in range(len(block.nodes))]
+    return core._prefix_graph(a.edges, block, starts, DEFAULT_ENUMERATION_CAP)
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_one_component_prefix_graph_has_no_complete_root(deterministic):
+    # the density check skips the backward search on a prefix graph that
+    # is one component; the search itself must find every root reaching a
+    # short node there
+    rng = random.Random(1400 + deterministic)
+    one_component = 0
+    for _ in range(300):
+        a = random_strongly_connected(
+            rng,
+            rng.randint(2, 7),
+            base=rng.choice([2, 3]),
+            extra=rng.randint(0, 12),
+            deterministic=deterministic,
+        )
+        for block in a.sccs.blocks.values():
+            p, pd, roots = _union_prefix_graph(a, block)
+            short = np.flatnonzero(np.bincount(p.src, minlength=p.n) < a.base**a.arity)
+            if short.size and not pd.component_of.any():
+                b = core._block_edges(a.edges, block)
+                one_component += core._deterministic(b) == deterministic
+                assert core._backward_reachable(p, short.tolist())[roots].all()
+    assert one_component >= 30
+
+
+def test_density_cap_counts_the_union_construction_once():
+    a = complete_nfa_block(12, 6, 12)
+    (block,) = [b for b in a.sccs.blocks.values() if len(b.nodes) == 12]
+    p = _union_prefix_graph(a, block)[0]
+    assert density_classifier(a, cap=p.n) == density_classifier(a)
+    with pytest.raises(CapExceededError):
+        density_classifier(a, cap=p.n - 1)
 
 
 def test_require_trim_agrees_with_flag():
