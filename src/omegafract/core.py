@@ -479,10 +479,13 @@ def _accepting(a: Automaton) -> np.ndarray:
 def _live(a: Automaton) -> np.ndarray:
     """Mask of the states some accepting run passes through: those
     reachable from a start state that reach an accept state on a cycle
-    (see :func:`_productive`).  A state has a nonzero-length path to an
-    accept state iff it is productive, and every state on a path from a
-    start state to a live one is live, so this is the state set of
-    :func:`trim` and ``a`` is trim iff it holds every state."""
+    (see :func:`_productive`).  It is the fixpoint of pruning the states
+    that are unreachable or have no nonzero-length path to an accept
+    state: a state on an accepting run survives every round, and a state
+    of the fixpoint is reachable and has a nonzero-length path inside it to
+    an accept state, from there to another, and so on until one recurs, on
+    a cycle.  So this is the state set of :func:`trim`, and ``a`` is trim
+    iff it holds every state."""
     return _forward_reachable(a.edges, _nodes(a, a.start)) & _productive(
         a, _accepting(a)
     )
@@ -1273,28 +1276,32 @@ def _own_block(b: EdgeList, block: Block) -> Block:
 
 
 def _prefix_graph(
-    e: EdgeList, block: Block, starts: list[int], cap: int
+    e: EdgeList, block: Block, starts: list[int] | None, cap: int
 ) -> tuple[EdgeList, Condensation, list[int]]:
     """A graph whose paths from its i-th root spell, each exactly once,
     the words with a run inside ``block`` from the block's nodes in
     ``starts[i]`` (a bitmask over positions in ``block.nodes``); returned
-    with its condensation and its roots.
+    with its condensation and its roots.  ``starts=None`` stands for every
+    singleton in position order, without building the bitmasks.
 
     When every start is one node and the block has at most one edge per
     node and symbol, that graph is the block itself, renumbered by
     position and already decomposed: one component holding every node,
-    rooted at the start positions.  Otherwise it is the subset
-    construction from all the starts at once (roots 0 .. len(starts) - 1,
-    at most ``cap`` subsets in all, so a graph rooted at many starts
-    counts its union against ``cap`` once).  Nodes and edges keep the
-    order of ``e``, so every solve on the result sees the arrays it would
-    see on the component alone.
+    rooted at the start positions, so it costs time linear in the block.
+    Otherwise it is the subset construction from all the starts at once
+    (roots 0 .. len(starts) - 1, at most ``cap`` subsets in all, so a
+    graph rooted at many starts counts its union against ``cap`` once).
+    Nodes and edges keep the order of ``e``, so every solve on the result
+    sees the arrays it would see on the component alone.
     """
     b = _block_edges(e, block)
-    if all(start & (start - 1) == 0 for start in starts) and _deterministic(b):
+    every = starts is None
+    if (every or all(s & (s - 1) == 0 for s in starts)) and _deterministic(b):
         whole = _own_block(b, block)
-        roots = [start.bit_length() - 1 for start in starts]
+        roots = list(range(b.n)) if every else [s.bit_length() - 1 for s in starts]
         return b, Condensation(np.zeros(b.n, dtype=np.intp), {0: whole}), roots
+    if every:
+        starts = [1 << i for i in range(b.n)]
     d = _subset_construction(b, starts, cap)[1]
     return d, _condensation(d), list(range(len(starts)))
 

@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .core import (
     Block,
     DigitVector,
     Word,
+    _accepting,
     _backward_reachable,
     _bits,
     _forward_reachable,
@@ -110,16 +112,6 @@ def cycle_entropies(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[st
     }
 
 
-def _argmax(entropies: dict[str, float], candidates) -> tuple[str, float]:
-    best_state, best = None, -math.inf
-    for q in candidates:
-        value = entropies[q]
-        if value > best:
-            best_state, best = q, value
-    assert best_state is not None
-    return best_state, best
-
-
 def _witnessed_dimension(
     a: Automaton, entropies: dict[str, float], accept_only: bool
 ) -> tuple[str, float]:
@@ -127,8 +119,8 @@ def _witnessed_dimension(
     over the accept states on cycles (``accept_only``) or over all states on
     cycles, and that maximum divided by log k."""
     candidates = [q for q in entropies if not accept_only or q in a.accept]
-    witness, best = _argmax(entropies, candidates)
-    return witness, best / math.log(a.base)
+    witness = max(candidates, key=entropies.__getitem__)  # the first maximum
+    return witness, entropies[witness] / math.log(a.base)
 
 
 def hausdorff_dimension(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -272,8 +264,7 @@ def _complete_cycle_states(a: Automaton, cap: int) -> list[str]:
     e, full = a.edges, a.base**a.arity
     complete = np.zeros(len(a.states), dtype=bool)
     for block in a.sccs.blocks.values():
-        starts = [1 << i for i in range(len(block.nodes))]
-        p, pd, roots = _prefix_graph(e, block, starts, cap)
+        p, pd, roots = _prefix_graph(e, block, None, cap)
         short = np.flatnonzero(np.bincount(p.src, minlength=p.n) < full)
         if not short.size:
             complete[block.nodes] = True
@@ -298,10 +289,11 @@ def density_classifier(
     not codense; the full dichotomy needs machinery beyond this tool.)
     Since ``a`` is trim, that sub-automaton keeps exactly the states
     reachable from the run set of u: whole blocks of ``a``, with their
-    cycle entropies unchanged.  So its dimension is read off
-    :func:`cycle_entropies` of ``a``, computed once, with no rerooted
-    automaton built.  ``cap`` bounds each block's prefix graph, all its
-    roots together, and each determinization of the cycle entropies.
+    cycle entropies unchanged.  So its dimension is the largest
+    :func:`cycle_entropies` value of an accepting block among them,
+    computed once per block and only for the blocks read, with no
+    rerooted automaton built.  ``cap`` bounds each block's prefix graph,
+    all its roots together, and each determinization of an entropy.
     """
     if a.arity != 1:
         raise ArityError("density classification is defined for arity 1")
@@ -320,12 +312,13 @@ def density_classifier(
     # has Hausdorff dimension 1.  The dimension defect never certifies
     # codensity there, so only NFAs are checked.
     candidates = [] if deterministic else witnesses
-    entropies = cycle_entropies(a, cap) if candidates else {}
-    accepting = [(a.state_index[q], h) for q, h in entropies.items() if q in a.accept]
+    accepting = _accepting(a)
+    blocks = [b for b in a.sccs.blocks.values() if accepting[b.nodes].any()]
+    block_entropy = cache(lambda i: math.log(_block_root(a.edges, blocks[i], cap)))
     for q in candidates:
         u = _shortest_word_to(a, q)
         kept = _forward_reachable(a.edges, _bits(_reached(a, u)))
-        best = max(h for r, h in accepting if kept[r])
+        best = max(block_entropy(i) for i, b in enumerate(blocks) if kept[b.nodes[0]])
         if best / math.log(a.base) < 1.0 - REPORT_TOL:
             left = Fraction(0)
             for i, sym in enumerate(u):

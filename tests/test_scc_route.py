@@ -6,6 +6,7 @@ one determinization per state) serve here as the oracle.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -189,8 +190,9 @@ def _count_prefix_graphs(monkeypatch) -> list:
     original = dimension._prefix_graph
 
     def counting(e, block, starts, cap):
-        calls.append(len(starts))
-        return original(e, block, starts, cap)
+        result = original(e, block, starts, cap)
+        calls.append(len(result[2]))
+        return result
 
     monkeypatch.setattr(dimension, "_prefix_graph", counting)
     return calls
@@ -241,8 +243,42 @@ def test_density_reads_codensity_off_the_cycle_entropies(monkeypatch):
 
 
 def _union_prefix_graph(a, block):
-    starts = [1 << i for i in range(len(block.nodes))]
-    return core._prefix_graph(a.edges, block, starts, DEFAULT_ENUMERATION_CAP)
+    return core._prefix_graph(a.edges, block, None, DEFAULT_ENUMERATION_CAP)
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_prefix_graph_of_every_singleton_matches_explicit_starts(deterministic):
+    rng = random.Random(1410 + deterministic)
+    for _ in range(60):
+        a = random_strongly_connected(
+            rng, rng.randint(1, 7), extra=rng.randint(0, 12), deterministic=deterministic
+        )
+        for block in a.sccs.blocks.values():
+            starts = [1 << i for i in range(len(block.nodes))]
+            explicit = core._prefix_graph(a.edges, block, starts, DEFAULT_ENUMERATION_CAP)
+            p, pd, roots = _union_prefix_graph(a, block)
+            assert roots == explicit[2] == list(range(len(block.nodes)))
+            for name in ("src", "sym", "dst"):
+                assert np.array_equal(getattr(p, name), getattr(explicit[0], name))
+            assert np.array_equal(pd.component_of, explicit[1].component_of)
+
+
+def test_density_on_deterministic_rings_takes_linear_memory():
+    # each ring's own edges are deterministic, so its prefix graph is the
+    # ring itself: rooting it at all its nodes must not build one bitmask
+    # per node (quadratic: about 140 MB at this length)
+    from test_perron import two_rings
+
+    a = two_rings(30_000)
+    a.sccs
+    tracemalloc.start()
+    try:
+        report = density_classifier(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.nowhere_dense
+    assert peak < 1000 * len(a.states)
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
@@ -277,6 +313,20 @@ def test_density_cap_counts_the_union_construction_once():
     assert density_classifier(a, cap=p.n) == density_classifier(a)
     with pytest.raises(CapExceededError):
         density_classifier(a, cap=p.n - 1)
+
+
+def test_density_cap_fails_where_every_per_state_construction_fits():
+    # the cap counts a block's union construction, which here is twice the
+    # largest construction from one of its states
+    a = random_strongly_connected(random.Random(70), 6, extra=10)
+    (block,) = a.sccs.blocks.values()
+    union = _union_prefix_graph(a, block)[0].n
+    b = core._block_edges(a.edges, block)
+    per_state = [len(core._subset_construction(b, [1 << i], union)[0]) for i in range(b.n)]
+    assert 2 * max(per_state) <= union
+    assert density_classifier(a, cap=union) == density_classifier(a)
+    with pytest.raises(CapExceededError):
+        density_classifier(a, cap=union - 1)
 
 
 def test_require_trim_agrees_with_flag():
