@@ -1276,13 +1276,13 @@ def _own_block(b: EdgeList, block: Block) -> Block:
 
 
 def _prefix_graph(
-    e: EdgeList, block: Block, starts: list[int] | None, cap: int
+    e: EdgeList, block: Block, starts: list[int] | np.ndarray | None, cap: int
 ) -> tuple[EdgeList, Condensation, list[int]]:
     """A graph whose paths from its i-th root spell, each exactly once,
     the words with a run inside ``block`` from the block's nodes in
     ``starts[i]`` (a bitmask over positions in ``block.nodes``); returned
-    with its condensation and its roots.  ``starts=None`` stands for every
-    singleton in position order, without building the bitmasks.
+    with its condensation and its roots.  An integer array of positions
+    stands for those singletons, ``None`` for all, in position order.
 
     When every start is one node and the block has at most one edge per
     node and symbol, that graph is the block itself, renumbered by
@@ -1295,13 +1295,15 @@ def _prefix_graph(
     sees the arrays it would see on the component alone.
     """
     b = _block_edges(e, block)
-    every = starts is None
-    if (every or all(s & (s - 1) == 0 for s in starts)) and _deterministic(b):
+    if starts is None:
+        starts = np.arange(b.n)
+    singles = isinstance(starts, np.ndarray)
+    if (singles or all(s & (s - 1) == 0 for s in starts)) and _deterministic(b):
         whole = _own_block(b, block)
-        roots = list(range(b.n)) if every else [s.bit_length() - 1 for s in starts]
+        roots = starts.tolist() if singles else [s.bit_length() - 1 for s in starts]
         return b, Condensation(np.zeros(b.n, dtype=np.intp), {0: whole}), roots
-    if every:
-        starts = [1 << i for i in range(b.n)]
+    if singles:
+        starts = [1 << i for i in starts.tolist()]
     d = _subset_construction(b, starts, cap)[1]
     return d, _condensation(d), list(range(len(starts)))
 

@@ -8,11 +8,13 @@ measure of a closed strongly connected component itself comes from the
 Perron eigenvector of its transfer matrix at the critical exponent.
 
 Components are the blocks of ``Automaton.sccs``, the one decomposition of
-``Automaton.edges``, entered at their key states and determinized under
-the caller's cap.  The key-prefix series of every state come from one
-sweep over the same condensation in topological order: each component
-passes the weighted count of the paths reaching it along the edges that
-leave it, with one linear solve of its own size per block.
+``Automaton.edges``.  The key-prefix series of every state come from one
+sweep over that condensation in topological order: each component passes
+the weighted count of the paths reaching it along the edges that leave
+it, with one linear solve of its own size per block.  Each keyed block
+has one prefix graph, rooted at all its key states and determinized under
+the caller's cap, and one sweep over its components, sinks first, gives
+the measure at every root.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,8 +32,6 @@ from .core import (
     Condensation,
     EdgeList,
     _accepting,
-    _block_edges,
-    _deterministic,
     _nodes,
     _prefix_graph,
     _single_block,
@@ -85,9 +84,8 @@ def scc_measure(a: Automaton, alpha: float) -> float:
     The eigenvector equation expresses each state's measure as the
     k^(-alpha)-weighted sum of its successors' measures, so it is valid
     when runs and words coincide; nondeterministic inputs are determinized
-    on their prefix language first (the closure of a closed set is itself).
-    When that determinization splits into several components, the measure
-    is re-assembled from the split graph's own key-state decomposition.
+    on their prefix language first (the closure of a closed set is itself),
+    summed over its components when that splits (see :func:`_closed_measures`).
     Returns the measure of the start state's set, in [0, 1] for strongly
     connected deterministic input, when the radius is 1 to within 1e-9.
     Away from that critical value the measure degenerates: 0 below,
@@ -97,9 +95,10 @@ def scc_measure(a: Automaton, alpha: float) -> float:
     block = _single_block(a, "component measure")
     if alpha < 0:
         raise ValueError("exponent must be nonnegative")
-    value, radius = _block_measure(
-        a.base, a.edges, block, _start_mask(a), alpha, DEFAULT_ENUMERATION_CAP
+    p, pd, (root,) = _prefix_graph(
+        a.edges, block, [_start_mask(a)], DEFAULT_ENUMERATION_CAP
     )
+    measures, radius = _closed_measures(a.base, p, pd, alpha)
     if abs(radius - 1.0) > REPORT_TOL:
         warnings.warn(
             f"transfer radius {radius:.12g} differs from 1: exponent"
@@ -107,63 +106,48 @@ def scc_measure(a: Automaton, alpha: float) -> float:
             NonCriticalExponentWarning,
             stacklevel=2,
         )
-    return value
+    return float(measures[root])
 
 
-def _block_measure(
-    base: int, e: EdgeList, block: Block, start: int, alpha: float, cap: int
-) -> tuple[float, float]:
-    """Measure at exponent ``alpha`` of the closure of ``block`` entered at
-    its nodes in ``start`` (a bitmask over positions in ``block.nodes``),
-    with the transfer radius it was read at: 0 below radius 1, infinity
-    above (off by more than 1e-9)."""
-    p, pd, (root,) = _prefix_graph(e, block, [start], cap)
-    return _rooted_measure(base, p, pd, alpha, cap)(root)
-
-
-def _rooted_measure(
-    base: int, p: EdgeList, pd: Condensation, alpha: float, cap: int
-) -> Callable[[int], tuple[float, float]]:
-    """The measure at exponent ``alpha`` of the closed set that the prefix
-    graph ``p`` (with condensation ``pd``) recognizes from a root node, as
-    a function of the root, with the transfer radius it was read at (see
-    :func:`_block_measure`).  The Perron solves are made here, once, so
-    every root of one graph shares them."""
-    weight = np.full(len(p.src), 1.0 if alpha == 0 else float(base) ** (-alpha))
-    blocks = list(pd.blocks.values())
-    # the root and the vector of a strongly connected prefix graph come
-    # from one solve
-    whole = len(blocks) == 1 and len(blocks[0].nodes) == p.n
-    solves = [
-        perron(
-            b,
-            weight,
-            tol=_EIGENVECTOR_TOL,
-            max_steps=_MAX_EIGENVECTOR_ITERATIONS,
-            vector=whole,
+def _closed_measures(
+    base: int, p: EdgeList, pd: Condensation, alpha: float
+) -> tuple[np.ndarray, float]:
+    """Measure at exponent ``alpha`` of the closed set that the prefix graph
+    ``p``, with condensation ``pd``, recognizes from each node, and the
+    largest transfer radius of its blocks: 0 everywhere below radius 1,
+    infinity above (off by more than 1e-9).  With x = k^(-alpha), the
+    measure at a node v of component C is C's Perron vector at v, max entry
+    1, if C is a block of radius 1, else 0, plus the x^length-weighted
+    measures at the ends of the paths from v that leave C by their last
+    edge.  One sweep over the components, sinks first, adds that sum: the
+    outflow of a trivial component, or on a block with counting matrix B
+    the solution of (I - x B) y = outflow (see :func:`_series_solve`)."""
+    x = float(base) ** (-alpha)
+    weight = np.full(len(p.src), x)
+    measures = np.zeros(p.n)
+    radius = 0.0
+    for block in pd.blocks.values():
+        solve = perron(
+            block, weight, _EIGENVECTOR_TOL, _MAX_EIGENVECTOR_ITERATIONS, vector=True
         )
-        for b in blocks
-    ]
-    radius = max(solve.root for solve in solves)
-
-    def at(root: int) -> tuple[float, float]:
-        if abs(radius - 1.0) > REPORT_TOL:
-            return (0.0 if radius < 1.0 else math.inf), radius
-        if not whole:
-            # Only a subset construction can split (the block is strongly
-            # connected).  It is closed, so every non-trivial component is
-            # accepting and can key accepting runs: sum the key-state
-            # terms, eigenvector leaves.
-            total = 0.0
-            accepting = np.ones(p.n, dtype=bool)
-            for _, _, contribution in _key_state_terms(
-                base, p, pd, [root], accepting, alpha, cap
-            ).values():
-                total += contribution  # inf absorbs
-            return total, radius
-        return float(solves[0].vector[root]), radius
-
-    return at
+        radius = max(radius, solve.root)
+        if abs(solve.root - 1.0) <= REPORT_TOL:
+            measures[block.nodes] = solve.vector
+    if abs(radius - 1.0) > REPORT_TOL:
+        return np.full(p.n, 0.0 if radius < 1.0 else math.inf), radius
+    limit = float(base) ** alpha - 1e-12
+    for c, edges in reversed(_leaving(p, pd)):
+        heads = measures[p.dst[edges]]
+        block = pd.blocks.get(c)
+        if block is None:
+            measures[p.src[edges[0]]] = x * heads.sum()
+            continue
+        tails = np.searchsorted(block.nodes, p.src[edges])
+        outflow = x * np.bincount(tails, heads, minlength=len(block.nodes))
+        if outflow.any():
+            y = _series_solve(block, outflow, x, limit, transpose=False)
+            measures[block.nodes] += y
+    return measures, radius
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +164,35 @@ def _entered(e: EdgeList, d: Condensation, starts: list[int]) -> np.ndarray:
     entered[e.dst[comp[e.src] != comp[e.dst]]] = True
     entered[starts] = True
     return entered
+
+
+def _leaving(e: EdgeList, d: Condensation) -> list[tuple[int, np.ndarray]]:
+    """The edges of ``e`` between two components of its condensation
+    ``d``, grouped by the component they leave: (component, edge numbers)
+    pairs in topological order, each group in edge order."""
+    comp = d.component_of
+    leaving = np.flatnonzero(comp[e.src] != comp[e.dst])
+    if not len(leaving):
+        return []
+    leaving = leaving[np.argsort(comp[e.src[leaving]], kind="stable")]
+    tails, first = np.unique(comp[e.src[leaving]], return_index=True)
+    return list(zip(tails.tolist(), np.split(leaving, first[1:])))
+
+
+def _series_solve(
+    block: Block, rhs: np.ndarray, x: float, limit: float, transpose: bool
+) -> np.ndarray | float:
+    """Solution y of (I - x B) y = ``rhs`` on ``block``, with B its counting
+    matrix (B^T when ``transpose``), by one dense solve; or infinity on the
+    block when ``rhs`` is infinite or rho(B) >= ``limit`` (k^alpha less
+    1e-12), where the series of x^n B^n diverges."""
+    counts = np.broadcast_to(1.0, block.edges[-1] + 1)  # a 1 per edge, no copy
+    if np.isinf(rhs).any() or perron(block, counts).root >= limit:
+        return math.inf
+    matrix = np.eye(len(block.nodes))
+    rows, cols = (block.dst, block.src) if transpose else (block.src, block.dst)
+    np.add.at(matrix, (rows, cols), -x)
+    return np.linalg.solve(matrix, rhs)
 
 
 def _key_prefix_series(
@@ -202,27 +215,17 @@ def _key_prefix_series(
     component no edge leaves needs no F."""
     x = float(base) ** (-alpha)
     limit = float(base) ** alpha - 1e-12
-    comp = d.component_of
     series = np.zeros(e.n)
     series[starts] = 1.0
-    leaving = np.flatnonzero(comp[e.src] != comp[e.dst])
-    leaving = leaving[np.argsort(comp[e.src[leaving]], kind="stable")]
-    tails, first = np.unique(comp[e.src[leaving]], return_index=True)
     reach = np.zeros(e.n)  # F, on the components some edge leaves
-    counts = np.ones(len(e.src))
-    for c, edges in zip(tails.tolist(), np.split(leaving, first[1:])):
+    for c, edges in _leaving(e, d):
         block = d.blocks.get(c)
         if block is None:
             u = int(e.src[edges[0]])
             reach[u] = series[u]
         else:
             inflow = series[block.nodes]
-            if np.isinf(inflow).any() or perron(block, counts).root >= limit:
-                reach[block.nodes] = math.inf
-            else:
-                matrix = np.eye(len(block.nodes))  # I - x B^T
-                np.add.at(matrix, (block.dst, block.src), -x)
-                reach[block.nodes] = np.linalg.solve(matrix, inflow)
+            reach[block.nodes] = _series_solve(block, inflow, x, limit, transpose=True)
         np.add.at(series, e.dst[edges], x * reach[e.src[edges]])
     return series
 
@@ -244,37 +247,32 @@ def _key_state_terms(
     component's closure rooted at q, and their product, q's contribution.
     A zero-measure component contributes 0 even when its series diverges;
     a positive-measure one with a divergent series contributes infinity.
-    Keys come in increasing node order; subset constructions take at most
-    ``cap`` subsets."""
+    Keys come in increasing node order.  Each keyed block has one prefix
+    graph, rooted at all its keys, and :func:`_closed_measures` gives every
+    root's measure; its subset construction counts against ``cap`` once."""
     comp = d.component_of
     keyed = np.bincount(comp[accepting], minlength=e.n) > 0
     every_series = _key_prefix_series(e, d, starts, base, alpha)
-    terms: dict[int, tuple[float, float, float]] = {}
-    # A deterministic block entered at one node is its own prefix graph,
-    # whatever the node, so one set of solves serves all its keys.
-    shared: dict[int, Callable[[int], tuple[float, float]]] = {}
+    keys: dict[int, list[int]] = {}
     for q in np.flatnonzero(_entered(e, d, starts)).tolist():
         c = int(comp[q])
-        block = d.blocks.get(c)
-        if block is None or not keyed[c]:
-            continue
-        series = float(every_series[q])
-        root = int(np.searchsorted(block.nodes, q))
-        measure_at = shared.get(c)
-        if measure_at is None:
-            p, pd, (root,) = _prefix_graph(e, block, [1 << root], cap)
-            measure_at = _rooted_measure(base, p, pd, alpha, cap)
-            if _deterministic(_block_edges(e, block)):
-                shared[c] = measure_at
-        m = measure_at(root)[0]
-        if m == 0.0:
-            contribution = 0.0
-        elif math.isinf(series) or math.isinf(m):
-            contribution = math.inf
-        else:
-            contribution = series * m
-        terms[q] = (series, m, contribution)
-    return terms
+        if c in d.blocks and keyed[c]:
+            keys.setdefault(c, []).append(q)
+    terms: dict[int, tuple[float, float, float]] = {}
+    for c, block_keys in keys.items():
+        positions = np.searchsorted(d.blocks[c].nodes, block_keys)
+        p, pd, roots = _prefix_graph(e, d.blocks[c], positions, cap)
+        measures = _closed_measures(base, p, pd, alpha)[0]
+        for q, m in zip(block_keys, measures[roots].tolist()):
+            series = float(every_series[q])
+            if m == 0.0:
+                contribution = 0.0
+            elif math.isinf(series) or math.isinf(m):
+                contribution = math.inf
+            else:
+                contribution = series * m
+            terms[q] = (series, m, contribution)
+    return dict(sorted(terms.items()))
 
 
 def key_prefix_series(a: Automaton, q: str, alpha: float) -> float:
@@ -323,8 +321,8 @@ def hausdorff_measure(
     diverges; a positive-measure component with divergent series
     contributes infinity.  Every step reads the blocks of
     :attr:`Automaton.sccs`; the unambiguity check builds at most ``cap``
-    pairs of distinct states and subset constructions take at most
-    ``cap`` subsets.
+    pairs of distinct states and subset constructions take at most ``cap``
+    subsets, one per keyed block, from all its key states at once.
     """
     require_trim(a)
     if not check_unambiguous(a, cap=cap):

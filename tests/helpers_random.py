@@ -8,6 +8,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from omegafract.core import (
     Word,
     _accepting,
     _backward_reachable,
+    _block_edges,
     _checked_symbol,
     _condensation,
+    _deterministic,
     _forward_reachable,
     _is_deterministic,
     _nodes,
@@ -43,7 +46,13 @@ from omegafract.errors import (
     UnreachableStateError,
     ValidationError,
 )
-from omegafract.measure import _block_measure
+from omegafract.dimension import REPORT_TOL
+from omegafract.measure import (
+    _EIGENVECTOR_TOL,
+    _MAX_EIGENVECTOR_ITERATIONS,
+    _entered,
+    _key_prefix_series,
+)
 from omegafract.spectral import DEFAULT_SPECTRAL_TOL, max_root, perron
 
 
@@ -989,17 +998,19 @@ def reference_parse_automaton(text: str) -> ReferenceAutomaton:
 # ---------------------------------------------------------------------------
 
 
-def comb(length: int) -> Automaton:
+def comb(length: int, closed: bool = True) -> Automaton:
     """Deterministic comb in base 2: ring n (``length`` states joined by
     digit 0), digit 1 from n_i to a_i, and ring a (``length`` states, both
     digits on every edge).  Starts at n0 and accepts at a0: every a_i is a
-    key state, and the total measure is 1."""
+    key state, and the total measure is 1 (1 - 2^-length when not
+    ``closed``: then n is a chain of trivial components, cut before n0)."""
     zero, one = DigitVector((0,)), DigitVector((1,))
     transitions = []
     for i in range(length):
         after = (i + 1) % length
+        if closed or after:
+            transitions.append((f"n{i}", zero, f"n{after}"))
         transitions += [
-            (f"n{i}", zero, f"n{after}"),
             (f"n{i}", one, f"a{i}"),
             (f"a{i}", zero, f"a{after}"),
             (f"a{i}", one, f"a{after}"),
@@ -1111,6 +1122,117 @@ def reference_key_prefix_series(a: Automaton, q: str, alpha: float) -> float:
     return _reference_series(*t, a.base, alpha)
 
 
+# The per-key measure: one prefix graph and one set of Perron solves per
+# key state, a split prefix graph summed through its own key-state
+# decomposition (the library solves one prefix graph per keyed block).
+
+
+def _reference_block_measure(
+    base: int, e: EdgeList, block: Block, start: int, alpha: float, cap: int
+) -> tuple[float, float]:
+    """Measure at exponent ``alpha`` of the closure of ``block`` entered at
+    its nodes in ``start`` (a bitmask over positions in ``block.nodes``),
+    with the transfer radius it was read at: 0 below radius 1, infinity
+    above (off by more than 1e-9)."""
+    p, pd, (root,) = _prefix_graph(e, block, [start], cap)
+    return _reference_rooted_measure(base, p, pd, alpha, cap)(root)
+
+
+def _reference_rooted_measure(
+    base: int, p: EdgeList, pd: Condensation, alpha: float, cap: int
+) -> Callable[[int], tuple[float, float]]:
+    """The measure at exponent ``alpha`` of the closed set that the prefix
+    graph ``p`` (with condensation ``pd``) recognizes from a root node, as
+    a function of the root, with the transfer radius it was read at (see
+    :func:`_reference_block_measure`).  The Perron solves are made here, once, so
+    every root of one graph shares them."""
+    weight = np.full(len(p.src), 1.0 if alpha == 0 else float(base) ** (-alpha))
+    blocks = list(pd.blocks.values())
+    # the root and the vector of a strongly connected prefix graph come
+    # from one solve
+    whole = len(blocks) == 1 and len(blocks[0].nodes) == p.n
+    solves = [
+        perron(
+            b,
+            weight,
+            tol=_EIGENVECTOR_TOL,
+            max_steps=_MAX_EIGENVECTOR_ITERATIONS,
+            vector=whole,
+        )
+        for b in blocks
+    ]
+    radius = max(solve.root for solve in solves)
+
+    def at(root: int) -> tuple[float, float]:
+        if abs(radius - 1.0) > REPORT_TOL:
+            return (0.0 if radius < 1.0 else math.inf), radius
+        if not whole:
+            # Only a subset construction can split (the block is strongly
+            # connected).  It is closed, so every non-trivial component is
+            # accepting and can key accepting runs: sum the key-state
+            # terms, eigenvector leaves.
+            total = 0.0
+            accepting = np.ones(p.n, dtype=bool)
+            for _, _, contribution in _reference_key_state_terms(
+                base, p, pd, [root], accepting, alpha, cap
+            ).values():
+                total += contribution  # inf absorbs
+            return total, radius
+        return float(solves[0].vector[root]), radius
+
+    return at
+
+
+def _reference_key_state_terms(
+    base: int,
+    e: EdgeList,
+    d: Condensation,
+    starts: list[int],
+    accepting: np.ndarray,
+    alpha: float,
+    cap: int,
+) -> dict[int, tuple[float, float, float]]:
+    """Key-state decomposition of an unambiguous trim graph ``e`` with
+    condensation ``d``, start nodes ``starts`` and accepting node mask
+    ``accepting``, at exponent ``alpha``: for every node q whose
+    non-trivial component holds an accepting node and is entered at q by
+    some path from a start, the key-prefix series, the measure of the
+    component's closure rooted at q, and their product, q's contribution.
+    A zero-measure component contributes 0 even when its series diverges;
+    a positive-measure one with a divergent series contributes infinity.
+    Keys come in increasing node order; subset constructions take at most
+    ``cap`` subsets."""
+    comp = d.component_of
+    keyed = np.bincount(comp[accepting], minlength=e.n) > 0
+    every_series = _key_prefix_series(e, d, starts, base, alpha)
+    terms: dict[int, tuple[float, float, float]] = {}
+    # A deterministic block entered at one node is its own prefix graph,
+    # whatever the node, so one set of solves serves all its keys.
+    shared: dict[int, Callable[[int], tuple[float, float]]] = {}
+    for q in np.flatnonzero(_entered(e, d, starts)).tolist():
+        c = int(comp[q])
+        block = d.blocks.get(c)
+        if block is None or not keyed[c]:
+            continue
+        series = float(every_series[q])
+        root = int(np.searchsorted(block.nodes, q))
+        measure_at = shared.get(c)
+        if measure_at is None:
+            p, pd, (root,) = _prefix_graph(e, block, [1 << root], cap)
+            measure_at = _reference_rooted_measure(base, p, pd, alpha, cap)
+            if _deterministic(_block_edges(e, block)):
+                shared[c] = measure_at
+        m = measure_at(root)[0]
+        if m == 0.0:
+            contribution = 0.0
+        elif math.isinf(series) or math.isinf(m):
+            contribution = math.inf
+        else:
+            contribution = series * m
+        terms[q] = (series, m, contribution)
+    return terms
+
+
 def reference_key_state_terms(
     a: Automaton, alpha: float
 ) -> dict[str, tuple[float, float, float]]:
@@ -1130,7 +1252,7 @@ def reference_key_state_terms(
         except UnreachableStateError:
             continue
         root = int(np.searchsorted(block.nodes, a.state_index[q]))
-        m = _block_measure(
+        m = _reference_block_measure(
             a.base, a.edges, block, 1 << root, alpha, DEFAULT_ENUMERATION_CAP
         )[0]
         if m == 0.0:
