@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry
@@ -31,8 +31,9 @@ from .core import (
     serialize_automaton,
 )
 from .dimension import (
+    REPORT_TOL,
     DimensionReport,
-    _block_mw_alpha,
+    _critical_exponent,
     density_classifier,
     dimension_report,
 )
@@ -54,24 +55,23 @@ _INPUT_ERRORS = (FormatError, ValidationError, ConfigError)
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Tunables shared by the subcommands.
+    """Settings shared by the subcommands, printed in every report.
 
-    Precedence when assembled by the CLI: flags, then OMEGAFRACT_*
-    environment variables, then these defaults.
+    The CLI takes the cap from --cap, then OMEGAFRACT_CAP, then the default,
+    and the oracle depths from --depths.  The tolerances are fixed:
+    ``spectral_tolerance`` bounds the relative width of every certified
+    root bracket, ``report_tolerance`` is the guard band of the decisions
+    on them.
     """
 
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    spectral_tolerance: float = DEFAULT_SPECTRAL_TOL
-    report_tolerance: float = 1e-9
+    spectral_tolerance: float = field(default=DEFAULT_SPECTRAL_TOL, init=False)
+    report_tolerance: float = field(default=REPORT_TOL, init=False)
     oracle_depths: tuple[int, int] = (4, 12)
 
     def __post_init__(self) -> None:
         if self.enumeration_cap < 2:
             raise ConfigError("enumeration cap must allow at least one symbol")
-        if not (0 < self.spectral_tolerance <= self.report_tolerance):
-            raise ConfigError(
-                "need 0 < spectral tolerance <= report tolerance"
-            )
         lo, hi = self.oracle_depths
         if not (0 <= lo < hi):
             raise ConfigError("oracle depths must satisfy 0 <= low < high")
@@ -130,23 +130,14 @@ def _jsonable(value):
 
 def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     cap = DEFAULT_ENUMERATION_CAP
-    tol = DEFAULT_SPECTRAL_TOL
     env_cap = os.environ.get("OMEGAFRACT_CAP")
     if env_cap is not None:
         try:
             cap = int(env_cap)
         except ValueError as exc:
             raise ConfigError(f"OMEGAFRACT_CAP is not an integer: {env_cap!r}") from exc
-    env_tol = os.environ.get("OMEGAFRACT_TOL")
-    if env_tol is not None:
-        try:
-            tol = float(env_tol)
-        except ValueError as exc:
-            raise ConfigError(f"OMEGAFRACT_TOL is not a number: {env_tol!r}") from exc
     if getattr(args, "cap", None) is not None:
         cap = args.cap
-    if getattr(args, "tol", None) is not None:
-        tol = args.tol
     depths = (4, 12)
     if getattr(args, "depths", None) is not None:
         parts = args.depths.split(",")
@@ -156,9 +147,7 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
             depths = (int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise ConfigError(f"--depths expects integers, got {args.depths!r}") from exc
-    return AnalysisConfig(
-        enumeration_cap=cap, spectral_tolerance=tol, oracle_depths=depths
-    )
+    return AnalysisConfig(enumeration_cap=cap, oracle_depths=depths)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +170,8 @@ def _cmd_check(a: Automaton, config: AnalysisConfig, args) -> dict:
 def _cmd_entropy(a: Automaton, config: AnalysisConfig, args) -> dict:
     h = entropy(a, cap=config.enumeration_cap)
     requested = args.depth if args.depth is not None else config.oracle_depths[1]
+    if requested < 1:
+        raise ConfigError(f"--depth must be at least 1, got {requested}")
     depth = config.max_depth(a, requested)
     estimate = entropy_estimate(a, depth, cap=config.enumeration_cap)
     log_k = math.log(a.base)
@@ -213,13 +204,11 @@ def _dimension_payload(report: DimensionReport, base: int) -> dict:
 def _cmd_dim(a: Automaton, config: AnalysisConfig, args) -> dict:
     report = dimension_report(a, cap=config.enumeration_cap)
     payload = _dimension_payload(report, a.base)
-    # each block rooted at its first state (bitmask 1)
-    payload["mw_alpha_per_scc"] = {
-        "+".join(a.states[q] for q in block.nodes.tolist()): _block_mw_alpha(
-            a, block, 1, config.spectral_tolerance, config.enumeration_cap
-        )
-        for block in a.sccs.blocks.values()
-    }
+    alphas = {}
+    for block in a.sccs.blocks.values():
+        names = [a.states[q] for q in block.nodes.tolist()]
+        alphas["+".join(names)] = _critical_exponent(report.per_state[names[0]], a)
+    payload["mw_alpha_per_scc"] = alphas
     if a.arity == 1:
         payload["density"] = _jsonable(
             density_classifier(a, cap=config.enumeration_cap)
@@ -291,7 +280,6 @@ def _make_parser() -> _Parser:
             help="raster output format",
         )
         p.add_argument("--cap", type=int, default=None, help="enumeration cap")
-        p.add_argument("--tol", type=float, default=None, help="spectral tolerance")
         p.add_argument(
             "--pretty", action="store_true", help="indent the JSON report"
         )

@@ -4,8 +4,8 @@ Both dimensions reduce to entropies of cycle languages: the Hausdorff
 dimension maximizes over accept states on cycles, the box-counting
 dimension over all states on cycles, each normalized by log k.  The closed
 case collapses to a single prefix-language entropy.  The critical exponent
-of a strongly connected automaton, the unit-spectral-radius root of its
-transfer matrix, is log sprad(C) / log k for its counting matrix C.
+of a strongly connected block, the unit-spectral-radius root of its
+transfer matrix, is its cycle entropy over log k, clamped to [0, d].
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
-    Block,
     DigitVector,
     Word,
     _accepting,
@@ -32,13 +31,12 @@ from .core import (
     _prefix_graph,
     _reached,
     _single_block,
-    _start_mask,
     _successor_table,
     classify_properties,
     require_trim,
 )
 from .errors import ArityError, NotClosedError, NotTrimError
-from .spectral import DEFAULT_SPECTRAL_TOL, _block_root, entropy, max_root
+from .spectral import _block_root, entropy
 
 #: Guard band for dimension comparisons, an order of magnitude above the
 #: spectral tolerance the underlying quantities are computed to.
@@ -178,7 +176,7 @@ def dimension_gap(
     return (True, witness)
 
 
-def mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
+def mw_alpha(a: Automaton) -> float:
     """Critical exponent of a strongly connected automaton: the root
     alpha in [0, d] of sprad(transfer(alpha)) = 1.
 
@@ -186,27 +184,25 @@ def mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
     words are in bijection, so nondeterministic inputs are determinized on
     their prefix language first.  Since transfer(alpha) = k^(-alpha) * C
     with C the integer counting matrix, the root is log sprad(C) / log k,
-    clamped to [0, d]: one certified Perron solve per block of C, with
-    ``tol`` the relative width of its bracket.
+    clamped to [0, d].  The growth rate of a strongly connected block does
+    not depend on where it is entered, so log sprad(C) is the block's
+    cycle entropy, one certified root (see :func:`cycle_entropies`).
     """
     block = _single_block(a, "critical exponent")
-    return _block_mw_alpha(a, block, _start_mask(a), tol, DEFAULT_ENUMERATION_CAP)
+    root = _block_root(a.edges, block, DEFAULT_ENUMERATION_CAP)
+    return _critical_exponent(math.log(root), a)
 
 
-def _block_mw_alpha(
-    a: Automaton, block: Block, start: int, tol: float, cap: int
-) -> float:
-    """:func:`mw_alpha` of one block of ``a``, entered at the block nodes in
-    ``start`` (a bitmask over positions in ``block.nodes``), with at most
-    ``cap`` subsets in its determinization.  The endpoints 0 and d are
-    returned exactly (log(k^d) / log k need not round to d)."""
-    p, pd, _ = _prefix_graph(a.edges, block, [start], cap)
-    root = max_root(pd.blocks.values(), np.ones(len(p.src)), tol)
-    if root <= 1.0:
+def _critical_exponent(h: float, a: Automaton) -> float:
+    """Critical exponent of a block of ``a`` with cycle entropy ``h``
+    (natural log): h / log k clamped to [0, d].  The endpoints are returned
+    exactly, since neither log(k^d) / log k nor a quotient just below it
+    need round to d."""
+    if h <= 0.0:
         return 0.0
-    if root >= a.base**a.arity:
+    if h >= math.log(a.base**a.arity):
         return float(a.arity)
-    return math.log(root) / math.log(a.base)
+    return min(h / math.log(a.base), float(a.arity))
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,9 @@ from .errors import (
 )
 from .spectral import perron
 
-#: Residual tolerance and step cap of the Perron vector behind a component
-#: measure (see :func:`omegafract.spectral.perron`).
+#: Residual tolerance of the Perron vector behind a component measure (see
+#: :func:`omegafract.spectral.perron`).
 _EIGENVECTOR_TOL = 1e-13
-_MAX_EIGENVECTOR_ITERATIONS = 500_000
 
 
 @dataclass(frozen=True)
@@ -127,9 +126,7 @@ def _closed_measures(
     measures = np.zeros(p.n)
     radius = 0.0
     for block in pd.blocks.values():
-        solve = perron(
-            block, weight, _EIGENVECTOR_TOL, _MAX_EIGENVECTOR_ITERATIONS, vector=True
-        )
+        solve = perron(block, weight, _EIGENVECTOR_TOL, vector=True)
         radius = max(radius, solve.root)
         if abs(solve.root - 1.0) <= REPORT_TOL:
             measures[block.nodes] = solve.vector

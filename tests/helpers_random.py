@@ -49,7 +49,6 @@ from omegafract.errors import (
 from omegafract.dimension import REPORT_TOL
 from omegafract.measure import (
     _EIGENVECTOR_TOL,
-    _MAX_EIGENVECTOR_ITERATIONS,
     _entered,
     _key_prefix_series,
 )
@@ -1151,16 +1150,7 @@ def _reference_rooted_measure(
     # the root and the vector of a strongly connected prefix graph come
     # from one solve
     whole = len(blocks) == 1 and len(blocks[0].nodes) == p.n
-    solves = [
-        perron(
-            b,
-            weight,
-            tol=_EIGENVECTOR_TOL,
-            max_steps=_MAX_EIGENVECTOR_ITERATIONS,
-            vector=whole,
-        )
-        for b in blocks
-    ]
+    solves = [perron(b, weight, tol=_EIGENVECTOR_TOL, vector=whole) for b in blocks]
     radius = max(solve.root for solve in solves)
 
     def at(root: int) -> tuple[float, float]:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from omegafract import Automaton, DigitVector, serialize_automaton
-from omegafract.cli import main
+from omegafract.cli import AnalysisConfig, main
 
 from conftest import AUTOMATA_DIR, child_env
 from helpers_random import reference_product_pairs
@@ -172,10 +172,26 @@ def test_env_config_and_flag_precedence(capsys, monkeypatch):
     assert report["config"]["enumeration_cap"] == 4096
 
 
-def test_bad_tolerance_config(capsys):
-    code, report = run_cli(capsys, "check", CANTOR, "--tol", "0.5")
+def test_tolerance_is_not_configurable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", CANTOR, "--tol", "1e-6"])
+    assert exc.value.code == 64
+    capsys.readouterr()
+    for name in ("spectral_tolerance", "report_tolerance"):
+        with pytest.raises(TypeError):
+            AnalysisConfig(**{name: 0.5})
+    code, report = run_cli(capsys, "check", CANTOR)
+    assert code == 0
+    assert report["config"]["spectral_tolerance"] == 1e-12
+    assert report["config"]["report_tolerance"] == 1e-09
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_entropy_depth_below_one_is_config_error(capsys, depth):
+    code, report = run_cli(capsys, "entropy", CANTOR, "--depth", depth)
     assert code == 1
     assert report["error"]["code"] == "config"
+    assert "result" not in report
 
 
 def test_config_embedded_in_report(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,10 +24,13 @@ from omegafract import (
     hausdorff_dimension,
     multigraph_to_digraph,
     mw_alpha,
+    serialize_automaton,
     trim,
 )
+from omegafract.cli import main
 from helpers_random import (
     forbidden_factor_automaton,
+    random_multi_scc,
     random_strongly_connected,
     random_trim_automaton,
     reference_mw_alpha,
@@ -247,24 +251,31 @@ def test_mw_alpha_single_symbol_loop():
 
 
 def test_mw_alpha_full_arity_three_is_exact():
-    # log(125) / log(5) rounds to 3.0000000000000004; the endpoint is exact
-    symbols = [
-        DigitVector((i, j, k)) for i in range(5) for j in range(5) for k in range(5)
-    ]
-    a = Automaton(
-        base=5,
-        arity=3,
-        states=("s",),
-        transitions=tuple(("s", sym, "s") for sym in symbols),
-        start=frozenset({"s"}),
-        accept=frozenset({"s"}),
-    )
-    assert mw_alpha(a) == 3.0
+    # log(125) / log(5) rounds to 3.0000000000000004 and log(1000) / log(10)
+    # to 2.9999999999999996; the endpoint is exact
+    for base in (5, 10):
+        symbols = [
+            DigitVector((i, j, k))
+            for i in range(base)
+            for j in range(base)
+            for k in range(base)
+        ]
+        a = Automaton(
+            base=base,
+            arity=3,
+            states=("s",),
+            transitions=tuple(("s", sym, "s") for sym in symbols),
+            start=frozenset({"s"}),
+            accept=frozenset({"s"}),
+        )
+        assert mw_alpha(a) == 3.0
 
 
-def test_mw_alpha_matches_bisection_oracle():
+def test_mw_alpha_matches_bisection_oracle(tmp_path, capsys):
     # the closed form against the unit-radius bisection, within two of its
-    # 2^-40 cells
+    # 2^-40 cells: mw_alpha of strongly connected automata, and each block
+    # exponent CLI dim reports for multi-block NFAs against the bisection
+    # on the cycle automaton of the block's first state
     rng = random.Random(48)
     for i in range(200):
         a = random_strongly_connected(
@@ -275,6 +286,18 @@ def test_mw_alpha_matches_bisection_oracle():
             deterministic=i % 2 == 0,
         )
         assert abs(mw_alpha(a) - reference_mw_alpha(a)) <= 2.0**-39
+    path = tmp_path / "a.json"
+    for _ in range(30):
+        a = random_multi_scc(
+            rng, n_blocks=rng.randint(2, 4), base=rng.choice([2, 3]), deterministic=False
+        )
+        path.write_text(serialize_automaton(a), encoding="utf-8")
+        assert main(["dim", str(path)]) == 0
+        alphas = json.loads(capsys.readouterr().out)["result"]["mw_alpha_per_scc"]
+        assert len(alphas) >= 2
+        for key, value in alphas.items():
+            ref = reference_mw_alpha(cycle_automaton(a, key.split("+")[0]))
+            assert abs(value - ref) <= 2.0**-39
 
 
 def test_mw_alpha_requires_strong_connectivity(dyadic):

@@ -390,10 +390,10 @@ def test_report_alpha_matches_dimension():
 
 def test_perron_vector_budget_exhausted_raises(monkeypatch, golden_mean):
     from omegafract import NotConvergedError
-    from omegafract import measure
+    from omegafract import spectral
 
-    monkeypatch.setattr(measure, "_MAX_EIGENVECTOR_ITERATIONS", 3)
     alpha = hausdorff_dimension(golden_mean)
+    monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", 3)
     with pytest.raises(NotConvergedError) as info:
         scc_measure(golden_mean, alpha)
     assert info.value.code == "not-converged"

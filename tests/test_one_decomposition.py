@@ -4,6 +4,7 @@ graph is decomposed once, and the caller's enumeration cap reaches every
 subset construction."""
 
 import json
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from omegafract import (
     NotStronglyConnectedError,
     check_unambiguous,
     cycle_entropies,
+    density_classifier,
     dimension_report,
     hausdorff_measure,
     mw_alpha,
@@ -21,7 +23,7 @@ from omegafract import (
     scc_decompose,
     serialize_automaton,
 )
-from omegafract import cli, core, dimension, measure, spectral
+from omegafract import core, dimension, measure, spectral
 from omegafract.cli import main
 from conftest import bundled
 from helpers_random import random_multi_scc, random_strongly_connected
@@ -248,41 +250,43 @@ def _count_perron_calls(monkeypatch) -> list:
     return calls
 
 
-def _prefix_blocks(a: Automaton, block, start: int) -> int:
-    """Number of non-trivial blocks of the prefix graph of ``block``
-    entered at ``start``."""
-    pd = core._prefix_graph(a.edges, block, [start], core.DEFAULT_ENUMERATION_CAP)[1]
-    return len(pd.blocks)
-
-
 STRONGLY_CONNECTED = [(n, a) for n, a in INPUTS if scc_decompose(a).trivial == (False,)]
 
 
 @pytest.mark.parametrize("name, a", STRONGLY_CONNECTED, ids=_ids)
 def test_mw_alpha_solves_each_prefix_block_once(monkeypatch, name, a):
-    (block,) = a.sccs.blocks.values()
-    expected = _prefix_blocks(a, block, core._start_mask(a))
-    calls = _count_perron_calls(monkeypatch)
-    mw_alpha(a)
-    assert len(calls) == expected >= 1
+    """One block root per call: the critical exponent is the clamp of its
+    logarithm, the block's cycle entropy."""
+    roots = []
+
+    def recording(*args):
+        roots.append(spectral._block_root(*args))
+        return roots[-1]
+
+    monkeypatch.setattr(dimension, "_block_root", recording)
+    value = mw_alpha(a)
+    assert len(roots) == 1
+    assert value == dimension._critical_exponent(math.log(roots[0]), a)
 
 
 @pytest.mark.parametrize("name, a", INPUTS, ids=_ids)
 def test_cli_dim_solves_each_prefix_block_once(monkeypatch, tmp_path, capsys, name, a):
+    """dim solves nothing beyond the dimension report and, on unary input,
+    the density classification: each block's critical exponent is read off
+    the cycle entropy of its first state."""
     path = tmp_path / "a.json"
     path.write_text(serialize_automaton(a), encoding="utf-8")
     calls = _count_perron_calls(monkeypatch)
-    seen = []
-    original = cli._block_mw_alpha
-
-    def recording(b, block, start, tol, cap):
-        before = len(calls)
-        value = original(b, block, start, tol, cap)
-        seen.append((len(calls) - before, _prefix_blocks(b, block, start)))
-        return value
-
-    monkeypatch.setattr(cli, "_block_mw_alpha", recording)
+    dimension_report(a)
+    if a.arity == 1:
+        density_classifier(a)
+    expected = len(calls)
     assert main(["dim", str(path)]) == 0
-    capsys.readouterr()
-    assert len(seen) == len(a.sccs.blocks) >= 1
-    assert all(solves == blocks for solves, blocks in seen)
+    assert len(calls) == 2 * expected >= 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    entropies = result["per_state_cycle_entropy_nat"]
+    alphas = result["mw_alpha_per_scc"]
+    assert len(alphas) == len(a.sccs.blocks)
+    for key, value in alphas.items():
+        first = key.split("+")[0]
+        assert value == dimension._critical_exponent(entropies[first], a)

@@ -201,13 +201,7 @@ def test_400_cycle_measure_at_radius_one_meets_tolerance():
     e = a.edges
     weight = np.full(len(e.src), 2.0**-alpha)
     (block,) = irreducible_blocks(e.n, e.src, e.dst)
-    solve = perron(
-        block,
-        weight,
-        tol=measure._EIGENVECTOR_TOL,
-        max_steps=measure._MAX_EIGENVECTOR_ITERATIONS,
-        vector=True,
-    )
+    solve = perron(block, weight, tol=measure._EIGENVECTOR_TOL, vector=True)
     dense = np.zeros((e.n, e.n))
     np.add.at(dense, (e.src, e.dst), weight)
     v = solve.vector
