@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,8 +56,9 @@ _INPUT_ERRORS = (FormatError, ValidationError, ConfigError)
 class AnalysisConfig:
     """Settings shared by the subcommands, printed in every report.
 
-    The CLI takes the cap from --cap, then OMEGAFRACT_CAP, then the default,
-    and the oracle depths from --depths.  The tolerances are fixed:
+    The CLI takes the cap from --cap or the default, and the oracle depths
+    from ``oracle --depths`` or the default; ``entropy`` estimates at the
+    high one unless given --depth.  The tolerances are fixed:
     ``spectral_tolerance`` bounds the relative width of every certified
     root bracket, ``report_tolerance`` is the guard band of the decisions
     on them.
@@ -129,15 +129,6 @@ def _jsonable(value):
 
 
 def _build_config(args: argparse.Namespace) -> AnalysisConfig:
-    cap = DEFAULT_ENUMERATION_CAP
-    env_cap = os.environ.get("OMEGAFRACT_CAP")
-    if env_cap is not None:
-        try:
-            cap = int(env_cap)
-        except ValueError as exc:
-            raise ConfigError(f"OMEGAFRACT_CAP is not an integer: {env_cap!r}") from exc
-    if getattr(args, "cap", None) is not None:
-        cap = args.cap
     depths = (4, 12)
     if getattr(args, "depths", None) is not None:
         parts = args.depths.split(",")
@@ -147,7 +138,7 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
             depths = (int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise ConfigError(f"--depths expects integers, got {args.depths!r}") from exc
-    return AnalysisConfig(enumeration_cap=cap, oracle_depths=depths)
+    return AnalysisConfig(enumeration_cap=args.cap, oracle_depths=depths)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +218,8 @@ def _cmd_measure(a: Automaton, config: AnalysisConfig, args) -> dict:
 
 def _cmd_raster(a: Automaton, config: AnalysisConfig, args) -> dict:
     depth = args.depth if args.depth is not None else config.max_depth(a, 4)
+    if depth < 0:
+        raise ConfigError(f"--depth must be nonnegative, got {depth}")
     fmt = args.format or ("interval" if a.arity == 1 else "pbm")
     document = geometry.render(a, depth, fmt, cap=config.enumeration_cap)
     return {"depth": depth, "format": fmt, "document": document}
@@ -244,13 +237,30 @@ def _cmd_oracle(a: Automaton, config: AnalysisConfig, args) -> dict:
     return {"depths": [lo, hi], "box_counts": table, "estimated_box_dimension": estimate}
 
 
+#: add_argument keywords of each flag.
+_FLAGS = {
+    "--depth": dict(type=int, default=None, help="single depth"),
+    "--depths": dict(default=None, help="depth range 'a,b'"),
+    "--format": dict(
+        choices=["interval", "pbm"], default=None, help="raster output format"
+    ),
+    "--cap": dict(type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap"),
+    "--pretty": dict(action="store_true", help="indent the JSON report"),
+}
+
+#: Subcommand -> handler, help and the flags it reads; any other flag is a
+#: usage error.
 _COMMANDS = {
-    "check": _cmd_check,
-    "entropy": _cmd_entropy,
-    "dim": _cmd_dim,
-    "measure": _cmd_measure,
-    "raster": _cmd_raster,
-    "oracle": _cmd_oracle,
+    "check": (_cmd_check, "structural property flags and ambiguity check", []),
+    "entropy": (
+        _cmd_entropy,
+        "prefix-language entropy plus enumeration estimate",
+        ["--depth"],
+    ),
+    "dim": (_cmd_dim, "Hausdorff/box dimension report with cross-checks", []),
+    "measure": (_cmd_measure, "Hausdorff measure at the critical dimension", []),
+    "raster": (_cmd_raster, "render the depth-n cover", ["--depth", "--format"]),
+    "oracle": (_cmd_oracle, "box-counting table and dimension estimate", ["--depths"]),
 }
 
 
@@ -261,28 +271,11 @@ def _make_parser() -> _Parser:
         " sets recognized by Buchi automata over base-k digits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("check", "structural property flags and ambiguity check"),
-        ("entropy", "prefix-language entropy plus enumeration estimate"),
-        ("dim", "Hausdorff/box dimension report with cross-checks"),
-        ("measure", "Hausdorff measure at the critical dimension"),
-        ("raster", "render the depth-n cover"),
-        ("oracle", "box-counting table and dimension estimate"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("automaton", help="path to the automaton JSON document")
-        p.add_argument("--depth", type=int, default=None, help="single depth")
-        p.add_argument("--depths", default=None, help="depth range 'a,b'")
-        p.add_argument(
-            "--format",
-            choices=["interval", "interval-list", "pbm", "bitmap"],
-            default=None,
-            help="raster output format",
-        )
-        p.add_argument("--cap", type=int, default=None, help="enumeration cap")
-        p.add_argument(
-            "--pretty", action="store_true", help="indent the JSON report"
-        )
+        for flag in [*flags, "--cap", "--pretty"]:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -295,7 +288,6 @@ def _emit(report: dict, pretty: bool) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
-    pretty = bool(getattr(args, "pretty", False))
     base_report: dict = {"tool": "omegafract", "command": args.command}
     try:
         config = _build_config(args)
@@ -308,16 +300,16 @@ def main(argv: list[str] | None = None) -> int:
             serialize_automaton(a).encode("utf-8")
         ).hexdigest()
         base_report["config"] = _jsonable(config)
-        base_report["result"] = _jsonable(_COMMANDS[args.command](a, config, args))
+        base_report["result"] = _jsonable(_COMMANDS[args.command][0](a, config, args))
     except _INPUT_ERRORS as exc:
         base_report["error"] = {"code": exc.code, "message": str(exc)}
-        _emit(base_report, pretty)
+        _emit(base_report, args.pretty)
         return _INPUT_EXIT
     except OmegafractError as exc:
         base_report["error"] = {"code": exc.code, "message": str(exc)}
-        _emit(base_report, pretty)
+        _emit(base_report, args.pretty)
         return _PRECONDITION_EXIT
-    _emit(base_report, pretty)
+    _emit(base_report, args.pretty)
     return 0
 
 

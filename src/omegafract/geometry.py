@@ -132,30 +132,31 @@ def _merged_intervals(
 def render(
     a: Automaton,
     n: int,
-    fmt: str = "interval-list",
+    fmt: str = "interval",
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> str:
-    """Deterministic text rendering of the depth-n cover.
+    """Deterministic text rendering of the depth-n cover in format ``fmt``,
+    ``"interval"`` or ``"pbm"``.
 
-    ``interval-list`` (arity 1): one line per maximal merged run of cover
+    ``interval`` (arity 1): one line per maximal merged run of cover
     boxes, as exact lowest-terms rationals "p/q r/s", sorted.
 
-    ``bitmap`` (arity <= 2): PBM P1 text; width k^n, height k^n for arity 2
+    ``pbm`` (arity <= 2): PBM P1 text; width k^n, height k^n for arity 2
     and 1 for arity 1; row-major with the all-zero corner at the top left,
     one '1' byte per cover box.
     """
-    if fmt in ("interval-list", "interval"):
+    if fmt == "interval":
         if a.arity != 1:
-            raise ArityError("interval-list rendering needs arity 1")
+            raise ArityError("interval rendering needs arity 1")
         cover = box_cover(a, n, cap=cap)
         lines = [
             f"{lo.numerator}/{lo.denominator} {hi.numerator}/{hi.denominator}"
             for lo, hi in _merged_intervals(cover, a.base, n)
         ]
         return "\n".join(lines) + "\n"
-    if fmt in ("bitmap", "pbm"):
+    if fmt == "pbm":
         if a.arity > 2:
-            raise ArityError("bitmap rendering needs arity <= 2")
+            raise ArityError("pbm rendering needs arity <= 2")
         cover = box_cover(a, n, cap=cap)
         side = a.base**n
         if a.arity == 1:

@@ -120,19 +120,21 @@ def _closed_measures(
     measures at the ends of the paths from v that leave C by their last
     edge.  One sweep over the components, sinks first, adds that sum: the
     outflow of a trivial component, or on a block with counting matrix B
-    the solution of (I - x B) y = outflow (see :func:`_series_solve`)."""
+    the solution of (I - x B) y = outflow (see :func:`_series_solve`),
+    which is infinite on a block of radius 1 that some edge leaves."""
     x = float(base) ** (-alpha)
     weight = np.full(len(p.src), x)
     measures = np.zeros(p.n)
     radius = 0.0
-    for block in pd.blocks.values():
+    critical = set()
+    for c, block in pd.blocks.items():
         solve = perron(block, weight, _EIGENVECTOR_TOL, vector=True)
         radius = max(radius, solve.root)
         if abs(solve.root - 1.0) <= REPORT_TOL:
             measures[block.nodes] = solve.vector
+            critical.add(c)
     if abs(radius - 1.0) > REPORT_TOL:
         return np.full(p.n, 0.0 if radius < 1.0 else math.inf), radius
-    limit = float(base) ** alpha - 1e-12
     for c, edges in reversed(_leaving(p, pd)):
         heads = measures[p.dst[edges]]
         block = pd.blocks.get(c)
@@ -141,9 +143,10 @@ def _closed_measures(
             continue
         tails = np.searchsorted(block.nodes, p.src[edges])
         outflow = x * np.bincount(tails, heads, minlength=len(block.nodes))
-        if outflow.any():
-            y = _series_solve(block, outflow, x, limit, transpose=False)
-            measures[block.nodes] += y
+        if c in critical and outflow.any():
+            measures[block.nodes] = math.inf
+        elif outflow.any():
+            measures[block.nodes] += _series_solve(block, outflow, x, transpose=False)
     return measures, radius
 
 
@@ -177,14 +180,13 @@ def _leaving(e: EdgeList, d: Condensation) -> list[tuple[int, np.ndarray]]:
 
 
 def _series_solve(
-    block: Block, rhs: np.ndarray, x: float, limit: float, transpose: bool
+    block: Block, rhs: np.ndarray, x: float, transpose: bool
 ) -> np.ndarray | float:
     """Solution y of (I - x B) y = ``rhs`` on ``block``, with B its counting
     matrix (B^T when ``transpose``), by one dense solve; or infinity on the
-    block when ``rhs`` is infinite or rho(B) >= ``limit`` (k^alpha less
-    1e-12), where the series of x^n B^n diverges."""
-    counts = np.broadcast_to(1.0, block.edges[-1] + 1)  # a 1 per edge, no copy
-    if np.isinf(rhs).any() or perron(block, counts).root >= limit:
+    block when ``rhs`` is infinite.  The caller decides that the series of
+    x^n B^n converges."""
+    if np.isinf(rhs).any():
         return math.inf
     matrix = np.eye(len(block.nodes))
     rows, cols = (block.dst, block.src) if transpose else (block.src, block.dst)
@@ -212,6 +214,7 @@ def _key_prefix_series(
     component no edge leaves needs no F."""
     x = float(base) ** (-alpha)
     limit = float(base) ** alpha - 1e-12
+    counts = np.broadcast_to(1.0, len(e.src))  # a 1 per edge, no copy
     series = np.zeros(e.n)
     series[starts] = 1.0
     reach = np.zeros(e.n)  # F, on the components some edge leaves
@@ -222,7 +225,10 @@ def _key_prefix_series(
             reach[u] = series[u]
         else:
             inflow = series[block.nodes]
-            reach[block.nodes] = _series_solve(block, inflow, x, limit, transpose=True)
+            if np.isinf(inflow).any() or perron(block, counts).root >= limit:
+                reach[block.nodes] = math.inf
+            else:
+                reach[block.nodes] = _series_solve(block, inflow, x, transpose=True)
         np.add.at(series, e.dst[edges], x * reach[e.src[edges]])
     return series
 

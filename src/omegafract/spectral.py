@@ -272,7 +272,6 @@ def perron(
     block: Block,
     weight: np.ndarray,
     tol: float = DEFAULT_SPECTRAL_TOL,
-    max_steps: int | None = None,
     vector: bool = False,
 ) -> Perron:
     """Certified Perron root (and optionally vector) of the block's matrix
@@ -296,12 +295,11 @@ def perron(
     residual max |Bv - rho v| / rho, with max v = 1, must also be at most
     ``tol``; otherwise iteration goes on.
 
-    Raises :class:`NotConvergedError` when more than ``max_steps`` products
-    (default ``_MAX_PERRON_STEPS``) would be needed or an entry underflows;
+    Raises :class:`NotConvergedError` when more than ``_MAX_PERRON_STEPS``
+    products, read at each call, would be needed or an entry underflows;
     it never returns an uncertified value.
     """
-    if max_steps is None:
-        max_steps = _MAX_PERRON_STEPS
+    max_steps = _MAX_PERRON_STEPS
     m, p = len(block.nodes), block.period
     src, dst, w = block.src, block.dst, weight[block.edges]
     sweep = _ClassSweep(block, w)

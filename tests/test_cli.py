@@ -161,15 +161,45 @@ def test_reports_are_deterministic(capsys):
     assert json.loads(second_raw) == first
 
 
-def test_env_config_and_flag_precedence(capsys, monkeypatch):
+def test_cap_comes_from_the_flag_not_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("OMEGAFRACT_CAP", "1")
     code, report = run_cli(capsys, "check", CANTOR)
-    assert code == 1
-    assert report["error"]["code"] == "config"
-    # flag beats environment
+    assert code == 0
+    assert report["config"]["enumeration_cap"] == 4194304
     code, report = run_cli(capsys, "check", CANTOR, "--cap", "4096")
     assert code == 0
     assert report["config"]["enumeration_cap"] == 4096
+
+
+#: The flags each subcommand reads, besides --cap and --pretty.
+FLAG_TABLE = {
+    "check": [],
+    "entropy": ["--depth"],
+    "dim": [],
+    "measure": [],
+    "raster": ["--depth", "--format"],
+    "oracle": ["--depths"],
+}
+FLAG_VALUES = {
+    "--depth": ["2"],
+    "--depths": ["2,6"],
+    "--format": ["interval"],
+    "--cap": ["100000"],
+    "--pretty": [],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("sub", sorted(FLAG_TABLE))
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, sub, flag):
+    argv = [sub, CANTOR, flag, *FLAG_VALUES[flag]]
+    if flag in FLAG_TABLE[sub] or flag in ("--cap", "--pretty"):
+        assert main(argv) == 0
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+    capsys.readouterr()
 
 
 def test_tolerance_is_not_configurable(capsys):
@@ -189,6 +219,20 @@ def test_tolerance_is_not_configurable(capsys):
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_entropy_depth_below_one_is_config_error(capsys, depth):
     code, report = run_cli(capsys, "entropy", CANTOR, "--depth", depth)
+    assert code == 1
+    assert report["error"]["code"] == "config"
+    assert "result" not in report
+
+
+def test_raster_format_has_one_name_each():
+    for fmt in ("interval-list", "bitmap"):
+        with pytest.raises(SystemExit) as exc:
+            main(["raster", CANTOR, "--format", fmt])
+        assert exc.value.code == 64
+
+
+def test_raster_depth_below_zero_is_config_error(capsys):
+    code, report = run_cli(capsys, "raster", CANTOR, "--depth", "-1")
     assert code == 1
     assert report["error"]["code"] == "config"
     assert "result" not in report

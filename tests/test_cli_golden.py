@@ -30,8 +30,7 @@ EXIT_CODES = {("measure", "dyadic"): 2}
 
 @pytest.mark.parametrize("name", AUTOMATA)
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
-def test_cli_output_matches_golden(capsys, monkeypatch, sub, name):
-    monkeypatch.delenv("OMEGAFRACT_CAP", raising=False)
+def test_cli_output_matches_golden(capsys, sub, name):
     code = main([sub, str(AUTOMATA_DIR / f"{name}.json")])
     expected = (GOLDEN_DIR / f"{sub}-{name}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

@@ -184,26 +184,26 @@ def test_estimate_close_to_analytic_random():
 
 
 def test_render_interval_list_cantor(cantor):
-    assert render(cantor, 2, "interval-list") == (
+    assert render(cantor, 2, "interval") == (
         "0/1 1/9\n2/9 1/3\n2/3 7/9\n8/9 1/1\n"
     )
 
 
 def test_render_full_merges_to_unit_interval(full_binary):
-    assert render(full_binary, 1, "interval-list") == "0/1 1/1\n"
+    assert render(full_binary, 1, "interval") == "0/1 1/1\n"
 
 
 def test_render_bitmap_cantor_pair(cantor_pair):
-    assert render(cantor_pair, 1, "bitmap") == "P1\n3 3\n101\n000\n101\n"
+    assert render(cantor_pair, 1, "pbm") == "P1\n3 3\n101\n000\n101\n"
 
 
 def test_render_bitmap_unary(cantor):
-    assert render(cantor, 1, "bitmap") == "P1\n3 1\n101\n"
+    assert render(cantor, 1, "pbm") == "P1\n3 1\n101\n"
 
 
 def test_render_arity_errors(cantor_pair):
     with pytest.raises(ArityError):
-        render(cantor_pair, 1, "interval-list")
+        render(cantor_pair, 1, "interval")
     triple = Automaton(
         base=2,
         arity=3,
@@ -213,7 +213,7 @@ def test_render_arity_errors(cantor_pair):
         accept=frozenset({"s"}),
     )
     with pytest.raises(ArityError):
-        render(triple, 1, "bitmap")
+        render(triple, 1, "pbm")
 
 
 def test_render_unknown_format(cantor):
@@ -221,15 +221,21 @@ def test_render_unknown_format(cantor):
         render(cantor, 1, "svg")
 
 
+@pytest.mark.parametrize("fmt", ["interval-list", "bitmap"])
+def test_render_takes_one_name_per_format(cantor, fmt):
+    with pytest.raises(ValidationError):
+        render(cantor, 1, fmt)
+
+
 def test_render_deterministic(cantor):
-    assert render(cantor, 3, "interval-list") == render(cantor, 3, "interval-list")
+    assert render(cantor, 3, "interval") == render(cantor, 3, "interval")
 
 
 def test_merged_lengths_sum_exactly(cantor, dyadic, golden_mean):
     for a in (cantor, dyadic, golden_mean):
         n = 4
         count = prefix_count(a, n)
-        text = render(a, n, "interval-list")
+        text = render(a, n, "interval")
         total = Fraction(0)
         for line in text.strip().splitlines():
             lo, hi = line.split()

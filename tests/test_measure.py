@@ -314,6 +314,19 @@ def test_component_whose_determinization_splits():
     assert report.total == pytest.approx(1 / phi**2, abs=1e-9)
 
 
+def test_critical_block_with_outflow_has_infinite_closed_measure():
+    # u -> v, each one node with two self-loops: at base 2 and alpha 1 both
+    # have radius 1, so v's measure is its Perron vector and u's series of
+    # paths out to v diverges
+    from omegafract.core import EdgeList, _condensation
+    from omegafract.measure import _closed_measures
+
+    e = EdgeList.from_lists(2, [0, 0, 0, 1, 1], [0, 1, 1, 0, 1], [0, 0, 1, 1, 1])
+    measures, radius = _closed_measures(2, e, _condensation(e), 1.0)
+    assert measures.tolist() == [math.inf, 1.0]
+    assert radius == pytest.approx(1.0, abs=1e-12)
+
+
 def test_counting_measure_of_single_point():
     # dimension 0 means counting measure; one recognized point, measure 1
     a = Automaton(
