@@ -103,7 +103,8 @@ def _jsonable(value):
     """Recursively convert report values to strict-JSON-safe data.
 
     Infinities become the string "inf" (strict JSON has no Infinity);
-    fractions render as exact "p/q" strings; words become digit arrays.
+    fractions render as exact "p/q" strings; dataclasses, symbols among
+    them, become objects of their fields.
     """
     if isinstance(value, float):
         if math.isinf(value):
@@ -118,13 +119,8 @@ def _jsonable(value):
         }
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [_jsonable(v) for v in items]
-    if hasattr(value, "digits"):
-        return list(value.digits)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     return value
 
 
@@ -159,10 +155,10 @@ def _cmd_check(a: Automaton, config: AnalysisConfig, args) -> dict:
 
 
 def _cmd_entropy(a: Automaton, config: AnalysisConfig, args) -> dict:
-    h = entropy(a, cap=config.enumeration_cap)
     requested = args.depth if args.depth is not None else config.oracle_depths[1]
     if requested < 1:
         raise ConfigError(f"--depth must be at least 1, got {requested}")
+    h = entropy(a, cap=config.enumeration_cap)
     depth = config.max_depth(a, requested)
     estimate = entropy_estimate(a, depth, cap=config.enumeration_cap)
     log_k = math.log(a.base)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import getitem, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -156,7 +156,9 @@ class Automaton:
 
     ``states`` is an ordered set: declaration order fixes every matrix
     indexing downstream.  Transitions are stored canonically sorted by
-    (from, symbol, to); duplicates are rejected rather than merged.
+    (from, symbol, to); duplicates are rejected rather than merged.  The
+    pass that checks the transitions also numbers them and sets
+    ``state_index``, ``symbols_used`` (in digit order) and ``edges``.
     """
 
     base: int
@@ -165,6 +167,9 @@ class Automaton:
     transitions: tuple[Transition, ...]
     start: frozenset[str]
     accept: frozenset[str]
+    state_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    symbols_used: tuple[DigitVector, ...] = field(init=False, repr=False, compare=False)
+    edges: EdgeList = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base < 2:
@@ -172,69 +177,66 @@ class Automaton:
         if self.arity < 1:
             raise ValidationError(f"arity must be >= 1, got {self.arity}")
         states = tuple(str(s) for s in self.states)
-        if len(set(states)) != len(states):
+        index = {q: i for i, q in enumerate(states)}
+        if len(index) != len(states):
             raise ValidationError("duplicate state identifiers")
         if not states:
             raise ValidationError("automaton needs at least one state")
-        declared = set(states)
-        # each distinct symbol is checked once; the triples are deduplicated
-        # and sorted as plain (from, digits, to) tuples
-        checked: dict[tuple[int, ...], DigitVector] = {}
-        rows: list[tuple[str, tuple[int, ...], str]] = []
-        for src, sym, dst in self.transitions:
-            if not isinstance(sym, DigitVector):
-                sym = DigitVector(tuple(sym))
-            digits = sym.digits
-            if digits not in checked:
-                checked[digits] = _checked_symbol(sym, self.base, self.arity)
-            if src not in declared:
-                raise ValidationError(f"transition from unknown state {src!r}")
-            if dst not in declared:
-                raise ValidationError(f"transition to unknown state {dst!r}")
-            rows.append((src, digits, dst))
-        if len(set(rows)) != len(rows):
+        # each distinct symbol is numbered and checked where it first appears
+        number: dict[tuple[int, ...], int] = {}
+        used: list[DigitVector] = []
+        rows: list[int] = []
+        for p, s, q in self.transitions:
+            if not isinstance(s, DigitVector):
+                s = DigitVector(tuple(s))
+            c = number.get(s.digits)
+            if c is None:
+                c = number[s.digits] = len(used)
+                used.append(_checked_symbol(s, self.base, self.arity))
+            i = index.get(p)
+            if i is None:
+                raise ValidationError(f"transition from unknown state {p!r}")
+            j = index.get(q)
+            if j is None:
+                raise ValidationError(f"transition to unknown state {q!r}")
+            rows += (i, c, j)
+        # sort by (from, symbol, to) on the ranks of the names and digits;
+        # a repeated triple then shows as two equal neighbouring edges
+        symbol_order = sorted(range(len(used)), key=lambda c: used[c].digits)
+        name_rank = np.argsort(sorted(range(len(states)), key=states.__getitem__))
+        edges = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+        edges[1] = np.argsort(symbol_order)[edges[1]]
+        order = np.lexsort((name_rank[edges[2]], edges[1], name_rank[edges[0]]))
+        edges = edges.take(order, axis=1)  # one contiguous row per array
+        if (edges[:, 1:] == edges[:, :-1]).all(axis=0).any():
             raise ValidationError("duplicate transition triple")
-        rows.sort()
         start = frozenset(str(s) for s in self.start)
         accept = frozenset(str(s) for s in self.accept)
         if not start:
             raise ValidationError("start set must be nonempty")
+        declared = index.keys()
         if not start <= declared:
             raise ValidationError(f"start states {sorted(start - declared)} undeclared")
         if not accept <= declared:
             raise ValidationError(
                 f"accept states {sorted(accept - declared)} undeclared"
             )
-        object.__setattr__(self, "states", states)
-        object.__setattr__(
-            self, "transitions", tuple([(p, checked[d], q) for p, d, q in rows])
+        symbols_used = tuple(used[c] for c in symbol_order)
+        src, sym, dst = edges.tolist()
+        name, symbol = states.__getitem__, symbols_used.__getitem__
+        transitions = zip(map(name, src), map(symbol, sym), map(name, dst))
+        # the dataclass is frozen, so the canonical fields are written directly
+        vars(self).update(
+            states=states,
+            transitions=tuple(transitions),
+            start=start,
+            accept=accept,
+            state_index=index,
+            symbols_used=symbols_used,
+            edges=EdgeList(len(states), *edges),
         )
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "accept", accept)
 
     # -- derived structure (cached; the dataclass is frozen, caches are safe) --
-
-    @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {q: i for i, q in enumerate(self.states)}
-
-    @cached_property
-    def symbols_used(self) -> tuple[DigitVector, ...]:
-        used = {sym.digits: sym for _, sym, _ in self.transitions}
-        return tuple(used[digits] for digits in sorted(used))
-
-    @cached_property
-    def edges(self) -> EdgeList:
-        """The transitions as an :class:`EdgeList` (states in declaration
-        order, symbols in ``symbols_used`` order)."""
-        index = self.state_index
-        symbol = {sym.digits: i for i, sym in enumerate(self.symbols_used)}
-        return EdgeList.from_lists(
-            len(self.states),
-            [index[src] for src, _, _ in self.transitions],
-            [symbol[sym.digits] for _, sym, _ in self.transitions],
-            [index[dst] for _, _, dst in self.transitions],
-        )
 
     @cached_property
     def sccs(self) -> "Condensation":

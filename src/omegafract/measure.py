@@ -348,7 +348,7 @@ def hausdorff_measure(
         )
         total += contribution  # inf absorbs
     dims = [cm.scc_dimension for cm in per_key_state.values()]
-    if not dims or abs(max(dims) - alpha) > REPORT_TOL:
+    if not dims or max(dims) != alpha:
         raise RuntimeError(
             "internal inconsistency: key-state component dimensions do not"
             " attain the Hausdorff dimension"

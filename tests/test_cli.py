@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ from omegafract import Automaton, DigitVector, serialize_automaton
 from omegafract.cli import AnalysisConfig, main
 
 from conftest import AUTOMATA_DIR, child_env
-from helpers_random import reference_product_pairs
+from helpers_random import random_strongly_connected, reference_product_pairs
 
 CANTOR = str(AUTOMATA_DIR / "cantor.json")
 DYADIC = str(AUTOMATA_DIR / "dyadic.json")
@@ -216,9 +217,37 @@ def test_tolerance_is_not_configurable(capsys):
     assert report["config"]["report_tolerance"] == 1e-09
 
 
-@pytest.mark.parametrize("depth", ["0", "-3"])
-def test_entropy_depth_below_one_is_config_error(capsys, depth):
-    code, report = run_cli(capsys, "entropy", CANTOR, "--depth", depth)
+@pytest.mark.parametrize(
+    "depth, cap", [("0", None), ("-3", None), ("0", "5299")], ids=["0", "-3", "0-cap"]
+)
+def test_entropy_depth_below_one_is_config_error(tmp_path, capsys, depth, cap):
+    path, flags = CANTOR, []
+    if cap is not None:
+        # the entropy of this input stops at the cap (cap-exceeded), so the
+        # depth must be rejected before the analysis runs
+        path = tmp_path / "strongly-connected-200.json"
+        a = random_strongly_connected(random.Random(4), 200, extra=100)
+        path.write_text(serialize_automaton(a))
+        flags = ["--cap", cap]
+    code, report = run_cli(capsys, "entropy", str(path), "--depth", depth, *flags)
+    assert code == 1
+    assert report["error"]["code"] == "config"
+    assert "result" not in report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", CANTOR, "--cap", "1"],
+        ["check", PAIR, "--cap", "3"],  # below the alphabet of 9 symbols
+        ["oracle", CANTOR, "--depths", "4"],
+        ["oracle", CANTOR, "--depths", "a,b"],
+        ["oracle", CANTOR, "--depths", "5,3"],
+        ["oracle", CANTOR, "--cap", "16"],  # no usable depth above 4
+    ],
+)
+def test_bad_settings_are_config_errors(capsys, argv):
+    code, report = run_cli(capsys, *argv)
     assert code == 1
     assert report["error"]["code"] == "config"
     assert "result" not in report

@@ -315,16 +315,29 @@ def test_component_whose_determinization_splits():
 
 
 def test_critical_block_with_outflow_has_infinite_closed_measure():
-    # u -> v, each one node with two self-loops: at base 2 and alpha 1 both
-    # have radius 1, so v's measure is its Perron vector and u's series of
-    # paths out to v diverges
     from omegafract.core import EdgeList, _condensation
     from omegafract.measure import _closed_measures
 
-    e = EdgeList.from_lists(2, [0, 0, 0, 1, 1], [0, 1, 1, 0, 1], [0, 0, 1, 1, 1])
-    measures, radius = _closed_measures(2, e, _condensation(e), 1.0)
-    assert measures.tolist() == [math.inf, 1.0]
-    assert radius == pytest.approx(1.0, abs=1e-12)
+    cases = [
+        # u -> v, each one node with two self-loops: at base 2 and alpha 1
+        # both have radius 1, so v's measure is its Perron vector and u's
+        # series of paths out to v diverges
+        ([0, 0, 0, 1, 1], [0, 1, 1, 0, 1], [0, 0, 1, 1, 1], [math.inf, 1.0]),
+        # u -> v -> w, u with one self-loop, v and w with two: v is critical
+        # with outflow, so u's sub-critical block solves against an infinite
+        # right-hand side
+        (
+            [0, 0, 1, 1, 1, 2, 2],
+            [0, 1, 0, 1, 1, 0, 1],
+            [0, 1, 1, 1, 2, 2, 2],
+            [math.inf, math.inf, 1.0],
+        ),
+    ]
+    for src, sym, dst, expected in cases:
+        e = EdgeList.from_lists(len(expected), src, sym, dst)
+        measures, radius = _closed_measures(2, e, _condensation(e), 1.0)
+        assert measures.tolist() == expected
+        assert radius == pytest.approx(1.0, abs=1e-12)
 
 
 def test_counting_measure_of_single_point():
