@@ -9,40 +9,29 @@ from .core import (
     Automaton,
     DigitVector,
     PropertyFlags,
-    SccDecomposition,
     Word,
     accepts,
     automaton_to_dict,
     check_unambiguous,
     classify_properties,
     closure,
-    cycle_automaton,
     enumerate_prefixes,
     load_automaton,
-    multigraph_to_digraph,
     parse_automaton,
     prefix_count,
-    prefix_determinization,
-    scc_decompose,
     serialize_automaton,
-    states_on_cycles,
     trim,
 )
 from .dimension import (
     REPORT_TOL,
     DensityReport,
     DimensionReport,
-    box_dimension,
-    closed_dimension,
     cycle_entropies,
     density_classifier,
-    dimension_gap,
     dimension_report,
-    hausdorff_dimension,
     mw_alpha,
 )
 from .errors import (
-    AcyclicStateError,
     AmbiguousError,
     ArityError,
     CapExceededError,
@@ -50,13 +39,10 @@ from .errors import (
     EmptyLanguageError,
     FormatError,
     NonCriticalExponentWarning,
-    NondeterministicError,
-    NotClosedError,
     NotConvergedError,
     NotStronglyConnectedError,
     NotTrimError,
     OmegafractError,
-    UnreachableStateError,
     ValidationError,
 )
 from .geometry import (
@@ -70,14 +56,11 @@ from .measure import (
     ComponentMeasure,
     MeasureReport,
     hausdorff_measure,
-    key_prefix_series,
     scc_measure,
 )
 from .spectral import (
     entropy,
     entropy_estimate,
-    prefix_growth,
-    substring_automaton,
 )
 
 __version__ = "0.1.0"
@@ -94,42 +77,29 @@ __all__ = [
     "MeasureReport",
     "PropertyFlags",
     "REPORT_TOL",
-    "SccDecomposition",
     "Word",
     "accepts",
     "automaton_to_dict",
     "box_cover",
-    "box_dimension",
     "check_unambiguous",
     "classify_properties",
-    "closed_dimension",
     "closure",
-    "cycle_automaton",
     "cycle_entropies",
     "density_classifier",
-    "dimension_gap",
     "dimension_report",
     "entropy",
     "entropy_estimate",
     "enumerate_prefixes",
     "estimate_box_dimension",
-    "hausdorff_dimension",
     "hausdorff_measure",
-    "key_prefix_series",
     "load_automaton",
-    "multigraph_to_digraph",
     "mw_alpha",
     "nu_k",
     "parse_automaton",
     "prefix_count",
-    "prefix_determinization",
-    "prefix_growth",
     "render",
-    "scc_decompose",
     "scc_measure",
     "serialize_automaton",
-    "states_on_cycles",
-    "substring_automaton",
     "trim",
     # errors
     "OmegafractError",
@@ -137,12 +107,8 @@ __all__ = [
     "ValidationError",
     "EmptyLanguageError",
     "NotTrimError",
-    "NotClosedError",
-    "AcyclicStateError",
-    "NondeterministicError",
     "AmbiguousError",
     "NotStronglyConnectedError",
-    "UnreachableStateError",
     "CapExceededError",
     "ArityError",
     "ConfigError",

@@ -18,16 +18,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import getitem, or_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
-    AcyclicStateError,
     CapExceededError,
     EmptyLanguageError,
     FormatError,
-    NondeterministicError,
     NotStronglyConnectedError,
     NotTrimError,
     ValidationError,
@@ -289,27 +287,6 @@ class PropertyFlags:
     trim: bool
     closed: bool
     weak: bool
-
-
-@dataclass(frozen=True)
-class SccDecomposition:
-    """Strongly connected components of the automaton digraph.
-
-    Components are numbered in topological order of the condensation DAG
-    (edges go from lower to higher ids), states inside a component keep
-    declaration order.  A component is non-trivial iff it contains a
-    transition between two of its own states; a single state with a
-    self-loop is non-trivial.
-    """
-
-    components: tuple[tuple[str, ...], ...]
-    component_of: Mapping[str, int]
-    dag_edges: frozenset[tuple[int, int]]
-    contains_accept: tuple[bool, ...]
-    trivial: tuple[bool, ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
 
 
 @dataclass(frozen=True)
@@ -707,108 +684,6 @@ def _single_block(a: Automaton, operation: str) -> Block:
             " connected component covering all states"
         )
     return blocks[0]
-
-
-def scc_decompose(a: Automaton) -> SccDecomposition:
-    """Strongly connected components of the transition digraph, numbered in
-    topological order of the condensation: :attr:`Automaton.sccs` with
-    states named."""
-    comp_of = a.sccs.component_of
-    e = a.edges
-    groups: list[list[str]] = [[] for _ in range(int(comp_of.max()) + 1)]
-    for q, c in zip(a.states, comp_of.tolist()):
-        groups[c].append(q)
-    components = tuple(map(tuple, groups))
-    src_c, dst_c = comp_of[e.src], comp_of[e.dst]
-    cross = src_c != dst_c
-    return SccDecomposition(
-        components=components,
-        component_of=dict(zip(a.states, comp_of.tolist())),
-        dag_edges=frozenset(zip(src_c[cross].tolist(), dst_c[cross].tolist())),
-        contains_accept=tuple(
-            (np.bincount(comp_of[_accepting(a)], minlength=len(groups)) > 0).tolist()
-        ),
-        trivial=tuple(i not in a.sccs.blocks for i in range(len(components))),
-    )
-
-
-def states_on_cycles(a: Automaton) -> tuple[str, ...]:
-    """States whose strongly connected component is non-trivial."""
-    blocks = a.sccs.blocks
-    return tuple(
-        q for q, c in zip(a.states, a.sccs.component_of.tolist()) if c in blocks
-    )
-
-
-# ---------------------------------------------------------------------------
-# cycle automata and the multigraph -> digraph construction
-# ---------------------------------------------------------------------------
-
-
-def cycle_automaton(a: Automaton, q: str) -> Automaton:
-    """Automaton whose finite-word language is the cycle language of ``q``:
-    all words labeling a run from ``q`` back to itself.
-
-    ``q`` becomes the only start and accept state and the result is
-    trimmed, leaving exactly the states of ``q``'s strongly connected
-    component.  ``q`` must lie on at least one cycle.
-    """
-    if q not in a.state_index:
-        raise ValidationError(f"unknown state {q!r}")
-    if q not in set(states_on_cycles(a)):
-        raise AcyclicStateError(f"state {q!r} lies on no cycle")
-    return trim(a.replace(start=[q], accept=[q]))
-
-
-def multigraph_to_digraph(a: Automaton) -> Automaton:
-    """Equivalent automaton whose transition graph is a true digraph: at
-    most one transition between any ordered pair of states.
-
-    States are (state, incoming-symbol) pairs of the trim part, so parallel
-    edges of the original become edges between distinct pair states.  The
-    start tag uses the lexicographically least alphabet symbol, which makes
-    the construction reproducible.  Input must be deterministic; the
-    accepted infinite-word language is preserved, and closed inputs yield
-    closed outputs.
-    """
-    if not _is_deterministic(a):
-        raise NondeterministicError("digraph form is defined for deterministic input")
-    sigma0 = DigitVector((0,) * a.arity)
-
-    def name(q: int, sym: DigitVector) -> str:
-        return f"{a.states[q]}|{'-'.join(str(d) for d in sym.digits)}"
-
-    (s0,) = _nodes(a, a.start)
-    used, table = a.symbols_used, _successor_table(a.edges)
-    pair_states: list[tuple[int, DigitVector]] = [(s0, sigma0)]
-    seen = {(s0, sigma0)}
-    transitions: list[Transition] = []
-    frontier = deque(pair_states)
-    while frontier:
-        q, tag = frontier.popleft()
-        for c, dsts in enumerate(table[q]):
-            for dst in dsts:
-                target = (dst, used[c])
-                transitions.append((name(q, tag), used[c], name(*target)))
-                if target not in seen:
-                    seen.add(target)
-                    pair_states.append(target)
-                    frontier.append(target)
-    product = Automaton(
-        base=a.base,
-        arity=a.arity,
-        states=tuple(name(q, sym) for q, sym in pair_states),
-        transitions=tuple(transitions),
-        start=frozenset({name(s0, sigma0)}),
-        accept=frozenset(
-            name(q, sym) for q, sym in pair_states if a.states[q] in a.accept
-        ),
-    )
-    result = trim(product)
-    e = result.edges
-    pairs = set(zip(e.src.tolist(), e.dst.tolist()))
-    assert len(pairs) == len(e.src), "pair construction left a multi-edge"
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1308,37 +1183,3 @@ def _prefix_graph(
         starts = [1 << i for i in starts.tolist()]
     d = _subset_construction(b, starts, cap)[1]
     return d, _condensation(d), list(range(len(starts)))
-
-
-def prefix_determinization(
-    a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Automaton:
-    """Deterministic automaton for the prefix language of ``a``.
-
-    Subset construction over the trim input with every subset accepting:
-    the prefix language of a trim automaton is prefix-closed and regular,
-    so runs of the result are in bijection with distinct prefixes.  The
-    result is trim, closed and deterministic.  States are the reachable
-    subsets in breadth-first discovery order, named ``{q1,q2,...}`` with
-    their members in declaration order.
-    """
-    require_trim(a)
-    subsets, edges = _subset_construction(a.edges, [_start_mask(a)], cap)
-    names = [
-        "{" + ",".join(a.states[q] for q in _bits(subset)) + "}"
-        for subset in subsets
-    ]
-    used = a.symbols_used
-    return Automaton(
-        base=a.base,
-        arity=a.arity,
-        states=tuple(names),
-        transitions=tuple(
-            (names[i], used[c], names[j])
-            for i, c, j in zip(
-                edges.src.tolist(), edges.sym.tolist(), edges.dst.tolist()
-            )
-        ),
-        start=frozenset({names[0]}),
-        accept=frozenset(names),
-    )

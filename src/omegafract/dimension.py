@@ -32,11 +32,10 @@ from .core import (
     _reached,
     _single_block,
     _successor_table,
-    classify_properties,
     require_trim,
 )
-from .errors import ArityError, NotClosedError, NotTrimError
-from .spectral import _block_root, entropy
+from .errors import ArityError, NotTrimError
+from .spectral import _block_root
 
 #: Guard band for dimension comparisons, an order of magnitude above the
 #: spectral tolerance the underlying quantities are computed to.
@@ -94,9 +93,8 @@ def cycle_entropies(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[st
     routine whose maximum :func:`~omegafract.spectral.entropy` takes: the
     block's own counting matrix when it is deterministic, else the
     determinization of its edges from all its states or, when that probe
-    is dropped, from its first state in declaration order (the prefix
-    determinization of that state's cycle automaton), with at most ``cap``
-    subsets.
+    is dropped, from its first state in declaration order, with at most
+    ``cap`` subsets.
     """
     require_trim(a)
     d = a.sccs
@@ -121,31 +119,6 @@ def _witnessed_dimension(
     return witness, entropies[witness] / math.log(a.base)
 
 
-def hausdorff_dimension(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """(1/log k) * max cycle-language entropy over accept states on cycles.
-
-    Accept states on no cycle have cycle language {eps} and are skipped;
-    trimness guarantees at least one accept state lies on a cycle.
-    """
-    return _witnessed_dimension(a, cycle_entropies(a, cap=cap), accept_only=True)[1]
-
-
-def box_dimension(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """(1/log k) * max cycle-language entropy over all states on cycles.
-
-    Equals the Hausdorff dimension of the closure of the recognized set.
-    """
-    return _witnessed_dimension(a, cycle_entropies(a, cap=cap), accept_only=False)[1]
-
-
-def closed_dimension(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Dimension of a closed automaton's set: entropy of the accepted
-    language over log k.  Hausdorff and box dimensions coincide with it."""
-    if not classify_properties(a).closed:
-        raise NotClosedError("operation requires a closed automaton")
-    return entropy(a, cap=cap) / math.log(a.base)
-
-
 def dimension_report(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> DimensionReport:
     """Full dimension analysis in one pass over the cycle entropies."""
     entropies = cycle_entropies(a, cap=cap)
@@ -160,20 +133,6 @@ def dimension_report(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> Dimens
         box_witness=b_witness,
         gap=box - hausdorff > REPORT_TOL,
     )
-
-
-def dimension_gap(
-    a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[bool, str | None]:
-    """Whether box dimension strictly exceeds Hausdorff dimension, with a
-    witness: a non-accept state whose cycle entropy beats every accept
-    state's."""
-    report = dimension_report(a, cap=cap)
-    if not report.gap:
-        return (False, None)
-    witness = report.box_witness
-    assert witness not in a.accept
-    return (True, witness)
 
 
 def mw_alpha(a: Automaton) -> float:

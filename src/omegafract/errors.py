@@ -42,24 +42,6 @@ class NotTrimError(OmegafractError):
     code = "not-trim"
 
 
-class NotClosedError(OmegafractError):
-    """Operation requires a closed automaton (trim, all states accepting)."""
-
-    code = "not-closed"
-
-
-class AcyclicStateError(OmegafractError):
-    """The designated state lies on no cycle, so its cycle language is {eps}."""
-
-    code = "acyclic-state"
-
-
-class NondeterministicError(OmegafractError):
-    """Operation requires a deterministic automaton."""
-
-    code = "nondeterministic-input"
-
-
 class AmbiguousError(OmegafractError):
     """Operation requires an unambiguous automaton and the input has a word
     with two distinct accepting runs."""
@@ -72,13 +54,6 @@ class NotStronglyConnectedError(OmegafractError):
     transition."""
 
     code = "not-strongly-connected"
-
-
-class UnreachableStateError(OmegafractError):
-    """The designated state can never act as a key state (no accepting word
-    enters its component there)."""
-
-    code = "unreachable-state"
 
 
 class CapExceededError(OmegafractError):

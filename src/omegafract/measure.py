@@ -40,11 +40,7 @@ from .core import (
     require_trim,
 )
 from .dimension import REPORT_TOL, _witnessed_dimension, cycle_entropies
-from .errors import (
-    AmbiguousError,
-    NonCriticalExponentWarning,
-    UnreachableStateError,
-)
+from .errors import AmbiguousError, NonCriticalExponentWarning
 from .spectral import perron
 
 #: Residual tolerance of the Perron vector behind a component measure (see
@@ -276,34 +272,6 @@ def _key_state_terms(
                 contribution = series * m
             terms[q] = (series, m, contribution)
     return dict(sorted(terms.items()))
-
-
-def key_prefix_series(a: Automaton, q: str, alpha: float) -> float:
-    """Weighted count of q's key prefixes: sum of k^(-alpha*|u|) over all
-    words u running from a start state to the first arrival in q's
-    component at q.
-
-    Requires a trim unambiguous automaton and a state whose component
-    contains an accept state.  Returns ``math.inf`` when infinitely many
-    key prefixes exist and their counting matrix grows at rate >= k^alpha.
-    """
-    require_trim(a)
-    if q not in a.state_index:
-        raise UnreachableStateError(f"unknown state {q!r}")
-    if not check_unambiguous(a):
-        raise AmbiguousError("key-prefix decomposition requires an unambiguous automaton")
-    d = a.sccs
-    i = a.state_index[q]
-    c = int(d.component_of[i])
-    if c not in d.blocks or not _accepting(a)[d.component_of == c].any():
-        raise UnreachableStateError(
-            f"state {q!r} cannot key an accepting run: its component has no"
-            " accepting cycle"
-        )
-    starts = _nodes(a, a.start)
-    if not _entered(a.edges, d, starts)[i]:
-        raise UnreachableStateError(f"no accepting run enters its component at {q!r}")
-    return float(_key_prefix_series(a.edges, d, starts, a.base, alpha)[i])
 
 
 # ---------------------------------------------------------------------------

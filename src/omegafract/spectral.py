@@ -351,33 +351,8 @@ def max_root(blocks, weight: np.ndarray, tol: float = DEFAULT_SPECTRAL_TOL) -> f
 
 
 # ---------------------------------------------------------------------------
-# growth, entropy and the enumeration cross-check
+# entropy and the enumeration cross-check
 # ---------------------------------------------------------------------------
-
-
-def prefix_growth(a: Automaton, N: int) -> tuple[int, ...]:
-    """Exact run counts per length, via big-integer vector iteration over
-    per-state counts seeded with the start indicator, one pass over the
-    edges per length.
-
-    For deterministic automata the value at n equals the number of distinct
-    length-n prefixes; for nondeterministic automata runs are counted, so
-    the values over-approximate string counts.
-    """
-    require_trim(a)
-    if N < 0:
-        raise ValueError("depth must be nonnegative")
-    e = a.edges
-    pairs = list(zip(e.src.tolist(), e.dst.tolist()))
-    vec = [1 if q in a.start else 0 for q in a.states]
-    values = [sum(vec)]
-    for _ in range(N):
-        nxt = [0] * e.n
-        for i, j in pairs:
-            nxt[j] += vec[i]
-        vec = nxt
-        values.append(sum(vec))
-    return tuple(values)
 
 
 def _block_root(e: EdgeList, block: Block, cap: int) -> float:
@@ -385,9 +360,10 @@ def _block_root(e: EdgeList, block: Block, cap: int) -> float:
     words with a run inside ``block`` of ``e``.
 
     Every nonempty set of the block's nodes, as the start of such runs,
-    gives the same growth rate (see :func:`substring_automaton`), so the
-    cheaper of two is used.  A block with at most one edge per node and
-    symbol is its own deterministic counting graph.  Any other block first
+    gives the same growth rate, since the block is irreducible (Lind &
+    Marcus, section 4.4), so the cheaper of two is used.  A block with at
+    most one edge per node and symbol is its own deterministic counting
+    graph.  Any other block first
     tries the subset construction of its own edges from all its nodes,
     which stays small when every image of the full set is large.  That
     probe is dropped at the first subset of fewer than half the block's
@@ -434,11 +410,3 @@ def entropy_estimate(a: Automaton, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -
     if n < 1:
         raise ValueError("estimate needs depth >= 1")
     return math.log(prefix_count(a, n, cap=cap)) / n
-
-
-def substring_automaton(a: Automaton) -> Automaton:
-    """Automaton whose prefix language is the set of substrings of the
-    input's prefixes: every state of the trim part becomes both initial and
-    accepting.  Entropy is preserved, which is exposed as a cross-check."""
-    require_trim(a)
-    return a.replace(start=a.states, accept=a.states)

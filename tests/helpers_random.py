@@ -23,6 +23,7 @@ from omegafract.core import (
     Word,
     _accepting,
     _backward_reachable,
+    _bits,
     _block_edges,
     _checked_symbol,
     _condensation,
@@ -43,7 +44,6 @@ from omegafract.errors import (
     FormatError,
     NotStronglyConnectedError,
     NotTrimError,
-    UnreachableStateError,
     ValidationError,
 )
 from omegafract.dimension import REPORT_TOL
@@ -658,6 +658,22 @@ def reference_enumerate_prefixes(a: Automaton, n: int) -> set[Word]:
     return set(level)
 
 
+def reference_prefix_growth(a: Automaton, n: int) -> tuple[int, ...]:
+    """Exact run counts from a start state at lengths 0..n, by big-integer
+    vector iteration over per-state counts; on a deterministic automaton
+    these are the numbers of distinct prefixes."""
+    pairs = list(zip(a.edges.src.tolist(), a.edges.dst.tolist()))
+    vec = [int(q in a.start) for q in a.states]
+    values = [sum(vec)]
+    for _ in range(n):
+        nxt = [0] * len(vec)
+        for i, j in pairs:
+            nxt[j] += vec[i]
+        vec = nxt
+        values.append(sum(vec))
+    return tuple(values)
+
+
 def reference_check_unambiguous(a: Automaton) -> AmbiguityReport:
     """Decide whether every accepted infinite word has exactly one accepting run.
 
@@ -740,6 +756,22 @@ def reference_product_pairs(a: Automaton) -> set[tuple[str, str]]:
                         seen.add((p2, q2))
                         frontier.append((p2, q2))
     return seen
+
+
+def subset_automaton(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> Automaton:
+    """``_subset_construction`` of ``a`` from its start set, as an automaton
+    named like :func:`reference_prefix_determinization`: every subset
+    ``{q1,q2,...}`` accepting, its members in declaration order."""
+    subsets, e = _subset_construction(a.edges, [_start_mask(a)], cap)
+    names = ["{" + ",".join(a.states[q] for q in _bits(s)) + "}" for s in subsets]
+    used = a.symbols_used
+    transitions = [
+        (names[i], used[c], names[j])
+        for i, c, j in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist())
+    ]
+    return a.replace(
+        states=names, transitions=transitions, start=names[:1], accept=names
+    )
 
 
 def reference_prefix_determinization(
@@ -1111,14 +1143,19 @@ def _reference_series(
     return total
 
 
-def reference_key_prefix_series(a: Automaton, q: str, alpha: float) -> float:
+def key_series(a: Automaton, q: str, alpha: float) -> float | None:
+    """``_key_prefix_series`` at state ``q``; None when no path from a start
+    enters q's component at q."""
+    starts, i = _nodes(a, a.start), a.state_index[q]
+    if _entered(a.edges, a.sccs, starts)[i]:
+        return float(_key_prefix_series(a.edges, a.sccs, starts, a.base, alpha)[i])
+
+
+def reference_key_prefix_series(a: Automaton, q: str, alpha: float) -> float | None:
     """Key-prefix series of state ``q`` of a trim unambiguous automaton,
-    from its own key-prefix graph: raises :class:`UnreachableStateError`
-    when no key prefix of q exists."""
+    from its own key-prefix graph; None when no key prefix of q exists."""
     t = _reference_transient(a.edges, a.sccs, a.state_index[q], _nodes(a, a.start))
-    if t is None:
-        raise UnreachableStateError(f"no accepting run enters its component at {q!r}")
-    return _reference_series(*t, a.base, alpha)
+    return None if t is None else _reference_series(*t, a.base, alpha)
 
 
 # The per-key measure: one prefix graph and one set of Perron solves per
@@ -1237,9 +1274,8 @@ def reference_key_state_terms(
         block = d.blocks.get(c)
         if block is None or not accepting[d.component_of == c].any():
             continue
-        try:
-            series = reference_key_prefix_series(a, q, alpha)
-        except UnreachableStateError:
+        series = reference_key_prefix_series(a, q, alpha)
+        if series is None:
             continue
         root = int(np.searchsorted(block.nodes, a.state_index[q]))
         m = _reference_block_measure(

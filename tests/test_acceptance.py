@@ -9,21 +9,14 @@ import random
 import time
 
 from omegafract import (
-    box_dimension,
-    closed_dimension,
     closure,
-    dimension_gap,
+    dimension_report,
     entropy,
     enumerate_prefixes,
     estimate_box_dimension,
-    hausdorff_dimension,
     hausdorff_measure,
-    key_prefix_series,
-    multigraph_to_digraph,
     mw_alpha,
     prefix_count,
-    prefix_growth,
-    substring_automaton,
     trim,
 )
 from conftest import BUNDLED_UNARY, bundled
@@ -32,8 +25,11 @@ from helpers_random import (
     forbidden_factor_automaton,
     random_deterministic_trim,
     random_strongly_connected,
+    key_series,
     random_trim_automaton,
+    reference_multigraph_to_digraph,
     reference_mw_alpha,
+    reference_prefix_growth,
 )
 
 TOL = 1e-9
@@ -65,9 +61,10 @@ class _Criterion:
 def test_criterion_1_dyadic_dimension_gap():
     c = _Criterion(1, "dyadic rationals: hausdorff 0, box 1, gap with witness", 1.0)
     a = bundled("dyadic")
-    c.check(hausdorff_dimension(a) == 0.0, "hausdorff dimension not exactly 0")
-    c.check(abs(box_dimension(a) - 1.0) <= TOL, "box dimension not 1")
-    gap, witness = dimension_gap(a)
+    r = dimension_report(a)
+    c.check(r.hausdorff == 0.0, "hausdorff dimension not exactly 0")
+    c.check(abs(r.box - 1.0) <= TOL, "box dimension not 1")
+    gap, witness = r.gap, r.box_witness if r.gap else None
     c.check(gap, "gap not detected")
     c.check(witness is not None and witness not in a.accept, "witness not non-accept")
     c.conclude()
@@ -77,9 +74,11 @@ def test_criterion_2_cantor_values():
     c = _Criterion(2, "cantor set: dimensions, oracle slope, unit measure", 5.0)
     a = bundled("cantor")
     expected = math.log(2) / math.log(3)
-    c.check(abs(hausdorff_dimension(a) - expected) <= TOL, "hausdorff off")
-    c.check(abs(box_dimension(a) - expected) <= TOL, "box off")
-    c.check(abs(closed_dimension(a) - expected) <= TOL, "closed-case equality off")
+    r = dimension_report(a)
+    c.check(abs(r.hausdorff - expected) <= TOL, "hausdorff off")
+    c.check(abs(r.box - expected) <= TOL, "box off")
+    closed = entropy(a) / math.log(a.base)
+    c.check(abs(closed - expected) <= TOL, "closed-case equality off")
     c.check(
         abs(estimate_box_dimension(a, 4, 10) - expected) <= 0.01,
         "depth 4-10 slope estimate off by more than 0.01",
@@ -97,9 +96,9 @@ def test_criterion_3_closed_case_equalities():
                 rng, n_states=rng.randint(2, 6), base=rng.choice([2, 3])
             )
         )
-        cd = closed_dimension(a)
-        hd = hausdorff_dimension(a)
-        bd = box_dimension(a)
+        cd = entropy(a) / math.log(a.base)
+        r = dimension_report(a)
+        hd, bd = r.hausdorff, r.box
         c.check(abs(cd - hd) <= TOL, f"#{i}: closed {cd} vs hausdorff {hd}")
         c.check(abs(cd - bd) <= TOL, f"#{i}: closed {cd} vs box {bd}")
     c.conclude()
@@ -132,7 +131,7 @@ def test_criterion_5_oracle_agreement():
     )
     for name in BUNDLED_UNARY:
         a = bundled(name)
-        err = abs(estimate_box_dimension(a, 4, 12) - box_dimension(a))
+        err = abs(estimate_box_dimension(a, 4, 12) - dimension_report(a).box)
         c.check(err <= 0.05, f"{name}: slope error {err:.4f}")
     # zero-dimension draws are redrawn: their polynomially-growing counts
     # give slope bias O(log n / n), below depth-12 resolution
@@ -142,7 +141,7 @@ def test_criterion_5_oracle_agreement():
         drawn = 0
         while drawn < 5:
             a = random_trim_automaton(rng, n_states=4, base=base, density=0.6)
-            dim = box_dimension(a)
+            dim = dimension_report(a).box
             if dim < 0.2:
                 continue
             drawn += 1
@@ -152,7 +151,7 @@ def test_criterion_5_oracle_agreement():
     rng2 = random.Random(105)
     for i in range(4):
         a = random_deterministic_trim(rng2, n_states=4, base=rng2.choice([2, 3]))
-        growth = prefix_growth(a, 12)
+        growth = reference_prefix_growth(a, 12)
         for n in range(13):
             c.check(
                 growth[n] == prefix_count(a, n),
@@ -178,7 +177,7 @@ def test_criterion_6_closure_laws():
             )
     for i in range(10):
         a = random_deterministic_trim(rng, n_states=4, base=rng.choice([2, 3]))
-        dg = multigraph_to_digraph(a)
+        dg = reference_multigraph_to_digraph(a)
         for n in (0, 3, 7, 10):
             c.check(
                 enumerate_prefixes(dg, n) == enumerate_prefixes(a, n),
@@ -218,8 +217,8 @@ def test_criterion_7_measure_pipeline():
         accept=chain.accept,
     )
     for alpha in (1.0, 0.5):
-        s = key_prefix_series(chain, "q", alpha)
-        s_prefixed = key_prefix_series(prefixed, "q", alpha)
+        s = key_series(chain, "q", alpha)
+        s_prefixed = key_series(prefixed, "q", alpha)
         c.check(
             s_prefixed == s * 2.0**-alpha,
             f"prefix scaling not exact at alpha {alpha}",
@@ -233,7 +232,7 @@ def test_criterion_8_entropy_laws():
     for i in range(10):
         a = random_trim_automaton(rng, n_states=4, base=rng.choice([2, 3]))
         h = entropy(a)
-        hs = entropy(substring_automaton(a))
+        hs = entropy(a.replace(start=a.states, accept=a.states))
         c.check(abs(h - hs) <= TOL, f"#{i}: substring entropy {hs} vs {h}")
         b = random_trim_automaton(rng, n_states=3, base=a.base)
         hu = entropy(disjoint_union(a, b))
@@ -262,7 +261,7 @@ def test_criterion_9_prefix_omission_bound():
         a = trim(forbidden_factor_automaton(base, pattern))
         m = n = len(pattern)
         bound = math.log(base ** (m + n) - 1) / ((m + n) * math.log(base))
-        bd = box_dimension(a)
+        bd = dimension_report(a).box
         c.check(
             bd <= bound + TOL,
             f"base {base} pattern {pattern}: box {bd} above bound {bound}",

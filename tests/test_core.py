@@ -6,30 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegafract import (
-    AcyclicStateError,
     Automaton,
     CapExceededError,
     DigitVector,
     EmptyLanguageError,
     FormatError,
-    NondeterministicError,
     NotTrimError,
     ValidationError,
     accepts,
     check_unambiguous,
     classify_properties,
     closure,
-    cycle_automaton,
     enumerate_prefixes,
-    multigraph_to_digraph,
     parse_automaton,
-    prefix_determinization,
-    scc_decompose,
     serialize_automaton,
     trim,
 )
 from helpers_random import (
     disjoint_union,
+    subset_automaton,
     random_automaton,
     random_trim_automaton,
     reference_multigraph_to_digraph,
@@ -257,12 +252,13 @@ def test_closure_preserves_prefixes_random():
 
 
 def test_scc_dyadic(dyadic):
-    scc = scc_decompose(dyadic)
-    assert len(scc) == 2
-    assert scc.components == (("q0",), ("q1",))
-    assert scc.trivial == (False, False)  # both have self-loops
-    assert scc.dag_edges == frozenset({(0, 1)})
-    assert scc.contains_accept == (False, True)
+    scc = dyadic.sccs
+    assert scc.component_of.tolist() == [0, 1]
+    assert list(scc.blocks) == [0, 1]  # both have self-loops
+    e = dyadic.edges
+    cross = scc.component_of[e.src] != scc.component_of[e.dst]
+    assert set(zip(e.src[cross].tolist(), e.dst[cross].tolist())) == {(0, 1)}
+    assert [scc.component_of[dyadic.state_index[q]] for q in dyadic.accept] == [1]
 
 
 def test_scc_single_state_no_transitions():
@@ -270,8 +266,8 @@ def test_scc_single_state_no_transitions():
         base=2, arity=1, states=("s",), transitions=(),
         start=frozenset({"s"}), accept=frozenset(),
     )
-    scc = scc_decompose(a)
-    assert len(scc) == 1 and scc.trivial == (True,)
+    scc = a.sccs
+    assert scc.component_of.tolist() == [0] and scc.blocks == {}
 
 
 def test_scc_complete_automaton_single_component():
@@ -281,17 +277,19 @@ def test_scc_complete_automaton_single_component():
     )
     a = Automaton(base=2, arity=1, states=states, transitions=transitions,
                   start=frozenset({"a"}), accept=frozenset(states))
-    scc = scc_decompose(a)
-    assert len(scc) == 1 and not scc.trivial[0]
+    scc = a.sccs
+    assert scc.component_of.tolist() == [0, 0, 0] and list(scc.blocks) == [0]
 
 
 def test_scc_dag_topological():
     rng = random.Random(11)
     for _ in range(10):
         a = random_automaton(rng, n_states=5)
-        scc = scc_decompose(a)
-        assert all(i < j for i, j in scc.dag_edges)
-        assert sorted(q for comp in scc.components for q in comp) == sorted(a.states)
+        comp = a.sccs.component_of
+        src, dst = comp[a.edges.src], comp[a.edges.dst]
+        assert all(i < j for i, j in zip(src.tolist(), dst.tolist()) if i != j)
+        assert len(comp) == len(a.states)
+        assert set(comp.tolist()) == set(range(comp.max() + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +298,7 @@ def test_scc_dag_topological():
 
 
 def test_cycle_automaton_dyadic_q0(dyadic):
-    c = cycle_automaton(dyadic, "q0")
+    c = trim(dyadic.replace(start=["q0"], accept=["q0"]))
     assert c.states == ("q0",)
     assert len(c.transitions) == 2  # loops on both digits
     assert enumerate_prefixes(c, 8) == enumerate_prefixes(
@@ -309,7 +307,7 @@ def test_cycle_automaton_dyadic_q0(dyadic):
 
 
 def test_cycle_automaton_dyadic_q1(dyadic):
-    c = cycle_automaton(dyadic, "q1")
+    c = trim(dyadic.replace(start=["q1"], accept=["q1"]))
     assert c.states == ("q1",)
     assert len(c.transitions) == 1
     assert accepts(c, word(0, 0, 0)) and not accepts(c, word(1))
@@ -324,8 +322,8 @@ def test_cycle_automaton_acyclic_state():
         start=frozenset({"q0"}),
         accept=frozenset({"q1"}),
     )
-    with pytest.raises(AcyclicStateError):
-        cycle_automaton(a, "q0")
+    with pytest.raises(EmptyLanguageError):
+        trim(a.replace(start=["q0"], accept=["q0"]))
 
 
 def test_cycle_language_star_closed():
@@ -334,8 +332,8 @@ def test_cycle_language_star_closed():
         a = random_trim_automaton(rng, n_states=4)
         for q in a.states:
             try:
-                c = cycle_automaton(a, q)
-            except AcyclicStateError:
+                c = trim(a.replace(start=[q], accept=[q]))
+            except EmptyLanguageError:
                 continue
             words = [
                 w
@@ -354,36 +352,13 @@ def test_cycle_language_star_closed():
 # ---------------------------------------------------------------------------
 
 
-def test_digraph_cantor(cantor):
-    dg = multigraph_to_digraph(cantor)
-    assert len(dg.states) == 2
-    assert len(dg.transitions) == 4
-    assert len({(s, d) for s, _, d in dg.transitions}) == len(dg.transitions)
-    for n in (0, 5, 10):
-        assert enumerate_prefixes(dg, n) == enumerate_prefixes(cantor, n)
-    assert classify_properties(dg).closed
-
-
-def test_digraph_full_binary(full_binary):
-    dg = multigraph_to_digraph(full_binary)
-    assert len(dg.states) == 2
-    for n in (1, 6):
-        assert enumerate_prefixes(dg, n) == enumerate_prefixes(full_binary, n)
-
-
-def test_digraph_rejects_nondeterministic(dyadic):
-    with pytest.raises(NondeterministicError):
-        multigraph_to_digraph(dyadic)
-
-
 def test_digraph_prefix_equality_random():
     rng = random.Random(5)
     from helpers_random import random_deterministic_trim
 
     for _ in range(10):
         a = random_deterministic_trim(rng, n_states=4, base=rng.choice([2, 3]))
-        dg = multigraph_to_digraph(a)
-        assert dg == reference_multigraph_to_digraph(a)
+        dg = reference_multigraph_to_digraph(a)
         assert len({(s, d) for s, _, d in dg.transitions}) == len(dg.transitions)
         for n in (1, 4, 8, 10):
             assert enumerate_prefixes(dg, n) == enumerate_prefixes(a, n)
@@ -488,7 +463,7 @@ def test_enumerate_cap(cantor):
 
 
 def test_prefix_determinization_is_deterministic_closed(dyadic):
-    det = prefix_determinization(dyadic)
+    det = subset_automaton(dyadic)
     flags = classify_properties(det)
     assert flags.deterministic and flags.closed
     for n in (1, 4, 8):
@@ -503,7 +478,7 @@ def test_prefix_counts_invariant_under_determinization():
     rng = random.Random(17)
     for _ in range(10):
         a = random_trim_automaton(rng, n_states=4, base=rng.choice([2, 3]))
-        det = prefix_determinization(a)
+        det = subset_automaton(a)
         for n in range(11):
             assert prefix_count(det, n) == prefix_count(a, n)
 

@@ -9,20 +9,14 @@ from omegafract import (
     ArityError,
     Automaton,
     DigitVector,
-    NotClosedError,
+    EmptyLanguageError,
     NotStronglyConnectedError,
     NotTrimError,
-    box_dimension,
-    closed_dimension,
     closure,
-    cycle_automaton,
     density_classifier,
-    dimension_gap,
     dimension_report,
     entropy,
     estimate_box_dimension,
-    hausdorff_dimension,
-    multigraph_to_digraph,
     mw_alpha,
     serialize_automaton,
     trim,
@@ -33,6 +27,7 @@ from helpers_random import (
     random_multi_scc,
     random_strongly_connected,
     random_trim_automaton,
+    reference_multigraph_to_digraph,
     reference_mw_alpha,
 )
 
@@ -45,45 +40,45 @@ LOG23 = math.log(2) / math.log(3)
 
 
 def test_dyadic_dimensions(dyadic):
-    assert hausdorff_dimension(dyadic) == 0.0
-    assert box_dimension(dyadic) == pytest.approx(1.0, abs=1e-9)
-    assert dimension_gap(dyadic) == (True, "q0")
+    r = dimension_report(dyadic)
+    assert r.hausdorff == 0.0
+    assert r.box == pytest.approx(1.0, abs=1e-9)
+    assert (r.gap, r.box_witness if r.gap else None) == (True, "q0")
 
 
 def test_cantor_dimensions(cantor):
-    assert hausdorff_dimension(cantor) == pytest.approx(LOG23, abs=1e-9)
-    assert box_dimension(cantor) == pytest.approx(LOG23, abs=1e-9)
-    assert closed_dimension(cantor) == pytest.approx(LOG23, abs=1e-9)
-    assert dimension_gap(cantor) == (False, None)
+    r = dimension_report(cantor)
+    assert r.hausdorff == pytest.approx(LOG23, abs=1e-9)
+    assert r.box == pytest.approx(LOG23, abs=1e-9)
+    assert entropy(cantor) / math.log(3) == pytest.approx(LOG23, abs=1e-9)
+    assert (r.gap, r.box_witness if r.gap else None) == (False, None)
 
 
 def test_full_binary_dimensions(full_binary):
-    assert hausdorff_dimension(full_binary) == pytest.approx(1.0, abs=1e-12)
-    assert box_dimension(full_binary) == pytest.approx(1.0, abs=1e-12)
-    assert closed_dimension(full_binary) == pytest.approx(1.0, abs=1e-12)
-    assert dimension_gap(full_binary) == (False, None)
+    r = dimension_report(full_binary)
+    assert r.hausdorff == pytest.approx(1.0, abs=1e-12)
+    assert r.box == pytest.approx(1.0, abs=1e-12)
+    assert entropy(full_binary) / math.log(2) == pytest.approx(1.0, abs=1e-12)
+    assert (r.gap, r.box_witness if r.gap else None) == (False, None)
 
 
 def test_closure_of_dyadic_has_dimension_one(dyadic):
-    assert closed_dimension(closure(dyadic)) == pytest.approx(1.0, abs=1e-12)
+    assert entropy(closure(dyadic)) / math.log(2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_golden_mean_dimensions(golden_mean):
     phi = (1 + math.sqrt(5)) / 2
     expected = math.log(phi) / math.log(2)
-    assert hausdorff_dimension(golden_mean) == pytest.approx(expected, abs=1e-9)
-    assert box_dimension(golden_mean) == pytest.approx(expected, abs=1e-9)
+    r = dimension_report(golden_mean)
+    assert r.hausdorff == pytest.approx(expected, abs=1e-9)
+    assert r.box == pytest.approx(expected, abs=1e-9)
 
 
 def test_cantor_pair_dimensions(cantor_pair):
     expected = math.log(4) / math.log(3)  # two-dimensional Cantor dust
-    assert hausdorff_dimension(cantor_pair) == pytest.approx(expected, abs=1e-9)
-    assert box_dimension(cantor_pair) == pytest.approx(expected, abs=1e-9)
-
-
-def test_closed_dimension_requires_closed(dyadic):
-    with pytest.raises(NotClosedError):
-        closed_dimension(dyadic)
+    r = dimension_report(cantor_pair)
+    assert r.hausdorff == pytest.approx(expected, abs=1e-9)
+    assert r.box == pytest.approx(expected, abs=1e-9)
 
 
 def test_dimension_requires_trim(dyadic):
@@ -93,9 +88,8 @@ def test_dimension_requires_trim(dyadic):
         states=dyadic.states + ("dead",),
         transitions=dyadic.transitions + (("dead", DigitVector((1,)), "dead"),),
     )
-    for op in (hausdorff_dimension, box_dimension, dimension_gap):
-        with pytest.raises(NotTrimError):
-            op(padded)
+    with pytest.raises(NotTrimError):
+        dimension_report(padded)
 
 
 def test_dimension_report_fields(dyadic):
@@ -129,8 +123,8 @@ def test_box_equals_hausdorff_of_closure_random():
     rng = random.Random(42)
     for _ in range(12):
         a = random_trim_automaton(rng, n_states=5, base=rng.choice([2, 3]))
-        assert box_dimension(a) == pytest.approx(
-            hausdorff_dimension(closure(a)), abs=1e-9
+        assert dimension_report(a).box == pytest.approx(
+            dimension_report(closure(a)).hausdorff, abs=1e-9
         )
 
 
@@ -138,9 +132,9 @@ def test_closed_case_equalities_random():
     rng = random.Random(43)
     for _ in range(12):
         a = closure(random_trim_automaton(rng, n_states=5, base=rng.choice([2, 3])))
-        c = closed_dimension(a)
-        assert abs(c - hausdorff_dimension(a)) <= 1e-9
-        assert abs(c - box_dimension(a)) <= 1e-9
+        c, r = entropy(a) / math.log(a.base), dimension_report(a)
+        assert abs(c - r.hausdorff) <= 1e-9
+        assert abs(c - r.box) <= 1e-9
 
 
 def test_single_loop_state_automata_have_no_gap():
@@ -150,10 +144,10 @@ def test_single_loop_state_automata_have_no_gap():
         a = random_trim_automaton(rng, n_states=4, base=2)
         for q in a.states:
             try:
-                c = cycle_automaton(a, q)
-            except Exception:
+                r = dimension_report(trim(a.replace(start=[q], accept=[q])))
+            except EmptyLanguageError:
                 continue
-            assert abs(hausdorff_dimension(c) - box_dimension(c)) <= 1e-9
+            assert abs(r.hausdorff - r.box) <= 1e-9
 
 
 def test_start_state_independence_strongly_connected():
@@ -161,7 +155,7 @@ def test_start_state_independence_strongly_connected():
     for _ in range(8):
         a = random_strongly_connected(rng, n_states=4, base=rng.choice([2, 3]))
         dims = {
-            q: hausdorff_dimension(a.replace(start=[q]))
+            q: dimension_report(a.replace(start=[q])).hausdorff
             for q in a.states
         }
         values = list(dims.values())
@@ -191,9 +185,10 @@ def test_gap_with_cantor_like_accept_component():
             accept=frozenset({"q1"}),
         )
     )
-    assert hausdorff_dimension(a) == pytest.approx(LOG23, abs=1e-9)
-    assert box_dimension(a) == pytest.approx(1.0, abs=1e-9)
-    assert dimension_gap(a) == (True, "q0")
+    r = dimension_report(a)
+    assert r.hausdorff == pytest.approx(LOG23, abs=1e-9)
+    assert r.box == pytest.approx(1.0, abs=1e-9)
+    assert (r.gap, r.box_witness if r.gap else None) == (True, "q0")
     assert estimate_box_dimension(a, 4, 10) == pytest.approx(1.0, abs=0.01)
 
 
@@ -217,9 +212,10 @@ def test_tied_cycle_entropies_mean_no_gap():
         start=frozenset({"q0"}),
         accept=frozenset({"q1"}),
     )
-    assert hausdorff_dimension(a) == pytest.approx(LOG23, abs=1e-9)
-    assert box_dimension(a) == pytest.approx(LOG23, abs=1e-9)
-    assert dimension_gap(a) == (False, None)
+    r = dimension_report(a)
+    assert r.hausdorff == pytest.approx(LOG23, abs=1e-9)
+    assert r.box == pytest.approx(LOG23, abs=1e-9)
+    assert (r.gap, r.box_witness if r.gap else None) == (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +292,8 @@ def test_mw_alpha_matches_bisection_oracle(tmp_path, capsys):
         alphas = json.loads(capsys.readouterr().out)["result"]["mw_alpha_per_scc"]
         assert len(alphas) >= 2
         for key, value in alphas.items():
-            ref = reference_mw_alpha(cycle_automaton(a, key.split("+")[0]))
+            q = key.split("+")[0]
+            ref = reference_mw_alpha(trim(a.replace(start=[q], accept=[q])))
             assert abs(value - ref) <= 2.0**-39
 
 
@@ -320,20 +317,17 @@ def test_mw_alpha_matches_entropy_random():
 
 
 def test_mw_alpha_agrees_with_digraph_route():
-    from omegafract import scc_decompose
-
     rng = random.Random(47)
     for _ in range(8):
         a = random_strongly_connected(
             rng, n_states=3, base=rng.choice([2, 3]), deterministic=True
         )
-        dg = multigraph_to_digraph(a.replace(accept=a.states))
+        dg = reference_multigraph_to_digraph(a.replace(accept=a.states))
         # the start tag state may be transient; reroot onto the recurrent
         # component, which corresponds to the input's single component
-        scc = scc_decompose(dg)
-        comps = [c for i, c in enumerate(scc.components) if not scc.trivial[i]]
-        assert len(comps) == 1
-        sub = trim(dg.replace(start=[comps[0][0]]))
+        blocks = list(dg.sccs.blocks.values())
+        assert len(blocks) == 1
+        sub = trim(dg.replace(start=[dg.states[blocks[0].nodes[0]]]))
         assert mw_alpha(sub) == pytest.approx(mw_alpha(a), abs=1e-9)
 
 
@@ -362,14 +356,14 @@ def test_prefix_omission_bound(base, pattern):
     a = trim(forbidden_factor_automaton(base, pattern))
     m = n = len(pattern)
     bound = math.log(base ** (m + n) - 1) / ((m + n) * math.log(base))
-    assert box_dimension(a) <= bound + 1e-9
+    assert dimension_report(a).box <= bound + 1e-9
     assert bound < 1
 
 
 @pytest.mark.parametrize("base,pattern", FORBIDDEN_CASES[:4])
 def test_prefix_omission_strict_gap_below_one(base, pattern):
     a = trim(forbidden_factor_automaton(base, pattern))
-    assert box_dimension(a) < 1 - 1e-9
+    assert dimension_report(a).box < 1 - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,18 @@ from omegafract import (
     DigitVector,
     ValidationError,
     box_cover,
-    box_dimension,
+    dimension_report,
     enumerate_prefixes,
     estimate_box_dimension,
     nu_k,
     prefix_count,
-    prefix_growth,
     render,
 )
-from helpers_random import random_deterministic_trim, random_trim_automaton
+from helpers_random import (
+    random_deterministic_trim,
+    random_trim_automaton,
+    reference_prefix_growth,
+)
 
 
 def sym(*digits):
@@ -132,7 +135,7 @@ def test_count_consistency_with_growth():
     rng = random.Random(62)
     for _ in range(6):
         a = random_deterministic_trim(rng, n_states=4, base=rng.choice([2, 3]))
-        growth = prefix_growth(a, 8)
+        growth = reference_prefix_growth(a, 8)
         for n in range(9):
             assert prefix_count(a, n) == growth[n]
 
@@ -170,7 +173,7 @@ def test_estimate_close_to_analytic_random():
     drawn = 0
     while drawn < 5:
         a = random_trim_automaton(rng, n_states=4, base=2)
-        dim = box_dimension(a)
+        dim = dimension_report(a).box
         if dim < 0.2:
             continue
         drawn += 1

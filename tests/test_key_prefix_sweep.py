@@ -14,11 +14,9 @@ import pytest
 from omegafract import measure
 from omegafract import (
     CapExceededError,
-    UnreachableStateError,
     check_unambiguous,
     cycle_entropies,
     hausdorff_measure,
-    key_prefix_series,
     trim,
 )
 from omegafract.core import (
@@ -31,6 +29,7 @@ from conftest import bundled
 from helpers_random import (
     comb,
     guessing_automaton,
+    key_series,
     random_deterministic_trim,
     random_multi_scc,
     random_trim_automaton,
@@ -141,13 +140,6 @@ def test_inputs_cover_every_generator():
     assert sum(len(pd.blocks) >= 2 for _, pd in unions) >= len(SPLIT_DRAWS)
 
 
-def _series_or_error(series, a, q, alpha):
-    try:
-        return series(a, q, alpha)
-    except UnreachableStateError:
-        return None
-
-
 @pytest.mark.parametrize("alpha_of", ["alpha", "half_plus", "fixed"])
 def test_key_prefix_series_matches_reference(alpha_of):
     keys = infinite = 0
@@ -155,9 +147,9 @@ def test_key_prefix_series_matches_reference(alpha_of):
         alpha = hausdorff_measure(a).alpha
         alpha = {"alpha": alpha, "half_plus": alpha / 2 + 0.3, "fixed": 1.7}[alpha_of]
         for q in filter(lambda q: _accepting_block(a, q), a.states):
-            value = _series_or_error(key_prefix_series, a, q, alpha)
-            expected = _series_or_error(reference_key_prefix_series, a, q, alpha)
-            # both raise exactly on the states no key prefix reaches
+            value = key_series(a, q, alpha)
+            expected = reference_key_prefix_series(a, q, alpha)
+            # both are None exactly on the states no key prefix reaches
             assert (value is None) == (expected is None), (name, q)
             if expected is not None:
                 assert _same(value, expected), (name, q, alpha, value, expected)

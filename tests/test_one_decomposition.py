@@ -20,7 +20,6 @@ from omegafract import (
     hausdorff_measure,
     mw_alpha,
     parse_automaton,
-    scc_decompose,
     serialize_automaton,
 )
 from omegafract import core, dimension, measure, spectral
@@ -133,11 +132,14 @@ def _ids(value):
     return value if isinstance(value, str) else ""
 
 
+def _strongly_connected(a):
+    return 0 in a.sccs.blocks and not a.sccs.component_of.any()
+
+
 @pytest.mark.parametrize("name, a", INPUTS, ids=_ids)
 def test_per_component_analyses_build_no_automaton(monkeypatch, name, a):
     unambiguous = bool(check_unambiguous(a))
-    scc = scc_decompose(a)
-    strongly_connected = len(scc) == 1 and not scc.trivial[0]
+    strongly_connected = _strongly_connected(a)
     a = _fresh(a)
     built = _count_constructions(monkeypatch)
     cycle_entropies(a)
@@ -206,13 +208,8 @@ def _key_candidates(a: Automaton) -> list[str]:
     """States that can key an accepting run: in a non-trivial component
     holding an accept state, and a start or entered by a transition from
     another component."""
-    scc = scc_decompose(a)
-    component = {q: i for i, c in enumerate(scc.components) for q in c}
-    keyed = {
-        i
-        for i, c in enumerate(scc.components)
-        if not scc.trivial[i] and any(q in a.accept for q in c)
-    }
+    component = dict(zip(a.states, a.sccs.component_of.tolist()))
+    keyed = {component[q] for q in a.accept} & a.sccs.blocks.keys()
     entered = set(a.start) | {
         q for p, _, q in a.transitions if component[p] != component[q]
     }
@@ -250,7 +247,7 @@ def _count_perron_calls(monkeypatch) -> list:
     return calls
 
 
-STRONGLY_CONNECTED = [(n, a) for n, a in INPUTS if scc_decompose(a).trivial == (False,)]
+STRONGLY_CONNECTED = [(n, a) for n, a in INPUTS if _strongly_connected(a)]
 
 
 @pytest.mark.parametrize("name, a", STRONGLY_CONNECTED, ids=_ids)

@@ -22,7 +22,6 @@ from omegafract import (
     dimension_report,
     trim,
     entropy,
-    prefix_determinization,
     scc_measure,
 )
 from omegafract import dimension, measure, spectral
@@ -35,6 +34,7 @@ from helpers_random import (
     disjoint_union,
     guessing_automaton,
     irreducible_blocks,
+    subset_automaton,
     random_automaton,
     random_deterministic_trim,
     random_multi_scc,
@@ -474,7 +474,7 @@ def _random_nfas():
 
 def test_prefix_determinization_matches_reference():
     for a in [bundled(name) for name in BUNDLED] + list(_random_nfas()):
-        assert prefix_determinization(a) == reference_prefix_determinization(a)
+        assert subset_automaton(a) == reference_prefix_determinization(a)
 
 
 def _larger_ambiguity_inputs(rng: random.Random) -> list[Automaton]:
@@ -736,7 +736,7 @@ def test_density_on_deterministic_input_skips_the_reroot(monkeypatch):
     dense = 0
     for _ in range(20):
         a = random_multi_scc(rng, n_blocks=rng.randint(2, 3), full_last=True)
-        monkeypatch.setattr(dimension, "hausdorff_dimension", fail)
+        monkeypatch.setattr(dimension, "_block_root", fail)
         report = density_classifier(a)
         monkeypatch.undo()
         assert report == density_classifier(a)

@@ -18,14 +18,10 @@ from omegafract import (
     DigitVector,
     NotTrimError,
     classify_properties,
-    cycle_automaton,
     cycle_entropies,
     density_classifier,
+    dimension_report,
     entropy,
-    hausdorff_dimension,
-    prefix_determinization,
-    scc_decompose,
-    states_on_cycles,
     trim,
 )
 from omegafract import core, dimension
@@ -34,6 +30,7 @@ from omegafract.dimension import REPORT_TOL, DensityReport, _complete_cycle_stat
 from omegafract.errors import CapExceededError
 from helpers_random import (
     complete_nfa_block,
+    subset_automaton,
     random_automaton,
     random_multi_scc,
     random_strongly_connected,
@@ -46,12 +43,12 @@ SEEDS = range(40)
 
 
 def _multi_state_components(a):
-    scc = scc_decompose(a)
-    return [
-        comp
-        for cid, comp in enumerate(scc.components)
-        if not scc.trivial[cid] and len(comp) > 1
-    ]
+    return [b for b in a.sccs.blocks.values() if len(b.nodes) > 1]
+
+
+def _on_cycles(a):
+    comp = a.sccs.component_of.tolist()
+    return [q for q, c in zip(a.states, comp) if c in a.sccs.blocks]
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
@@ -64,17 +61,17 @@ def test_cycle_entropies_match_per_state_route(deterministic):
         assert len(_multi_state_components(a)) >= 2
         assert classify_properties(a).deterministic == deterministic
         got = cycle_entropies(a)
-        assert list(got) == list(states_on_cycles(a))
-        for q in states_on_cycles(a):
+        assert list(got) == _on_cycles(a)
+        for q in _on_cycles(a):
             assert got[q] == pytest.approx(
-                entropy(cycle_automaton(a, q)), abs=1e-12
+                entropy(trim(a.replace(start=[q], accept=[q]))), abs=1e-12
             )
 
 
 def _complete_by_subsets(a, q):
     """Per-state oracle: determinize q's cycle automaton and look for a
     reachable subset missing a digit."""
-    det = prefix_determinization(cycle_automaton(a, q))
+    det = subset_automaton(trim(a.replace(start=[q], accept=[q])))
     full = a.base**a.arity
     degree = {s: 0 for s in det.states}
     for src, _, _ in det.transitions:
@@ -95,13 +92,13 @@ def test_density_witnesses_match_per_state_check(deterministic):
         )
         per_state = [
             q
-            for q in states_on_cycles(a)
+            for q in _on_cycles(a)
             if reference_cycle_prefixes_complete(
                 a, a.state_index[q], DEFAULT_ENUMERATION_CAP
             )
         ]
         assert per_state == [
-            q for q in states_on_cycles(a) if _complete_by_subsets(a, q)
+            q for q in _on_cycles(a) if _complete_by_subsets(a, q)
         ]
         assert (
             _complete_cycle_states(a, DEFAULT_ENUMERATION_CAP)
@@ -115,13 +112,13 @@ def _density_per_state(a):
     """The classifier as a per-state loop: every witness found by its own
     determinization, rerooted and its dimension computed, with nothing
     shared between the states of one component."""
-    witnesses = [q for q in states_on_cycles(a) if _complete_by_subsets(a, q)]
+    witnesses = [q for q in _on_cycles(a) if _complete_by_subsets(a, q)]
     if not witnesses:
         return DensityReport(True, False, None)
     for q in witnesses:
         u = reference_shortest_word_to(a, q)
         rerooted = trim(a.replace(start=reference_run_word(a, u)))
-        if hausdorff_dimension(rerooted) < 1.0 - REPORT_TOL:
+        if dimension_report(rerooted).hausdorff < 1.0 - REPORT_TOL:
             left = sum(
                 (Fraction(sym[0], a.base ** (i + 1)) for i, sym in enumerate(u)),
                 Fraction(0),
@@ -236,7 +233,7 @@ def test_density_reads_codensity_off_the_cycle_entropies(monkeypatch):
 
     monkeypatch.setattr(core, "trim", fail)
     monkeypatch.setattr(dimension, "trim", fail, raising=False)
-    monkeypatch.setattr(dimension, "hausdorff_dimension", fail)
+    monkeypatch.setattr(dimension, "dimension_report", fail)
     for a in _complete_nfa_blocks():
         report = density_classifier(a)
         assert report.dense_codense_on_interval == (Fraction(0), Fraction(1))

