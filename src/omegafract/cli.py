@@ -24,6 +24,7 @@ from . import geometry
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Automaton,
+    _max_depth,
     check_unambiguous,
     classify_properties,
     load_automaton,
@@ -77,7 +78,7 @@ class AnalysisConfig:
             raise ConfigError("oracle depths must satisfy 0 <= low < high")
 
     def check_automaton(self, a: Automaton) -> None:
-        if self.enumeration_cap < a.base**a.arity:
+        if _max_depth(a, self.enumeration_cap) < 1:
             raise ConfigError(
                 f"cap {self.enumeration_cap} cannot enumerate even depth 1"
                 f" (alphabet size {a.base ** a.arity})"
@@ -85,11 +86,7 @@ class AnalysisConfig:
 
     def max_depth(self, a: Automaton, requested: int) -> int:
         """Largest depth <= requested whose worst case fits under the cap."""
-        depth = 0
-        alphabet = a.base**a.arity
-        while depth < requested and alphabet ** (depth + 1) <= self.enumeration_cap:
-            depth += 1
-        return depth
+        return max(0, min(requested, _max_depth(a, self.enumeration_cap)))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -901,12 +901,26 @@ def check_unambiguous(
 # ---------------------------------------------------------------------------
 
 
+def _max_depth(a: Automaton, cap: int) -> int:
+    """Largest depth n whose worst case (k^d)^n strings fits under ``cap``,
+    -1 when not even depth 0 does; at most log2(cap) multiplications,
+    without building (k^d)^n for any n past it."""
+    if cap < 1:
+        return -1
+    alphabet, n, size = a.base**a.arity, 0, 1
+    while size <= cap // alphabet:
+        n, size = n + 1, size * alphabet
+    return n
+
+
 def _check_cap(a: Automaton, n: int, cap: int) -> None:
     if n < 0:
         raise ValidationError("depth must be nonnegative")
-    if (a.base ** a.arity) ** n > cap:
+    deepest = _max_depth(a, cap)
+    if n > deepest:
         raise CapExceededError(
-            f"depth {n} needs up to {(a.base ** a.arity) ** n} strings, cap is {cap}"
+            f"depth {n} needs up to {a.base**a.arity}^{n} strings, cap is {cap}:"
+            f" the deepest depth it allows is {deepest}"
         )
 
 

@@ -90,12 +90,10 @@ def _box_count_fit(
     """Box counts (prefix counts, within a factor 3^d of the minimal grid
     count, which the slope cannot see) at every depth in [n_min, n_max],
     from one level-by-level enumeration pass, and the least-squares slope
-    of log(count) against n log k.  The cap is checked before enumerating,
-    so the error names the first depth over it."""
+    of log(count) against n log k."""
     if not 0 <= n_min < n_max:
         raise ValidationError("need 0 <= n_min < n_max")
-    for n in range(n_min, n_max + 1):
-        _check_cap(a, n, cap)
+    _check_cap(a, n_max, cap)
     counts = [len(level) for level in _prefix_levels(a, n_max)][n_min:]
     log_k = math.log(a.base)
     xs = [n * log_k for n in range(n_min, n_max + 1)]

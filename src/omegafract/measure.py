@@ -5,7 +5,9 @@ the state at which the unique accepting run permanently enters a strongly
 connected component.  Each part contributes the measure of that component's
 set, scaled by a geometric series over the key prefixes leading to it; the
 measure of a closed strongly connected component itself comes from the
-Perron eigenvector of its transfer matrix at the critical exponent.
+Perron eigenvector of its transfer matrix at the critical exponent.  That
+exponent alpha, the Hausdorff dimension, and the per-state cycle entropies
+are read from :func:`~omegafract.dimension.dimension_report`.
 
 Components are the blocks of ``Automaton.sccs``, the one decomposition of
 ``Automaton.edges``.  The key-prefix series of every state come from one
@@ -39,8 +41,8 @@ from .core import (
     check_unambiguous,
     require_trim,
 )
-from .dimension import REPORT_TOL, _witnessed_dimension, cycle_entropies
-from .errors import AmbiguousError, NonCriticalExponentWarning
+from .dimension import REPORT_TOL, dimension_report
+from .errors import AmbiguousError, NonCriticalExponentWarning, ValidationError
 from .spectral import perron
 
 #: Residual tolerance of the Perron vector behind a component measure (see
@@ -89,7 +91,7 @@ def scc_measure(a: Automaton, alpha: float) -> float:
     """
     block = _single_block(a, "component measure")
     if alpha < 0:
-        raise ValueError("exponent must be nonnegative")
+        raise ValidationError("exponent must be nonnegative")
     p, pd, (root,) = _prefix_graph(
         a.edges, block, [_start_mask(a)], DEFAULT_ENUMERATION_CAP
     )
@@ -229,51 +231,6 @@ def _key_prefix_series(
     return series
 
 
-def _key_state_terms(
-    base: int,
-    e: EdgeList,
-    d: Condensation,
-    starts: list[int],
-    accepting: np.ndarray,
-    alpha: float,
-    cap: int,
-) -> dict[int, tuple[float, float, float]]:
-    """Key-state decomposition of an unambiguous trim graph ``e`` with
-    condensation ``d``, start nodes ``starts`` and accepting node mask
-    ``accepting``, at exponent ``alpha``: for every node q whose
-    non-trivial component holds an accepting node and is entered at q by
-    some path from a start, the key-prefix series, the measure of the
-    component's closure rooted at q, and their product, q's contribution.
-    A zero-measure component contributes 0 even when its series diverges;
-    a positive-measure one with a divergent series contributes infinity.
-    Keys come in increasing node order.  Each keyed block has one prefix
-    graph, rooted at all its keys, and :func:`_closed_measures` gives every
-    root's measure; its subset construction counts against ``cap`` once."""
-    comp = d.component_of
-    keyed = np.bincount(comp[accepting], minlength=e.n) > 0
-    every_series = _key_prefix_series(e, d, starts, base, alpha)
-    keys: dict[int, list[int]] = {}
-    for q in np.flatnonzero(_entered(e, d, starts)).tolist():
-        c = int(comp[q])
-        if c in d.blocks and keyed[c]:
-            keys.setdefault(c, []).append(q)
-    terms: dict[int, tuple[float, float, float]] = {}
-    for c, block_keys in keys.items():
-        positions = np.searchsorted(d.blocks[c].nodes, block_keys)
-        p, pd, roots = _prefix_graph(e, d.blocks[c], positions, cap)
-        measures = _closed_measures(base, p, pd, alpha)[0]
-        for q, m in zip(block_keys, measures[roots].tolist()):
-            series = float(every_series[q])
-            if m == 0.0:
-                contribution = 0.0
-            elif math.isinf(series) or math.isinf(m):
-                contribution = math.inf
-            else:
-                contribution = series * m
-            terms[q] = (series, m, contribution)
-    return dict(sorted(terms.items()))
-
-
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
@@ -284,35 +241,55 @@ def hausdorff_measure(
 ) -> MeasureReport:
     """Measure of the recognized set at its own Hausdorff dimension.
 
-    For every state q whose component contains an accept state and is
-    actually entered there by some accepting run, the contribution is
-    (key-prefix series at alpha) x (component measure at alpha), where the
-    component measure is taken on the closure of the component entered at
-    q.  A zero-measure component contributes 0 even when its prefix series
-    diverges; a positive-measure component with divergent series
-    contributes infinity.  Every step reads the blocks of
-    :attr:`Automaton.sccs`; the unambiguity check builds at most ``cap``
-    pairs of distinct states and subset constructions take at most ``cap``
-    subsets, one per keyed block, from all its key states at once.
+    alpha and the per-state cycle entropies come from
+    :func:`~omegafract.dimension.dimension_report`.  For every state q
+    whose component contains an accept state and is actually entered there
+    by some accepting run, the contribution is (key-prefix series at
+    alpha) x (component measure at alpha), where the component measure is
+    taken on the closure of the component entered at q.  A zero-measure
+    component contributes 0 even when its prefix series diverges; a
+    positive-measure component with divergent series contributes infinity.
+    Every step reads the blocks of :attr:`Automaton.sccs`; the unambiguity
+    check builds at most ``cap`` pairs of distinct states, and each keyed
+    block has one prefix graph, rooted at all its key states, with at most
+    ``cap`` subsets.  Keys come in increasing node order.
     """
     require_trim(a)
     if not check_unambiguous(a, cap=cap):
         raise AmbiguousError("measure decomposition requires an unambiguous automaton")
-    entropies = cycle_entropies(a, cap=cap)
-    _, alpha = _witnessed_dimension(a, entropies, accept_only=True)
-    log_k = math.log(a.base)
+    report = dimension_report(a, cap=cap)
+    alpha, log_k = report.hausdorff, math.log(a.base)
+    e, d, starts = a.edges, a.sccs, _nodes(a, a.start)
+    comp = d.component_of
+    keyed = np.bincount(comp[_accepting(a)], minlength=e.n) > 0
+    series = _key_prefix_series(e, d, starts, a.base, alpha)
+    keys: dict[int, list[int]] = {}
+    for q in np.flatnonzero(_entered(e, d, starts)).tolist():
+        c = int(comp[q])
+        if c in d.blocks and keyed[c]:
+            keys.setdefault(c, []).append(q)
+    measure: dict[int, float] = {}
+    for c, block_keys in keys.items():
+        positions = np.searchsorted(d.blocks[c].nodes, block_keys)
+        p, pd, roots = _prefix_graph(e, d.blocks[c], positions, cap)
+        measures = _closed_measures(a.base, p, pd, alpha)[0]
+        measure.update(zip(block_keys, measures[roots].tolist()))
     per_key_state: dict[str, ComponentMeasure] = {}
     total = 0.0
-    terms = _key_state_terms(
-        a.base, a.edges, a.sccs, _nodes(a, a.start), _accepting(a), alpha, cap
-    )
-    for q, (series, m, contribution) in terms.items():
+    for q in sorted(measure):
+        m, s = measure[q], float(series[q])
+        if m == 0.0:
+            contribution = 0.0
+        elif math.isinf(s) or math.isinf(m):
+            contribution = math.inf
+        else:
+            contribution = s * m
         name = a.states[q]
         per_key_state[name] = ComponentMeasure(
             scc_measure=m,
-            prefix_series=series,
+            prefix_series=s,
             component_measure=contribution,
-            scc_dimension=entropies[name] / log_k,
+            scc_dimension=report.per_state[name] / log_k,
         )
         total += contribution  # inf absorbs
     dims = [cm.scc_dimension for cm in per_key_state.values()]

@@ -55,7 +55,7 @@ from .core import (
     prefix_count,
     require_trim,
 )
-from .errors import NotConvergedError
+from .errors import NotConvergedError, ValidationError
 
 DEFAULT_SPECTRAL_TOL = 1e-12
 
@@ -408,5 +408,5 @@ def entropy_estimate(a: Automaton, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -
     machinery.  Converges to :func:`entropy` as n grows."""
     require_trim(a)
     if n < 1:
-        raise ValueError("estimate needs depth >= 1")
+        raise ValidationError("estimate needs depth >= 1")
     return math.log(prefix_count(a, n, cap=cap)) / n

@@ -183,6 +183,13 @@ def test_criterion_6_closure_laws():
                 enumerate_prefixes(dg, n) == enumerate_prefixes(a, n),
                 f"digraph law #{i} depth {n}",
             )
+        ra, rd = dimension_report(a), dimension_report(dg)
+        for name, x, y in [
+            ("entropy", entropy(a), entropy(dg)),
+            ("box", ra.box, rd.box),
+            ("hausdorff", ra.hausdorff, rd.hausdorff),
+        ]:
+            c.check(math.isclose(y, x, rel_tol=1e-12), f"digraph law #{i} {name}")
     c.conclude()
 
 

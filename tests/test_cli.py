@@ -2,10 +2,11 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from omegafract import Automaton, DigitVector, serialize_automaton
+from omegafract import Automaton, DigitVector, load_automaton, serialize_automaton
 from omegafract.cli import AnalysisConfig, main
 
 from conftest import AUTOMATA_DIR, child_env
@@ -265,6 +266,42 @@ def test_raster_depth_below_zero_is_config_error(capsys):
     assert code == 1
     assert report["error"]["code"] == "config"
     assert "result" not in report
+
+
+@pytest.mark.parametrize("depth", ["15000", "100000000"])
+def test_raster_past_the_cap_is_cap_exceeded(capsys, depth):
+    # 3^15000 already has more digits than an int may print as text: the
+    # guard must refuse the depth without building the power
+    started = time.monotonic()
+    code, report = run_cli(capsys, "raster", "--depth", depth, CANTOR)
+    assert time.monotonic() - started < 1.0
+    assert code == 2
+    assert report["error"]["code"] == "cap-exceeded"
+    assert "result" not in report
+
+
+def _power_loop_max_depth(a, cap, requested):
+    """Largest depth <= requested whose worst case fits under the cap, by
+    raising the alphabet size to each depth in turn."""
+    depth = 0
+    alphabet = a.base**a.arity
+    while depth < requested and alphabet ** (depth + 1) <= cap:
+        depth += 1
+    return depth
+
+
+def test_max_depth_matches_the_power_loop():
+    automata = [load_automaton(str(p)) for p in sorted(AUTOMATA_DIR.glob("*.json"))]
+    assert len(automata) == 6
+    caps = {2, 2**22} | set(random.Random(0).sample(range(2, 2**22 + 1), 100))
+    caps |= {b**j + o for b in (2, 3, 9) for j in range(1, 23) for o in (-1, 0, 1)}
+    caps = sorted(c for c in caps if 2 <= c <= 2**22)
+    for a in automata:
+        for cap in caps:
+            config = AnalysisConfig(enumeration_cap=cap)
+            for requested in range(21):
+                expected = _power_loop_max_depth(a, cap, requested)
+                assert config.max_depth(a, requested) == expected, (a, cap, requested)
 
 
 def test_config_embedded_in_report(capsys):

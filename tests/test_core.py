@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,15 @@ from omegafract import (
     NotTrimError,
     ValidationError,
     accepts,
+    box_cover,
     check_unambiguous,
     classify_properties,
     closure,
+    dimension_report,
+    entropy,
     enumerate_prefixes,
     parse_automaton,
+    prefix_count,
     serialize_automaton,
     trim,
 )
@@ -362,6 +368,11 @@ def test_digraph_prefix_equality_random():
         assert len({(s, d) for s, _, d in dg.transitions}) == len(dg.transitions)
         for n in (1, 4, 8, 10):
             assert enumerate_prefixes(dg, n) == enumerate_prefixes(a, n)
+        # the analytic route sees the same set
+        assert math.isclose(entropy(dg), entropy(a), rel_tol=1e-12)
+        ra, rd = dimension_report(a), dimension_report(dg)
+        assert math.isclose(rd.box, ra.box, rel_tol=1e-12)
+        assert math.isclose(rd.hausdorff, ra.hausdorff, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +471,17 @@ def test_enumerate_depth_zero(cantor):
 def test_enumerate_cap(cantor):
     with pytest.raises(CapExceededError):
         enumerate_prefixes(cantor, 10, cap=3**9)
+
+
+@pytest.mark.parametrize("oracle", [prefix_count, enumerate_prefixes, box_cover])
+def test_deep_enumeration_is_refused_at_once(cantor, oracle):
+    # (3^1)^(10^8) has about 48 million digits: the guard must not build it
+    started = time.monotonic()
+    with pytest.raises(CapExceededError) as exc:
+        oracle(cantor, 10**8)
+    assert time.monotonic() - started < 1.0
+    message = str(exc.value)
+    assert "3^100000000" in message and "deepest depth it allows is 13" in message
 
 
 def test_prefix_determinization_is_deterministic_closed(dyadic):

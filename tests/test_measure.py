@@ -9,6 +9,7 @@ from omegafract import (
     DigitVector,
     NonCriticalExponentWarning,
     NotStronglyConnectedError,
+    OmegafractError,
     closure,
     dimension_report,
     hausdorff_measure,
@@ -57,6 +58,12 @@ def test_scc_measure_off_critical_warns(cantor):
         assert scc_measure(cantor, 0.9) == 0.0
     with pytest.warns(NonCriticalExponentWarning):
         assert scc_measure(cantor, 0.3) == math.inf
+
+
+def test_scc_measure_negative_exponent_is_a_semantic_error(cantor):
+    with pytest.raises(OmegafractError, match="exponent must be nonnegative") as exc:
+        scc_measure(cantor, -1.0)
+    assert exc.value.code == "semantic-error"
 
 
 def test_scc_measure_requires_strong_connectivity(dyadic):

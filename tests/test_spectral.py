@@ -7,6 +7,7 @@ import omegafract
 from omegafract import (
     Automaton,
     NotTrimError,
+    OmegafractError,
     entropy,
     entropy_estimate,
     prefix_count,
@@ -225,6 +226,12 @@ def test_entropy_estimate_one_over_n_convergence(golden_mean, cantor, dyadic):
         c = 1.05 * 8 * abs(entropy_estimate(a, 8, cap=cap) - h) + 1e-9
         for n in range(9, 15):
             assert abs(entropy_estimate(a, n, cap=cap) - h) <= c / n
+
+
+def test_entropy_estimate_depth_below_one_is_a_semantic_error(cantor):
+    with pytest.raises(OmegafractError, match="estimate needs depth >= 1") as exc:
+        entropy_estimate(cantor, 0)
+    assert exc.value.code == "semantic-error"
 
 
 def test_substring_automaton_entropy_equality(cantor, dyadic, golden_mean):
