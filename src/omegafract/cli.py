@@ -147,7 +147,7 @@ def _cmd_check(a: Automaton, config: AnalysisConfig, args) -> dict:
         "unambiguous": ambiguity.unambiguous,
         "ambiguity_witness_prefix": _jsonable(ambiguity.witness),
         "states": len(a.states),
-        "transitions": len(a.transitions),
+        "transitions": len(a.edges.src),
     }
 
 

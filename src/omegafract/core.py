@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
-from operator import getitem, or_
+from itertools import chain, compress
+from operator import getitem, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -79,15 +80,15 @@ class EdgeList:
     edge e runs from ``src[e]`` to ``dst[e]`` on symbol number ``sym[e]``.
 
     For an automaton the states are numbered in declaration order, the
-    symbols in ``symbols_used`` order and the edges listed in
-    ``transitions`` order.  Parallel edges stay separate, so summing edge
-    weights per (src, dst) pair gives the counting matrix.
+    symbols in ``symbols_used`` order and the edges sorted by (from,
+    symbol, to) on the names and digits.  Parallel edges stay separate, so
+    summing edge weights per (src, dst) pair gives the counting matrix.
 
     Every edge list built in this module lists the edges of one (src, sym)
-    pair as one contiguous run: an automaton's follow its transitions,
-    sorted by (from, symbol, to); a block's sub-list keeps that order under
-    an injective renumbering; a subset construction emits its edges in
-    (subset, symbol) order.  :func:`_deterministic` relies on it.
+    pair as one contiguous run: an automaton's are sorted by (from,
+    symbol, to); a block's sub-list keeps that order under an injective
+    renumbering; a subset construction emits its edges in (subset, symbol)
+    order.  :func:`_deterministic` relies on it.
     """
 
     n: int
@@ -147,100 +148,109 @@ def _checked_symbol(
     return sym
 
 
-@dataclass(frozen=True)
 class Automaton:
     """Finite/Buchi automaton over the alphabet of base-``base`` digit
     vectors of arity ``arity``.
 
     ``states`` is an ordered set: declaration order fixes every matrix
-    indexing downstream.  Transitions are stored canonically sorted by
-    (from, symbol, to); duplicates are rejected rather than merged.  The
-    pass that checks the transitions also numbers them and sets
-    ``state_index``, ``symbols_used`` (in digit order) and ``edges``.
+    indexing downstream.  The automaton is stored as integer columns:
+    ``edges`` numbers the states in declaration order and the symbols in
+    ``symbols_used`` order (digit order), and lists the transitions sorted
+    by (from, symbol, to); duplicates are rejected rather than merged.
+    ``state_index`` maps each state to its number.  ``transitions``, the
+    same edges as (from, symbol, to) triples, is derived on first read.
+    Equality, hashing and ``repr`` are those of a frozen dataclass with
+    the fields ``base``, ``arity``, ``states``, ``transitions``, ``start``
+    and ``accept``.
     """
 
     base: int
     arity: int
     states: tuple[str, ...]
-    transitions: tuple[Transition, ...]
     start: frozenset[str]
     accept: frozenset[str]
-    state_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    symbols_used: tuple[DigitVector, ...] = field(init=False, repr=False, compare=False)
-    edges: EdgeList = field(init=False, repr=False, compare=False)
+    state_index: dict[str, int]
+    symbols_used: tuple[DigitVector, ...]
+    edges: EdgeList
+
+    def __init__(
+        self,
+        base: int,
+        arity: int,
+        states: Iterable[str],
+        transitions: Iterable[Transition],
+        start: Iterable[str],
+        accept: Iterable[str],
+    ) -> None:
+        triples = (
+            (p, s.digits if isinstance(s, DigitVector) else tuple(s), q)
+            for p, s, q in transitions
+        )
+        vars(self).update(_numbered(base, arity, states, triples, start, accept))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValidationError(f"base must be >= 2, got {self.base}")
-        if self.arity < 1:
-            raise ValidationError(f"arity must be >= 1, got {self.arity}")
-        states = tuple(str(s) for s in self.states)
-        index = {q: i for i, q in enumerate(states)}
-        if len(index) != len(states):
-            raise ValidationError("duplicate state identifiers")
-        if not states:
-            raise ValidationError("automaton needs at least one state")
-        # each distinct symbol is numbered and checked where it first appears
-        number: dict[tuple[int, ...], int] = {}
-        used: list[DigitVector] = []
-        rows: list[int] = []
-        for p, s, q in self.transitions:
-            if not isinstance(s, DigitVector):
-                s = DigitVector(tuple(s))
-            c = number.get(s.digits)
-            if c is None:
-                c = number[s.digits] = len(used)
-                used.append(_checked_symbol(s, self.base, self.arity))
-            i = index.get(p)
-            if i is None:
-                raise ValidationError(f"transition from unknown state {p!r}")
-            j = index.get(q)
-            if j is None:
-                raise ValidationError(f"transition to unknown state {q!r}")
-            rows += (i, c, j)
-        # sort by (from, symbol, to) on the ranks of the names and digits;
-        # a repeated triple then shows as two equal neighbouring edges
-        symbol_order = sorted(range(len(used)), key=lambda c: used[c].digits)
-        name_rank = np.argsort(sorted(range(len(states)), key=states.__getitem__))
-        edges = np.array(rows, dtype=np.intp).reshape(-1, 3).T
-        edges[1] = np.argsort(symbol_order)[edges[1]]
-        order = np.lexsort((name_rank[edges[2]], edges[1], name_rank[edges[0]]))
-        edges = edges.take(order, axis=1)  # one contiguous row per array
-        if (edges[:, 1:] == edges[:, :-1]).all(axis=0).any():
-            raise ValidationError("duplicate transition triple")
-        start = frozenset(str(s) for s in self.start)
-        accept = frozenset(str(s) for s in self.accept)
-        if not start:
-            raise ValidationError("start set must be nonempty")
-        declared = index.keys()
-        if not start <= declared:
-            raise ValidationError(f"start states {sorted(start - declared)} undeclared")
-        if not accept <= declared:
-            raise ValidationError(
-                f"accept states {sorted(accept - declared)} undeclared"
-            )
-        symbols_used = tuple(used[c] for c in symbol_order)
-        src, sym, dst = edges.tolist()
-        name, symbol = states.__getitem__, symbols_used.__getitem__
-        transitions = zip(map(name, src), map(symbol, sym), map(name, dst))
-        # the dataclass is frozen, so the canonical fields are written directly
-        vars(self).update(
-            states=states,
-            transitions=tuple(transitions),
-            start=start,
-            accept=accept,
-            state_index=index,
-            symbols_used=symbols_used,
-            edges=EdgeList(len(states), *edges),
+        """Every automaton passes through here once its fields are set:
+        the edge columns become read only, as automata made from one
+        another (:meth:`replace`) share them."""
+        e = self.edges
+        for column in (e.src, e.sym, e.dst):
+            column.setflags(write=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.base, self.arity, self.states, self.start, self.accept)
+
+    def __eq__(self, other) -> bool:
+        # equal states and symbols make equal transitions equal columns
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        e, f = self.edges, other.edges
+        return (
+            self._key() == other._key()
+            and self.symbols_used == other.symbols_used
+            and all(map(np.array_equal, (e.src, e.sym, e.dst), (f.src, f.sym, f.dst)))
         )
 
-    # -- derived structure (cached; the dataclass is frozen, caches are safe) --
+    def __hash__(self) -> int:
+        base, arity, states, start, accept = self._key()
+        return hash((base, arity, states, self.transitions, start, accept))
+
+    def __repr__(self) -> str:
+        return (
+            f"Automaton(base={self.base!r}, arity={self.arity!r},"
+            f" states={self.states!r}, transitions={self.transitions!r},"
+            f" start={self.start!r}, accept={self.accept!r})"
+        )
+
+    # -- derived structure (cached; the automaton is frozen, caches are safe) --
+
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        """The edges as (from, symbol, to) triples, in ``edges`` order."""
+        e, name = self.edges, self.states.__getitem__
+        src, sym, dst = e.src.tolist(), e.sym.tolist(), e.dst.tolist()
+        symbol = self.symbols_used.__getitem__
+        return tuple(zip(map(name, src), map(symbol, sym), map(name, dst)))
 
     @cached_property
     def sccs(self) -> "Condensation":
         """The strongly connected components of :attr:`edges`; every
         per-component analysis reads this one decomposition."""
         return _condensation(self.edges)
+
+    @cached_property
+    def _live_mask(self) -> np.ndarray:
+        """The states some accepting run passes through (see :func:`_live`),
+        read only."""
+        mask = _live(self)
+        mask.setflags(write=False)
+        return mask
 
     def replace(
         self,
@@ -250,6 +260,17 @@ class Automaton:
         start: Iterable[str] | None = None,
         accept: Iterable[str] | None = None,
     ) -> "Automaton":
+        if states is None and transitions is None:
+            kept = ("base", "arity", "states", "state_index", "symbols_used", "edges")
+            fields = {name: getattr(self, name) for name in kept}
+            fields.update(
+                _ends(
+                    self.state_index,
+                    self.start if start is None else start,
+                    self.accept if accept is None else accept,
+                )
+            )
+            return _made(fields)
         return Automaton(
             base=self.base,
             arity=self.arity,
@@ -266,16 +287,149 @@ class Automaton:
         keep = set(kept)
         if not self.start & keep:
             raise EmptyLanguageError("no start state survives the restriction")
-        return Automaton(
-            base=self.base,
-            arity=self.arity,
-            states=tuple(q for q in self.states if q in keep),
-            transitions=tuple(
-                t for t in self.transitions if t[0] in keep and t[2] in keep
+        return _restricted(self, np.array([q in keep for q in self.states]))
+
+
+def _made(fields: dict) -> Automaton:
+    """An automaton with the checked ``fields`` (see :func:`_numbered`)."""
+    a = object.__new__(Automaton)
+    vars(a).update(fields)
+    a.__post_init__()
+    return a
+
+
+def _ends(index: dict[str, int], start: Iterable, accept: Iterable) -> dict:
+    """The ``start`` and ``accept`` fields, their names as strings, checked
+    against the declared states ``index``."""
+    start, accept = frozenset(map(str, start)), frozenset(map(str, accept))
+    if not start:
+        raise ValidationError("start set must be nonempty")
+    declared = index.keys()
+    if not start <= declared:
+        raise ValidationError(f"start states {sorted(start - declared)} undeclared")
+    if not accept <= declared:
+        raise ValidationError(f"accept states {sorted(accept - declared)} undeclared")
+    return {"start": start, "accept": accept}
+
+
+def _numbered(
+    base: int,
+    arity: int,
+    states: Iterable,
+    triples: Iterable[tuple],
+    start: Iterable,
+    accept: Iterable,
+) -> dict:
+    """The fields of an automaton, checked: the one routine that numbers
+    states and symbols, for the constructor and the parser alike.
+
+    ``triples`` yields (from, digits, to) per transition, ``digits`` a
+    hashable tuple; a state id there, as in ``states``, ``start`` and
+    ``accept``, stands for its ``str``.  It is read to the end before
+    anything else is checked, so an error it raises (a malformed document)
+    wins, and so does a digit tuple that makes no :class:`DigitVector`, as
+    each distinct one is made where it first appears.  Then come, in this
+    order: the base, the arity and the states; the first transition with a
+    symbol outside the alphabet or an unknown state, checked in that order
+    within a transition; a repeated triple; the start and accept sets.
+    """
+    states = tuple(map(str, states))
+    index = {q: i for i, q in enumerate(states)}
+    get = index.get
+    number: dict[tuple, int] = {}  # digits -> number in order of appearance
+    vectors: list[DigitVector] = []
+    first: list[int] = []  # the transition where each symbol first appears
+    rows: list[int] = []
+    unknown = None  # (transition, 1 for from or 2 for to, error) of the first
+    for p, s, q in triples:
+        c = number.get(s)
+        if c is None:
+            c = number[s] = len(vectors)
+            vectors.append(DigitVector(s))
+            first.append(len(rows) // 3)
+        try:
+            i, j = get(p), get(q)
+        except TypeError:  # an unhashable id
+            i = j = None
+        if i is None or j is None:  # an id that is no string, or unknown
+            p, q = str(p), str(q)
+            i, j = get(p), get(q)
+            if (i is None or j is None) and unknown is None:
+                unknown = (
+                    (len(rows) // 3, 1, f"transition from unknown state {p!r}")
+                    if i is None
+                    else (len(rows) // 3, 2, f"transition to unknown state {q!r}")
+                )
+        rows += (i, c, j)
+    if base < 2:
+        raise ValidationError(f"base must be >= 2, got {base}")
+    if arity < 1:
+        raise ValidationError(f"arity must be >= 1, got {arity}")
+    if len(index) != len(states):
+        raise ValidationError("duplicate state identifiers")
+    if not states:
+        raise ValidationError("automaton needs at least one state")
+    failures = [] if unknown is None else [unknown]
+    for v, at in zip(vectors, first):
+        try:
+            _checked_symbol(v, base, arity)
+        except ValidationError as exc:
+            failures.append((at, 0, str(exc)))
+            break
+    if failures:
+        raise ValidationError(min(failures)[2])
+    # symbols renumbered in digit order, names ranked in string order; a
+    # repeated triple then shows as two equal neighbouring edges
+    used = sorted({v.digits: v for v in vectors}.values())
+    rank = {v.digits: r for r, v in enumerate(used)}
+    name_rank = np.empty(len(states), dtype=np.intp)
+    name_rank[[index[q] for q in sorted(states)]] = np.arange(len(states))
+    edges = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    edges[1] = np.array([rank[v.digits] for v in vectors], dtype=np.intp)[edges[1]]
+    order = np.lexsort((name_rank[edges[2]], edges[1], name_rank[edges[0]]))
+    edges = edges.take(order, axis=1)  # one contiguous row per array
+    if (edges[:, 1:] == edges[:, :-1]).all(axis=0).any():
+        raise ValidationError("duplicate transition triple")
+    return dict(
+        base=base,
+        arity=arity,
+        states=states,
+        state_index=index,
+        symbols_used=tuple(used),
+        edges=EdgeList(len(states), *edges),
+        **_ends(index, start, accept),
+    )
+
+
+def _restricted(a: Automaton, keep: np.ndarray) -> Automaton:
+    """The sub-automaton of ``a`` on the states of the mask ``keep``, which
+    holds a start state: the edges between kept states, in their order
+    (the canonical one, as renumbering keeps the order of names and
+    symbols), with states and symbols renumbered."""
+    e = a.edges
+    rows = keep[e.src] & keep[e.dst]
+    present = np.zeros(len(a.symbols_used), dtype=bool)
+    present[e.sym[rows]] = True
+    states = tuple(compress(a.states, keep.tolist()))
+    index = {q: i for i, q in enumerate(states)}
+    new_state, new_symbol = np.cumsum(keep) - 1, np.cumsum(present) - 1
+    return _made(
+        dict(
+            base=a.base,
+            arity=a.arity,
+            states=states,
+            state_index=index,
+            symbols_used=tuple(compress(a.symbols_used, present.tolist())),
+            edges=EdgeList(
+                len(states),
+                new_state[e.src[rows]],
+                new_symbol[e.sym[rows]],
+                new_state[e.dst[rows]],
             ),
-            start=self.start & keep,
-            accept=self.accept & keep,
+            start=a.start.intersection(index),
+            accept=a.accept.intersection(index),
         )
+    )
 
 
 @dataclass(frozen=True)
@@ -346,12 +500,34 @@ def parse_automaton(text: str) -> Automaton:
     for key in ("states", "start", "accept", "transitions"):
         if not isinstance(doc[key], list):
             raise ValidationError(f"field {key!r} must be an array")
-    transitions = []
-    # One DigitVector per distinct symbol.  The type check comes first, as
-    # (True,) == (1,), hash(1.0) == hash(1) and a nested list is unhashable;
-    # json.loads makes exact ints, so ``type(d) is int`` excludes bools.
-    interned: dict[tuple[int, ...], DigitVector] = {}
-    for i, entry in enumerate(doc["transitions"]):
+    return _made(
+        _numbered(
+            doc["base"],
+            doc["arity"],
+            doc["states"],
+            _document_triples(doc["transitions"]),
+            # sets of names, as a caller of the constructor passes them: a
+            # set rebuilt from another may list its members in a new order
+            frozenset(map(str, doc["start"])),
+            frozenset(map(str, doc["accept"])),
+        )
+    )
+
+
+def _document_triples(entries: list) -> Iterator[tuple]:
+    """(from, digits, to) of each transition object of a document, after
+    checking its shape: an object with the three fields whose symbol is an
+    array of integers.  ``json.loads`` makes exact ints, so ``type(d) is
+    int`` excludes bools; the digits are typed before they are hashed, as
+    (True,) == (1,) and hash(1.0) == hash(1).  One sweep over every digit
+    at once usually finds them all typed, and then each symbol only needs
+    to be an array."""
+    try:
+        typed = {*map(type, chain.from_iterable(map(itemgetter("symbol"), entries)))}
+        typed = typed <= {int}
+    except (KeyError, TypeError):  # not every entry has a symbol to sweep
+        typed = False
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValidationError(f"transitions[{i}] must be an object")
         try:
@@ -359,24 +535,11 @@ def parse_automaton(text: str) -> Automaton:
         except KeyError:
             key = next(k for k in ("from", "symbol", "to") if k not in entry)
             raise ValidationError(f"transitions[{i}] missing field {key!r}") from None
-        if not isinstance(sym, list) or not all(type(d) is int for d in sym):
+        if type(sym) is not list or not (typed or all(type(d) is int for d in sym)):
             raise ValidationError(
                 f"transitions[{i}].symbol must be an array of integers"
             )
-        digits = tuple(sym)
-        vec = interned.get(digits)
-        if vec is None:
-            vec = interned[digits] = DigitVector(digits)
-        transitions.append((str(src), vec, str(dst)))
-    states = [str(s) for s in doc["states"]]
-    return Automaton(
-        base=doc["base"],
-        arity=doc["arity"],
-        states=tuple(states),
-        transitions=tuple(transitions),
-        start=frozenset(str(s) for s in doc["start"]),
-        accept=frozenset(str(s) for s in doc["accept"]),
-    )
+        yield src, tuple(sym), dst
 
 
 def automaton_to_dict(a: Automaton) -> dict:
@@ -397,8 +560,27 @@ def automaton_to_dict(a: Automaton) -> dict:
 
 
 def serialize_automaton(a: Automaton) -> str:
-    """Bit-exact canonical serialization of the automaton document."""
-    return json.dumps(automaton_to_dict(a), separators=(", ", ": "))
+    """Bit-exact canonical serialization of the automaton document: the
+    text of ``json.dumps(automaton_to_dict(a), separators=(", ", ": "))``,
+    built from the edge columns with each state name and each symbol
+    encoded once."""
+    names = list(map(json.dumps, a.states))
+    symbols = [json.dumps(list(v.digits)) for v in a.symbols_used]
+    e = a.edges
+    transitions = ", ".join(
+        [
+            f'{{"from": {names[i]}, "symbol": {symbols[c]}, "to": {names[j]}}}'
+            for i, c, j in zip(e.src.tolist(), e.sym.tolist(), e.dst.tolist())
+        ]
+    )
+    start, accept = (
+        ", ".join(names[i] for i in _nodes(a, ends)) for ends in (a.start, a.accept)
+    )
+    return (
+        f'{{"base": {json.dumps(a.base)}, "arity": {json.dumps(a.arity)},'
+        f' "states": [{", ".join(names)}], "start": [{start}],'
+        f' "accept": [{accept}], "transitions": [{transitions}]}}'
+    )
 
 
 def load_automaton(path: str) -> Automaton:
@@ -456,7 +638,8 @@ def _accepting(a: Automaton) -> np.ndarray:
 
 
 def _live(a: Automaton) -> np.ndarray:
-    """Mask of the states some accepting run passes through: those
+    """Mask of the states some accepting run passes through (cached on the
+    automaton as ``_live_mask``): those
     reachable from a start state that reach an accept state on a cycle
     (see :func:`_productive`).  It is the fixpoint of pruning the states
     that are unreachable or have no nonzero-length path to an accept
@@ -483,7 +666,7 @@ def classify_properties(a: Automaton) -> PropertyFlags:
     coacc0 = _backward_reachable(a.edges, _nodes(a, a.accept))
     finite_trim = bool(np.all(reachable & coacc0))
     accepting = _accepting(a)
-    trim = bool(np.all(reachable & _productive(a, accepting)))
+    trim = bool(a._live_mask.all())
     closed = trim and a.accept == frozenset(a.states)
     comp_of = a.sccs.component_of
     weak = not set(comp_of[accepting].tolist()) & set(comp_of[~accepting].tolist())
@@ -504,7 +687,7 @@ def _is_deterministic(a: Automaton) -> bool:
 def require_trim(a: Automaton) -> None:
     """Raise :class:`NotTrimError` unless ``a`` is trim; computes only the
     trim flag of :func:`classify_properties`."""
-    if not _live(a).all():
+    if not a._live_mask.all():
         raise NotTrimError("operation requires a trim automaton")
 
 
@@ -523,12 +706,12 @@ def trim(a: Automaton) -> Automaton:
     :class:`EmptyLanguageError` when nothing survives, which happens
     exactly when the automaton accepts no infinite word.
     """
-    keep = _live(a)
+    keep = a._live_mask
     if not keep.any():
         raise EmptyLanguageError("trimming removed every state")
     if keep.all():
         return a
-    return a.restrict(q for q, kept in zip(a.states, keep.tolist()) if kept)
+    return _restricted(a, keep)
 
 
 def closure(a: Automaton) -> Automaton:

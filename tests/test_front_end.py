@@ -1,9 +1,11 @@
-"""The integer front end: parsing interns each symbol and validates it once,
-every edge list builds its adjacency once, and one list-indexed Tarjan
-serves both the automaton graph and the ambiguity check's pair graph.  Each
-piece is checked against the earlier implementation kept in
-``helpers_random``."""
+"""The integer front end: parsing makes the edge columns in one pass and
+validates each symbol once, ``transitions`` is derived only when read,
+every edge list builds its adjacency once, one live-state mask serves every
+trim check on an automaton, and one list-indexed Tarjan serves both the
+automaton graph and the ambiguity check's pair graph.  Each piece is
+checked against the earlier implementation kept in ``helpers_random``."""
 
+import hashlib
 import json
 import random
 
@@ -11,18 +13,27 @@ import numpy as np
 import pytest
 
 from omegafract import (
+    Automaton,
     OmegafractError,
     automaton_to_dict,
     check_unambiguous,
     classify_properties,
+    density_classifier,
+    dimension_report,
+    entropy,
+    hausdorff_measure,
+    mw_alpha,
     parse_automaton,
+    serialize_automaton,
     trim,
 )
 from omegafract import core
+from omegafract.cli import main
 from omegafract.core import require_trim, tarjan_components
 
 from conftest import AUTOMATA_DIR, bundled
 from helpers_random import (
+    ReferenceAutomaton,
     random_automaton,
     random_deterministic_trim,
     random_multi_scc,
@@ -165,6 +176,81 @@ for i, (first, second) in enumerate(TWO_BAD):
     MALFORMED[f"two-bad-{i}"] = _with_symbols("golden_mean", {0: first, 2: second})
 
 
+def _with_fields(doc: dict | str, changes: dict, extra: tuple = ()) -> str:
+    """The document ``doc`` (or the bundled one of that name) with the
+    fields of transition i set as in ``changes[i]``, a value of ``None``
+    deleting the field, and the entries ``extra`` appended to its
+    transitions (the string "last" stands for a copy of the last one)."""
+    doc = json.loads(_document(doc) if isinstance(doc, str) else json.dumps(doc))
+    entries = doc["transitions"]
+    for i, fields in changes.items():
+        for key, value in fields.items():
+            if value is None:
+                del entries[i][key]
+            else:
+                entries[i][key] = value
+    entries += [dict(entries[-1]) if e == "last" else e for e in extra]
+    return json.dumps(doc)
+
+
+#: States named by numerals, so that integer ids name them too.
+NUMERAL_STATES = {
+    "base": 2,
+    "arity": 1,
+    "states": ["0", "1"],
+    "start": ["0"],
+    "accept": ["1"],
+    "transitions": [
+        {"from": "0", "symbol": [1], "to": "1"},
+        {"from": "1", "symbol": [0], "to": "0"},
+    ],
+}
+
+#: An unknown state name met in the same pass as other faults: the pass
+#: that numbers the states must keep the order of the checks.
+MALFORMED.update(
+    {
+        "unknown-from-then-out-of-range": _with_fields(
+            "golden_mean", {1: {"from": "nope"}, 2: {"symbol": [2]}}
+        ),
+        "out-of-range-then-unknown-from": _with_fields(
+            "golden_mean", {1: {"symbol": [2]}, 2: {"from": "nope"}}
+        ),
+        "unknown-from-then-negative": _with_fields(
+            "golden_mean", {1: {"from": "nope"}, 2: {"symbol": [-1]}}
+        ),
+        "negative-then-unknown-from": _with_fields(
+            "golden_mean", {1: {"symbol": [-1]}, 2: {"from": "nope"}}
+        ),
+        "unknown-from-and-to": _with_fields(
+            "golden_mean", {1: {"from": "nope", "to": "nada"}}
+        ),
+        "unknown-to-then-missing-key": _with_fields(
+            "golden_mean", {0: {"to": "nope"}, 2: {"symbol": None}}
+        ),
+        "unknown-to-then-not-an-object": _with_fields(
+            "golden_mean", {0: {"to": "nope"}}, extra=([0],)
+        ),
+        "integer-ids-duplicate": _with_fields(
+            NUMERAL_STATES, {}, extra=({"from": 0, "symbol": [1], "to": 1},)
+        ),
+        "integer-id-unknown": _with_fields(NUMERAL_STATES, {1: {"to": 2}}),
+        "float-and-list-ids": _with_fields(
+            NUMERAL_STATES, {0: {"from": 0.0}, 1: {"to": [0]}}
+        ),
+        "duplicate-after-unknown-name": _with_fields(
+            "golden_mean", {0: {"from": "nope"}}, extra=("last",)
+        ),
+    }
+)
+
+
+def test_integer_ids_name_the_states_of_their_numerals():
+    text = _with_fields(NUMERAL_STATES, {0: {"from": 0}, 1: {"from": 1, "to": 0}})
+    _assert_same_record(parse_automaton(text), reference_parse_automaton(text))
+    assert parse_automaton(text) == parse_automaton(json.dumps(NUMERAL_STATES))
+
+
 @pytest.mark.parametrize("text", MALFORMED.values(), ids=list(MALFORMED))
 def test_parse_errors_match_reference(text):
     with pytest.raises(OmegafractError) as want:
@@ -270,3 +356,181 @@ def test_one_adjacency_per_edge_list(monkeypatch):
         monkeypatch.undo()
         # the successor lists and the predecessor lists, once each
         assert built == [len(a.states)] * 2
+
+
+# ---------------------------------------------------------------------------
+# the stored columns and what is derived from them
+# ---------------------------------------------------------------------------
+
+
+def _random_automata(seed: int, count: int) -> list:
+    """Random automata, trim or not, deterministic or not."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 3 == 2:
+            out.append(random_multi_scc(rng, base=2, deterministic=i % 2 == 0))
+        else:
+            out.append(
+                random_automaton(
+                    rng,
+                    n_states=rng.randint(1, 7),
+                    base=rng.choice([2, 3]),
+                    arity=rng.choice([1, 2]),
+                    nondet=0.4,
+                )
+            )
+    return out
+
+
+def _tuple_built(a: Automaton, rng: random.Random, record=Automaton):
+    """``a`` made anew by the constructor of ``record``, from its
+    transitions in random order."""
+    transitions = list(a.transitions)
+    rng.shuffle(transitions)
+    return record(
+        base=a.base,
+        arity=a.arity,
+        states=a.states,
+        transitions=tuple(transitions),
+        start=a.start,
+        accept=a.accept,
+    )
+
+
+def _as_dataclass(a: Automaton, ref: ReferenceAutomaton) -> None:
+    """``a`` hashes and prints as the frozen dataclass of the six fields
+    ``ref`` did.  (A frozenset prints its members in an order that may
+    depend on the order they were added in, so ``ref`` must be made from
+    the same arguments.)"""
+    assert hash(a) == hash(ref)
+    assert repr(a) == "Automaton" + repr(ref).removeprefix("ReferenceAutomaton")
+
+
+def test_analyses_never_derive_transitions_and_check_trim_once(monkeypatch):
+    computed = []
+    original = core._live
+
+    def counting(a):
+        computed.append(a)
+        return original(a)
+
+    monkeypatch.setattr(core, "_live", counting)
+    analyses = [
+        entropy,
+        dimension_report,
+        hausdorff_measure,
+        mw_alpha,
+        density_classifier,
+        check_unambiguous,
+    ]
+    for name in BUNDLED:
+        a = parse_automaton(_document(name))
+        ran = 0
+        for analysis in analyses:
+            try:
+                analysis(a)
+                ran += 1
+            except OmegafractError:  # not strongly connected, ambiguous, ...
+                pass
+        assert ran >= 4
+        assert "transitions" not in vars(a)
+        assert [b is a for b in computed] == [True]
+        computed.clear()
+
+
+def test_transitions_equality_hash_and_repr_match_the_tuple_built_automaton():
+    rng = random.Random(912)
+    inputs = [bundled(name) for name in BUNDLED] + _random_automata(913, 40)
+    for a in inputs:
+        text = json.dumps(automaton_to_dict(a))
+        parsed = parse_automaton(text)
+        assert "transitions" not in vars(parsed)
+        _as_dataclass(parsed, reference_parse_automaton(text))
+        state = rng.getstate()
+        built = _tuple_built(a, rng)
+        rng.setstate(state)
+        _as_dataclass(built, _tuple_built(a, rng, ReferenceAutomaton))
+        assert parsed.transitions == built.transitions == a.transitions
+        assert parsed == built and not parsed != built
+        assert hash(parsed) == hash(built)
+        other_accept = built.replace(accept=built.states)
+        assert (other_accept == parsed) is (other_accept.accept == parsed.accept)
+        if built.transitions:
+            assert built.replace(transitions=built.transitions[1:]) != parsed
+
+
+def test_restrict_keeps_the_rows_the_constructor_would_build():
+    rng = random.Random(914)
+    checked = 0
+    for a in _random_automata(915, 60):
+        kept = {q for q in a.states if rng.random() < 0.6} | {min(a.start)}
+        restricted = [(kept, a.restrict(kept))]
+        try:
+            trimmed = trim(a)
+            restricted.append((set(trimmed.states), trimmed))
+        except OmegafractError:  # accepts no infinite word
+            pass
+        for kept, got in restricted:
+            want = Automaton(
+                base=a.base,
+                arity=a.arity,
+                states=tuple(q for q in a.states if q in kept),
+                transitions=tuple(
+                    t for t in a.transitions if t[0] in kept and t[2] in kept
+                ),
+                start=a.start & kept,
+                accept=a.accept & kept,
+            )
+            assert got == want
+            assert got.symbols_used == want.symbols_used
+            assert got.state_index == want.state_index
+            e, f = got.edges, want.edges
+            assert e.n == f.n
+            for x, y in [(e.src, f.src), (e.sym, f.sym), (e.dst, f.dst)]:
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            checked += got is not a
+    assert checked >= 60
+
+
+# ---------------------------------------------------------------------------
+# the canonical serialization and its hash
+# ---------------------------------------------------------------------------
+
+#: Characters that JSON escapes: quotes, backslashes, control characters,
+#: non-ASCII letters and a character outside the Basic Multilingual Plane.
+ODD_CHARACTERS = '"\\\n\t\x00\x7féü€\u2603\U0001f600ab'
+
+
+def _odd_names(a: Automaton, rng: random.Random) -> Automaton:
+    """``a`` with each state renamed to a distinct string of characters
+    that JSON must escape."""
+    names = {}
+    for i, q in enumerate(a.states):
+        odd = "".join(rng.choice(ODD_CHARACTERS) for _ in range(rng.randint(0, 4)))
+        names[q] = f"{odd}{i}"
+    return Automaton(
+        base=a.base,
+        arity=a.arity,
+        states=tuple(names[q] for q in a.states),
+        transitions=tuple((names[p], s, names[q]) for p, s, q in a.transitions),
+        start=frozenset(names[q] for q in a.start),
+        accept=frozenset(names[q] for q in a.accept),
+    )
+
+
+def test_serialization_from_columns_matches_json_dumps_of_the_dict(tmp_path, capsys):
+    rng = random.Random(916)
+    inputs = [bundled(name) for name in BUNDLED] + _random_automata(917, 30)
+    for i, a in enumerate(inputs):
+        a = _odd_names(a, rng)
+        want = json.dumps(automaton_to_dict(a), separators=(", ", ": "))
+        assert serialize_automaton(a) == want
+        assert parse_automaton(want) == a
+        if i % 6 == 0:  # the CLI hashes the same bytes
+            path = tmp_path / f"odd-{i}.json"
+            path.write_text(want, encoding="utf-8")
+            main(["check", str(path)])
+            report = json.loads(capsys.readouterr().out)
+            digest = hashlib.sha256(want.encode("utf-8")).hexdigest()
+            assert report["automaton_sha256"] == digest
