@@ -243,6 +243,14 @@ MALFORMED.update(
         ),
     }
 )
+#: Faults of the document as a whole next to faults of its transitions: the
+#: parser reports an empty or negative symbol before a bad base or arity,
+#: the constructor after them.
+for label, field, value in [("base", "base", 1), ("arity", "arity", 0)]:
+    for symbol in ([], [-1]):
+        doc = json.loads(_with_fields("golden_mean", {2: {"symbol": symbol}}))
+        doc[field] = value
+        MALFORMED[f"bad-{label}-and-symbol-{symbol}"] = json.dumps(doc)
 
 
 def test_integer_ids_name_the_states_of_their_numerals():
@@ -259,6 +267,79 @@ def test_parse_errors_match_reference(text):
         parse_automaton(text)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+def _constructor_arguments(text: str) -> dict | None:
+    """The arguments of ``Automaton(...)`` that the document ``text``
+    spells out, ids and symbols as decoded, or None if some transition is
+    not an object with the three fields (a fault only a document has)."""
+    doc = json.loads(text)
+    entries = doc["transitions"]
+    fields = {"from", "symbol", "to"}
+    if not all(isinstance(e, dict) and e.keys() >= fields for e in entries):
+        return None
+    return {
+        "base": doc["base"],
+        "arity": doc["arity"],
+        "states": doc["states"],
+        "transitions": [(e["from"], e["symbol"], e["to"]) for e in entries],
+        "start": doc["start"],
+        "accept": doc["accept"],
+    }
+
+
+#: The malformed documents as constructor arguments, and arguments whose
+#: faults the parser never sees: ids that are not strings (the parser makes
+#: them strings), an unhashable id next to an unknown one, and symbols as
+#: digit vectors.
+CONSTRUCTOR_CASES = {
+    label: arguments
+    for label, text in MALFORMED.items()
+    if (arguments := _constructor_arguments(text)) is not None
+}
+CONSTRUCTOR_CASES.update(
+    {
+        "integer-id": dict(NUMERAL_STATES, transitions=[(0, (1,), "1")]),
+        "integer-to": dict(NUMERAL_STATES, transitions=[("0", (1,), 1)]),
+        "unknown-then-unhashable-id": dict(
+            NUMERAL_STATES, transitions=[("0", (1,), "2"), ("1", (0,), ["0"])]
+        ),
+        "unhashable-then-unknown-id": dict(
+            NUMERAL_STATES, transitions=[("0", (1,), ["1"]), ("2", (0,), "0")]
+        ),
+        "unhashable-id-bad-base": dict(
+            NUMERAL_STATES, base=1, transitions=[(["0"], (1,), "1")]
+        ),
+        "unknown-then-empty-vector": dict(
+            NUMERAL_STATES, transitions=[("0", (1,), "2"), ("1", (), "0")]
+        ),
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "arguments", CONSTRUCTOR_CASES.values(), ids=list(CONSTRUCTOR_CASES)
+)
+def test_constructor_errors_match_reference(arguments):
+    """``Automaton(...)`` checks as the six-field record did: a state id in
+    a transition stands for itself, and a fault of a transition comes after
+    a bad base or arity and after the faults of the transitions before it.
+    (A ``TypeError`` is Python's own, so only its type is compared; an
+    unhashable digit raises it where it is met.)"""
+    try:
+        ReferenceAutomaton(**arguments)
+    except (OmegafractError, TypeError) as exc:
+        want = exc
+    else:
+        want = None
+    if want is None:
+        Automaton(**arguments)
+        return
+    with pytest.raises((OmegafractError, TypeError)) as got:
+        Automaton(**arguments)
+    assert type(got.value) is type(want)
+    if not isinstance(want, TypeError):
+        assert str(got.value) == str(want)
 
 
 # ---------------------------------------------------------------------------
