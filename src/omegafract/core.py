@@ -82,7 +82,7 @@ class EdgeList:
     For an automaton the states are numbered in declaration order, the
     symbols in ``symbols_used`` order and the edges sorted by (from,
     symbol, to) on the names and digits.  Parallel edges stay separate, so
-    summing edge weights per (src, dst) pair gives the counting matrix.
+    counting the edges per (src, dst) pair gives the counting matrix.
 
     Every edge list built in this module lists the edges of one (src, sym)
     pair as one contiguous run: an automaton's are sorted by (from,
@@ -245,12 +245,25 @@ class Automaton:
         return _condensation(self.edges)
 
     @cached_property
+    def _reachable_mask(self) -> np.ndarray:
+        """The states reachable from a start state, read only."""
+        return _read_only(_forward_reachable(self.edges, _nodes(self, self.start)))
+
+    @cached_property
+    def _productive_mask(self) -> np.ndarray:
+        """The states that reach (in zero or more steps) an accept state
+        inside a non-trivial block of :attr:`sccs`, read only."""
+        cyclic = np.zeros(len(self.states), dtype=bool)
+        for block in self.sccs.blocks.values():
+            cyclic[block.nodes] = True
+        seeds = np.flatnonzero(cyclic & _accepting(self)).tolist()
+        return _read_only(_backward_reachable(self.edges, seeds))
+
+    @cached_property
     def _live_mask(self) -> np.ndarray:
         """The states some accepting run passes through (see :func:`_live`),
         read only."""
-        mask = _live(self)
-        mask.setflags(write=False)
-        return mask
+        return _read_only(_live(self))
 
     def replace(
         self,
@@ -623,6 +636,12 @@ def _backward_reachable(e: EdgeList, targets: Iterable[int]) -> np.ndarray:
     return _reachable(e.predecessors, targets)
 
 
+def _read_only(mask: np.ndarray) -> np.ndarray:
+    """``mask``, made read only so that an automaton can cache it."""
+    mask.setflags(write=False)
+    return mask
+
+
 def _nodes(a: Automaton, names: Iterable[str]) -> list[int]:
     """Numbers of the states ``names``, in declaration order."""
     return sorted(a.state_index[q] for q in names)
@@ -637,18 +656,16 @@ def _accepting(a: Automaton) -> np.ndarray:
 
 def _live(a: Automaton) -> np.ndarray:
     """Mask of the states some accepting run passes through (cached on the
-    automaton as ``_live_mask``): those
-    reachable from a start state that reach an accept state on a cycle
-    (see :func:`_productive`).  It is the fixpoint of pruning the states
-    that are unreachable or have no nonzero-length path to an accept
-    state: a state on an accepting run survives every round, and a state
-    of the fixpoint is reachable and has a nonzero-length path inside it to
-    an accept state, from there to another, and so on until one recurs, on
-    a cycle.  So this is the state set of :func:`trim`, and ``a`` is trim
-    iff it holds every state."""
-    return _forward_reachable(a.edges, _nodes(a, a.start)) & _productive(
-        a, _accepting(a)
-    )
+    automaton as ``_live_mask``): those reachable from a start state that
+    reach an accept state on a cycle, the AND of the automaton's cached
+    ``_reachable_mask`` and ``_productive_mask``.  It is the fixpoint of
+    pruning the states that are unreachable or have no nonzero-length path
+    to an accept state: a state on an accepting run survives every round,
+    and a state of the fixpoint is reachable and has a nonzero-length path
+    inside it to an accept state, from there to another, and so on until
+    one recurs, on a cycle.  So this is the state set of :func:`trim`, and
+    ``a`` is trim iff it holds every state."""
+    return a._reachable_mask & a._productive_mask
 
 
 def classify_properties(a: Automaton) -> PropertyFlags:
@@ -660,9 +677,8 @@ def classify_properties(a: Automaton) -> PropertyFlags:
     accepting with no continuation).
     """
     deterministic = _is_deterministic(a)
-    reachable = _forward_reachable(a.edges, _nodes(a, a.start))
     coacc0 = _backward_reachable(a.edges, _nodes(a, a.accept))
-    finite_trim = bool(np.all(reachable & coacc0))
+    finite_trim = bool(np.all(a._reachable_mask & coacc0))
     accepting = _accepting(a)
     trim = bool(a._live_mask.all())
     closed = trim and a.accept == frozenset(a.states)
@@ -892,16 +908,6 @@ def _successor_table(
     return table
 
 
-def _productive(a: Automaton, accepting: np.ndarray) -> np.ndarray:
-    """Mask of the states that reach (in zero or more steps) an accept
-    state inside a non-trivial block of ``a.sccs``, for the accept state
-    mask ``accepting``: the states some accepting run passes through."""
-    cyclic = np.zeros(len(a.states), dtype=bool)
-    for block in a.sccs.blocks.values():
-        cyclic[block.nodes] = True
-    return _backward_reachable(a.edges, np.flatnonzero(cyclic & accepting).tolist())
-
-
 # Search marks of a pair in :func:`check_unambiguous`: not searched yet,
 # reaches no good component, reaches one.  A pair on the search stack is
 # marked with its low-link instead, which is nonnegative.
@@ -946,7 +952,7 @@ def check_unambiguous(
     n, used = len(a.states), a.symbols_used
     n_sym = len(used)
     accepting = _accepting(a)
-    productive = _productive(a, accepting)
+    productive = a._productive_mask
     table = _successor_table(a.edges, None if productive.all() else productive)
     accept = accepting.tolist()
     # Pair (p, q) has the key p * n + q and is numbered 0, 1, ... as it is

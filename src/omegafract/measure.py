@@ -5,7 +5,8 @@ the state at which the unique accepting run permanently enters a strongly
 connected component.  Each part contributes the measure of that component's
 set, scaled by a geometric series over the key prefixes leading to it; the
 measure of a closed strongly connected component itself comes from the
-Perron eigenvector of its transfer matrix at the critical exponent.  That
+Perron eigenvector of its transfer matrix at the critical exponent, which
+is k^(-alpha) times its integer counting matrix and shares its vector.  That
 exponent alpha, the Hausdorff dimension, and the per-state cycle entropies
 are read from :func:`~omegafract.dimension.dimension_report`.
 
@@ -112,23 +113,25 @@ def _closed_measures(
     """Measure at exponent ``alpha`` of the closed set that the prefix graph
     ``p``, with condensation ``pd``, recognizes from each node, and the
     largest transfer radius of its blocks: 0 everywhere below radius 1,
-    infinity above (off by more than 1e-9).  With x = k^(-alpha), the
-    measure at a node v of component C is C's Perron vector at v, max entry
-    1, if C is a block of radius 1, else 0, plus the x^length-weighted
-    measures at the ends of the paths from v that leave C by their last
-    edge.  One sweep over the components, sinks first, adds that sum: the
-    outflow of a trivial component, or on a block with counting matrix B
-    the solution of (I - x B) y = outflow (see :func:`_series_solve`),
-    which is infinite on a block of radius 1 that some edge leaves."""
+    infinity above (off by more than 1e-9).  With x = k^(-alpha), a block
+    with counting matrix B has transfer matrix x B, so its transfer radius
+    is x rho(B) and its Perron vector that of B.  The measure at a node v
+    of component C is C's Perron vector at v, max entry 1, if C is a block
+    of radius 1, else 0, plus the x^length-weighted measures at the ends of
+    the paths from v that leave C by their last edge.  One sweep over the
+    components, sinks first, adds that sum: the outflow of a trivial
+    component, or on a block the solution of (I - x B) y = outflow (see
+    :func:`_series_solve`), which is infinite on a block of radius 1 that
+    some edge leaves."""
     x = float(base) ** (-alpha)
-    weight = np.full(len(p.src), x)
     measures = np.zeros(p.n)
     radius = 0.0
     critical = set()
     for c, block in pd.blocks.items():
-        solve = perron(block, weight, _EIGENVECTOR_TOL, vector=True)
-        radius = max(radius, solve.root)
-        if abs(solve.root - 1.0) <= REPORT_TOL:
+        solve = perron(block, _EIGENVECTOR_TOL, vector=True)
+        transfer = x * solve.root
+        radius = max(radius, transfer)
+        if abs(transfer - 1.0) <= REPORT_TOL:
             measures[block.nodes] = solve.vector
             critical.add(c)
     if abs(radius - 1.0) > REPORT_TOL:
@@ -212,7 +215,6 @@ def _key_prefix_series(
     component no edge leaves needs no F."""
     x = float(base) ** (-alpha)
     limit = float(base) ** alpha - 1e-12
-    counts = np.broadcast_to(1.0, len(e.src))  # a 1 per edge, no copy
     series = np.zeros(e.n)
     series[starts] = 1.0
     reach = np.zeros(e.n)  # F, on the components some edge leaves
@@ -223,7 +225,7 @@ def _key_prefix_series(
             reach[u] = series[u]
         else:
             inflow = series[block.nodes]
-            if np.isinf(inflow).any() or perron(block, counts).root >= limit:
+            if np.isinf(inflow).any() or perron(block).root >= limit:
                 reach[block.nodes] = math.inf
             else:
                 reach[block.nodes] = _series_solve(block, inflow, x, transpose=True)

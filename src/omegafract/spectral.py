@@ -10,28 +10,27 @@ first determinized on its own edges, so strings are counted rather than
 runs, with at most ``cap`` subsets per block.
 
 Every Perron root and vector in the package comes from one routine,
-:func:`perron`, working on one block of an edge list (``src``/``dst``
-node arrays and one weight per edge) rather than on a dense matrix.  The
-blocks are the non-trivial strongly connected components of
-:attr:`~omegafract.core.Automaton.sccs` (or, after a subset construction,
-of the condensation of its edges), each with its period p and cyclic
-classes.  The solver seeds, then certifies.  The
-certificate is the Collatz-Wielandt bracket of B^p on cyclic class 0,
+:func:`perron`, working on the integer counting matrix of one block of an
+edge list (``src``/``dst`` node arrays, one unit per edge, parallel edges
+counted) rather than on a dense matrix.  The blocks are the non-trivial
+strongly connected components of :attr:`~omegafract.core.Automaton.sccs`
+(or, after a subset construction, of the condensation of its edges), each
+with its period p and cyclic classes.  The solver seeds, then certifies.
+The certificate is the Collatz-Wielandt bracket of B^p on cyclic class 0,
 which holds for any positive vector: iteration x <- B^p x stops once the
 bracket has relative width at most the tolerance, and, when asked, B's
 Perron vector is recovered as sum_{j<p} (B/rho)^j x with a checked
 residual.  Each B^p is one sweep over the classes p-1 -> 0, one
-``np.bincount`` over each class's own edges and one scalar (exact for
-integer weights) for a run of one-node classes, so it costs
-O(transitions + p).  Only the start
-is chosen for speed: on blocks of at most ``_DENSE_SEED_NODES`` nodes it
-is the row sums of the dense B^p on class 0 squared until they settle,
-and every power of B so reached counts against the step cap.  Hitting
-the cap or an underflowing entry raises
+``np.bincount`` over each class's own edges and one exact integer scalar
+for a run of one-node classes, so it costs O(transitions + p).  Only the
+start is chosen for speed: on blocks of at most ``_DENSE_SEED_NODES``
+nodes it is the row sums of the dense B^p on class 0 squared until they
+settle, and every power of B so reached counts against the step cap.
+Hitting the cap or an underflowing entry raises
 :class:`~omegafract.errors.NotConvergedError`; no unconverged value is
-returned.  No dense counting or transfer matrix is built: the counting
-matrix of an automaton is its edge list with unit weights, and the
-transfer matrix at exponent s the same list with weights k^(-s).
+returned.  No dense counting or transfer matrix is built, and every solve
+is of a counting matrix C: the transfer matrix at exponent alpha is
+k^(-alpha) C, with root k^(-alpha) rho(C) and the same Perron vector.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .core import (
     _condensation,
     _deterministic,
     _Dropped,
-    _own_block,
     _subset_construction,
     prefix_count,
     require_trim,
@@ -97,23 +95,16 @@ def _root(r: float, exponent: int, p: int) -> float:
 
 
 def _scalar_product(factors: np.ndarray) -> tuple[float, int]:
-    """The product of positive ``factors`` as (mantissa, exponent): exact
-    up to one final rounding when every factor is an integer, as in a
-    counting matrix, otherwise rounded once per factor."""
-    if np.all(factors == np.floor(factors)) and factors.max() < 2.0**53:
-        ints = factors.astype(np.int64).astype(object)
-        while len(ints) > 1:  # pairwise, so that few products are large
-            if len(ints) % 2:
-                ints = np.append(ints, 1)
-            ints = ints[0::2] * ints[1::2]
-        n = int(ints[0])
-        e = n.bit_length()
-        return n / (1 << e), e
-    mantissa, exponent = 1.0, 0
-    for f in factors.tolist():
-        mantissa, e = math.frexp(mantissa * f)
-        exponent += e
-    return mantissa, exponent
+    """The product of the positive integer ``factors`` as (mantissa,
+    exponent), exact up to one final rounding."""
+    ints = factors.astype(object)
+    while len(ints) > 1:  # pairwise, so that few products are large
+        if len(ints) % 2:
+            ints = np.append(ints, 1)
+        ints = ints[0::2] * ints[1::2]
+    n = int(ints[0])
+    e = n.bit_length()
+    return n / (1 << e), e
 
 
 class _ClassSweep:
@@ -123,20 +114,20 @@ class _ClassSweep:
     one sweep over the classes p-1, ..., 0: the values on class c are one
     ``np.bincount`` over class c's own edges of the values on class c + 1.
     A run of one-node classes, each feeding a one-node class, multiplies by
-    one scalar, the product of its weights taken once.  One application
-    therefore costs O(transitions + p), and a ring's root is exact.  The
-    sweep numbers the nodes by class (stably, so class 0 is in block
-    order), which makes each class one slice.  A block of period 1 and
-    several nodes is one class in block order, one bincount over the
+    one scalar, the exact product of its edge counts taken once.  One
+    application therefore costs O(transitions + p), and a ring's root is
+    exact.  The sweep numbers the nodes by class (stably, so class 0 is in
+    block order), which makes each class one slice.  A block of period 1
+    and several nodes is one class in block order, one bincount over the
     block's own edges, so it needs no renumbering.
     """
 
-    def __init__(self, block: Block, w: np.ndarray) -> None:
+    def __init__(self, block: Block) -> None:
         m, p = len(block.nodes), block.period
         if p == 1 and m > 1:  # one class, in block order: the block's edges
             self.order = np.arange(m)
             self.m = self.n0 = m
-            self.stages = [("bincount", slice(0, m), block.src, block.dst, w, m)]
+            self.stages = [("bincount", slice(0, m), block.src, block.dst, m)]
             return
         classes = block.classes
         self.order = np.argsort(classes, kind="stable")
@@ -147,11 +138,8 @@ class _ClassSweep:
         by_class = np.argsort(edge_class, kind="stable")
         src = (rank[block.src] - bounds[edge_class])[by_class]
         dst = rank[block.dst][by_class]
-        weights = w[by_class]
-        edge_bounds = np.concatenate(
-            ([0], np.cumsum(np.bincount(edge_class, minlength=p)))
-        ).tolist()
-        row_weight = np.bincount(edge_class, weights=w, minlength=p)
+        row_count = np.bincount(edge_class, minlength=p)
+        edge_bounds = np.concatenate(([0], np.cumsum(row_count))).tolist()
         starts = bounds.tolist()
         single = [starts[c + 1] - starts[c] == 1 for c in range(p)]
         self.m, self.n0 = m, starts[1]
@@ -163,7 +151,7 @@ class _ClassSweep:
                 while c >= 0 and single[c] and single[(c + 1) % p]:
                     c -= 1
                 run = np.arange(top, c, -1)
-                factors = row_weight[run]
+                factors = row_count[run]
                 self.stages.append(
                     (
                         "scalar",
@@ -181,7 +169,6 @@ class _ClassSweep:
                     slice(starts[c], starts[c + 1]),
                     src[edges],
                     dst[edges],
-                    weights[edges],
                     starts[c + 1] - starts[c],
                 )
             )
@@ -200,8 +187,8 @@ class _ClassSweep:
                 z[nodes[-1]] = value
                 exponent += e + e_run
             else:
-                _, out, src, dst, w, n = stage
-                y = np.bincount(src, weights=w * z[dst], minlength=n)
+                _, out, src, dst, n = stage
+                y = np.bincount(src, weights=z[dst], minlength=n)
                 e = math.frexp(float(y.max()))[1]
                 z[out] = np.ldexp(y, -e)
                 exponent += e
@@ -218,8 +205,8 @@ class _ClassSweep:
                     _, nodes, source, factors, _, _ = stage
                     v[nodes] = v[source] * np.cumprod(factors / root)
                 else:
-                    _, out, src, dst, w, n = stage
-                    v[out] = np.bincount(src, weights=w * v[dst], minlength=n) / root
+                    _, out, src, dst, n = stage
+                    v[out] = np.bincount(src, weights=v[dst], minlength=n) / root
         v[: self.n0] = x
         in_block_order = np.empty(self.m)
         in_block_order[self.order] = v
@@ -227,7 +214,7 @@ class _ClassSweep:
 
 
 def _dense_seed(
-    block: Block, w: np.ndarray, tol: float, max_steps: int
+    block: Block, tol: float, max_steps: int
 ) -> tuple[np.ndarray | None, int]:
     """Start vector M^(2^s) 1 for a small block, with M the dense matrix of
     B^p on cyclic class 0, returned with the power of B it reached,
@@ -238,9 +225,8 @@ def _dense_seed(
     m, p = len(block.nodes), block.period
     if 2 * p > max_steps:
         return None, 0
-    dense = np.bincount(
-        block.src * m + block.dst, weights=w, minlength=m * m
-    ).reshape(m, m)
+    dense = np.bincount(block.src * m + block.dst, minlength=m * m)
+    dense = dense.reshape(m, m).astype(float)
     if p == 1:
         mat = dense
     else:
@@ -269,13 +255,12 @@ def _dense_seed(
 
 
 def perron(
-    block: Block,
-    weight: np.ndarray,
-    tol: float = DEFAULT_SPECTRAL_TOL,
-    vector: bool = False,
+    block: Block, tol: float = DEFAULT_SPECTRAL_TOL, vector: bool = False
 ) -> Perron:
-    """Certified Perron root (and optionally vector) of the block's matrix
-    B, whose (i, j) entry sums ``weight[e]`` over the block's edges i -> j.
+    """Certified Perron root (and optionally vector) of the block's
+    counting matrix B, whose (i, j) entry is the number of the block's
+    edges i -> j.  The transfer matrix at exponent alpha, k^(-alpha) B,
+    has root k^(-alpha) rho and the same vector.
 
     Seed, then certify.  With p the block's period, B^p restricted to
     cyclic class 0 is primitive, so iterating x <- B^p x on that class
@@ -301,11 +286,10 @@ def perron(
     """
     max_steps = _MAX_PERRON_STEPS
     m, p = len(block.nodes), block.period
-    src, dst, w = block.src, block.dst, weight[block.edges]
-    sweep = _ClassSweep(block, w)
+    sweep = _ClassSweep(block)
     x, steps = None, 0
     if m <= _DENSE_SEED_NODES and sweep.n0 > 1:
-        x, steps = _dense_seed(block, w, tol, max_steps)
+        x, steps = _dense_seed(block, tol, max_steps)
     if x is None:
         x = np.ones(sweep.n0)
     while steps + p <= max_steps:
@@ -334,7 +318,7 @@ def perron(
             )
         if not vector:
             return Perron(root, lo, hi)
-        bv = np.bincount(src, weights=w * v[dst], minlength=m)
+        bv = np.bincount(block.src, weights=v[block.dst], minlength=m)
         residual = float(np.max(np.abs(bv - root * v))) / root
         if residual <= tol:
             return Perron(root, lo, hi, v)
@@ -342,12 +326,6 @@ def perron(
         f"Perron iteration on a {m}-state block of period {p} did not"
         f" converge to tolerance {tol:.3g} within {max_steps} steps"
     )
-
-
-def max_root(blocks, weight: np.ndarray, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
-    """Largest certified Perron root over ``blocks`` of one weighted edge
-    list; exactly 0.0 when there is no block (the digraph has no cycle)."""
-    return max((perron(b, weight, tol).root for b in blocks), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +352,14 @@ def _block_root(e: EdgeList, block: Block, cap: int) -> float:
     """
     b = _block_edges(e, block)
     if _deterministic(b):
-        return perron(_own_block(b, block), np.ones(len(b.src))).root
+        return perron(block).root
     n = len(block.nodes)
     try:
         full = [(1 << n) - 1]
         d = _subset_construction(b, full, min(cap, len(b.src)), (n + 1) // 2)[1]
     except _Dropped:
         d = _subset_construction(b, [1], cap)[1]
-    return max_root(_condensation(d).blocks.values(), np.ones(len(d.src)))
+    return max(perron(c).root for c in _condensation(d).blocks.values())
 
 
 def entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float:

@@ -52,7 +52,7 @@ from omegafract.measure import (
     _entered,
     _key_prefix_series,
 )
-from omegafract.spectral import DEFAULT_SPECTRAL_TOL, max_root, perron
+from omegafract.spectral import DEFAULT_SPECTRAL_TOL, perron
 
 
 def _symbols(base: int, arity: int) -> list[DigitVector]:
@@ -402,13 +402,23 @@ def irreducible_blocks(n: int, src, dst) -> list[Block]:
     return list(_condensation(e).blocks.values())
 
 
+def edges_of(rows) -> tuple[int, np.ndarray, np.ndarray]:
+    """The multigraph of the nonnegative integer square matrix ``rows``:
+    its size and the endpoints of its edges, entry m at (i, j) as m
+    parallel edges i -> j, in row-major order."""
+    matrix = np.asarray(rows, dtype=int)
+    src, dst = np.nonzero(matrix)
+    count = matrix[src, dst]
+    return len(matrix), np.repeat(src, count), np.repeat(dst, count)
+
+
 def dense_root(rows, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
-    """Perron root of the nonnegative square matrix ``rows``: the largest
-    certified root over the strongly connected blocks of its positive
-    entries, exactly 0.0 when they form no cycle."""
-    matrix = np.asarray(rows, dtype=float)
-    src, dst = np.nonzero(matrix > 0)
-    return max_root(irreducible_blocks(len(matrix), src, dst), matrix[src, dst], tol)
+    """Perron root of the nonnegative integer square matrix ``rows``: the
+    largest certified root over the strongly connected blocks of its
+    multigraph (see :func:`edges_of`), exactly 0.0 when they form no
+    cycle."""
+    blocks = irreducible_blocks(*edges_of(rows))
+    return max((perron(b, tol).root for b in blocks), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +843,7 @@ def reference_entropy(a: Automaton, cap: int = DEFAULT_ENUMERATION_CAP) -> float
     else:
         e = _subset_construction(a.edges, [_start_mask(a)], cap)[1]
         blocks = _condensation(e).blocks.values()
-    return math.log(max_root(blocks, np.ones(len(e.src))))
+    return math.log(max(perron(b).root for b in blocks))
 
 
 def reference_mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float:
@@ -848,17 +858,15 @@ def reference_mw_alpha(a: Automaton, tol: float = DEFAULT_SPECTRAL_TOL) -> float
     exponent-0 radius is below 1.
 
     Since transfer(alpha) = k^(-alpha) * C with C the integer counting
-    matrix, the blocks of C's edge list are found once and every step
-    solves them with the edge weights scaled by k^(-alpha).
+    matrix, C's root is found once and every step scales it by
+    k^(-alpha).
     """
     block = _single_block(a, "critical exponent")
-    p, pd, _ = _prefix_graph(a.edges, block, [_start_mask(a)], DEFAULT_ENUMERATION_CAP)
-    blocks = list(pd.blocks.values())
-    counts = np.ones(len(p.src))
+    pd = _prefix_graph(a.edges, block, [_start_mask(a)], DEFAULT_ENUMERATION_CAP)[1]
+    rho = max(perron(b, tol=tol).root for b in pd.blocks.values())
 
     def radius(alpha: float) -> float:
-        weight = counts if alpha == 0 else counts * float(a.base) ** (-alpha)
-        return max(perron(b, weight, tol=tol).root for b in blocks)
+        return float(a.base) ** (-alpha) * rho
 
     lo, hi = 0.0, float(a.arity)
     f_lo, f_hi = radius(lo), radius(hi)
@@ -1115,8 +1123,7 @@ def _reference_series(
     key = n - 1
     x = float(base) ** (-alpha)
     if blocks:
-        counts = np.ones(len(t.src))
-        radius = max(perron(block, counts).root for block in blocks)
+        radius = max(perron(block).root for block in blocks)
         if radius >= float(base) ** alpha - 1e-12:
             return math.inf
         array = np.zeros((n, n))
@@ -1182,13 +1189,12 @@ def _reference_rooted_measure(
     a function of the root, with the transfer radius it was read at (see
     :func:`_reference_block_measure`).  The Perron solves are made here, once, so
     every root of one graph shares them."""
-    weight = np.full(len(p.src), 1.0 if alpha == 0 else float(base) ** (-alpha))
     blocks = list(pd.blocks.values())
     # the root and the vector of a strongly connected prefix graph come
     # from one solve
     whole = len(blocks) == 1 and len(blocks[0].nodes) == p.n
-    solves = [perron(b, weight, tol=_EIGENVECTOR_TOL, vector=whole) for b in blocks]
-    radius = max(solve.root for solve in solves)
+    solves = [perron(b, tol=_EIGENVECTOR_TOL, vector=whole) for b in blocks]
+    radius = float(base) ** (-alpha) * max(solve.root for solve in solves)
 
     def at(root: int) -> tuple[float, float]:
         if abs(radius - 1.0) > REPORT_TOL:

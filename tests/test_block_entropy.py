@@ -212,8 +212,8 @@ def test_cycle_entropies_agree_with_the_rooted_construction():
         per_state = cycle_entropies(a)
         e = a.edges
         for block in a.sccs.blocks.values():
-            p, pd, _ = core._prefix_graph(e, block, [1], core.DEFAULT_ENUMERATION_CAP)
-            want = math.log(spectral.max_root(pd.blocks.values(), np.ones(len(p.src))))
+            pd = core._prefix_graph(e, block, [1], core.DEFAULT_ENUMERATION_CAP)[1]
+            want = math.log(max(spectral.perron(b).root for b in pd.blocks.values()))
             got = per_state[a.states[int(block.nodes[0])]]
             assert _relative(got, want) <= 1e-12, shape
 
@@ -264,7 +264,7 @@ def test_floor_drops_at_the_first_smaller_subset():
 
 def test_period_one_sweep_is_the_block_matrix():
     """On an aperiodic block of several nodes the sweep is one bincount over
-    the block's own edges: B x exactly, for integer weights and x."""
+    the block's own edges: B x exactly, for a multigraph and integer x."""
     rng = np.random.default_rng(1303)
     checked = 0
     for _ in range(40):
@@ -275,13 +275,17 @@ def test_period_one_sweep_is_the_block_matrix():
             m = len(block.nodes)
             if block.period != 1 or m < 2:
                 continue
-            w = rng.integers(1, 5, size=len(src)).astype(float)
-            sweep = _ClassSweep(block, w[block.edges])
+            # entry w of the block's matrix as w parallel edges
+            w = rng.integers(1, 5, size=len(src))[block.edges]
+            (multi,) = irreducible_blocks(
+                m, np.repeat(block.src, w), np.repeat(block.dst, w)
+            )
+            sweep = _ClassSweep(multi)
             assert sweep.order.tolist() == list(range(m)) and sweep.n0 == m
             x = rng.integers(1, 9, size=m).astype(float)
             y, exponent = sweep.apply(x)
             dense = np.zeros((m, m))
-            np.add.at(dense, (block.src, block.dst), w[block.edges])
+            np.add.at(dense, (block.src, block.dst), w)
             assert np.array_equal(np.ldexp(y, exponent), dense @ x)
             checked += 1
     assert checked >= 10

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from omegafract import Automaton, DigitVector, load_automaton, serialize_automaton
+from omegafract import Automaton, DigitVector, core, load_automaton, serialize_automaton
 from omegafract.cli import AnalysisConfig, main
 
 from conftest import AUTOMATA_DIR, child_env
@@ -32,6 +32,24 @@ def test_check_reports_flags(capsys):
     assert report["result"]["properties"]["closed"] is True
     assert report["result"]["unambiguous"] is True
     assert "automaton_sha256" in report and "config" in report
+
+
+@pytest.mark.parametrize("path", [DYADIC, CANTOR, GOLDEN])
+def test_check_runs_each_reachability_search_once(monkeypatch, capsys, path):
+    # forward from the starts, backward from the accept states, and backward
+    # from the accept states on cycles; the live mask and the ambiguity
+    # check reuse the first and the last
+    calls = []
+    search = core._reachable
+
+    def counting(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(core, "_reachable", counting)
+    code, _ = run_cli(capsys, "check", path)
+    assert code == 0
+    assert len(calls) == 3
 
 
 def test_dim_dyadic(capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from omegafract import (
+    REPORT_TOL,
     Automaton,
     CapExceededError,
     DigitVector,
@@ -32,6 +33,7 @@ from conftest import bundled, child_env
 from helpers_random import (
     dense_root,
     disjoint_union,
+    edges_of,
     guessing_automaton,
     irreducible_blocks,
     subset_automaton,
@@ -76,11 +78,6 @@ def cycle(length: int) -> Automaton:
     )
 
 
-def edges_of(matrix: np.ndarray):
-    src, dst = np.nonzero(matrix)
-    return matrix.shape[0], src, dst, matrix[src, dst].astype(float)
-
-
 def random_periodic(rng: random.Random, period: int) -> np.ndarray:
     """Integer matrix on a multiple of ``period`` nodes, node i in cyclic
     class i mod ``period``, whose edges only run from class c to c + 1 mod
@@ -112,11 +109,11 @@ def brute_period(block: np.ndarray) -> int:
 
 
 def check_brackets(matrix: np.ndarray) -> None:
-    n, src, dst, weight = edges_of(matrix)
+    n, src, dst = edges_of(matrix)
     for block in irreducible_blocks(n, src, dst):
         dense = matrix[np.ix_(block.nodes, block.nodes)].astype(float)
         rho = float(np.max(np.abs(np.linalg.eigvals(dense))))
-        solve = perron(block, weight)
+        solve = perron(block)
         slack = 1e-12 * solve.hi
         assert solve.lo - slack <= rho <= solve.hi + slack
         assert solve.hi - solve.lo <= 1e-12 * solve.hi
@@ -145,8 +142,7 @@ def test_bracket_and_period_on_periodic_blocks(period):
     rng = random.Random(100 + period)
     for _ in range(6):
         matrix = random_periodic(rng, period)
-        n, src, dst, _ = edges_of(matrix)
-        (block,) = irreducible_blocks(n, src, dst)
+        (block,) = irreducible_blocks(*edges_of(matrix))
         assert block.period % period == 0
         check_brackets(matrix)
 
@@ -158,8 +154,7 @@ def test_nilpotent_has_no_blocks_and_radius_exactly_zero():
         matrix = np.triu(
             np.array([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]), k=1
         )
-        _, src, dst, _ = edges_of(matrix)
-        assert irreducible_blocks(n, src, dst) == []
+        assert irreducible_blocks(*edges_of(matrix)) == []
         assert dense_root(matrix) == 0.0
 
 
@@ -167,10 +162,10 @@ def test_nilpotent_has_no_blocks_and_radius_exactly_zero():
 def test_perron_vector_of_periodic_block(period):
     rng = random.Random(200 + period)
     for _ in range(5):
-        matrix = random_periodic(rng, period).astype(float)
-        n, src, dst, weight = edges_of(matrix)
+        matrix = random_periodic(rng, period)
+        n, src, dst = edges_of(matrix)
         (block,) = irreducible_blocks(n, src, dst)
-        solve = perron(block, weight, vector=True)
+        solve = perron(block, vector=True)
         v = np.zeros(n)
         v[block.nodes] = solve.vector
         assert v.min() > 0 and v.max() == 1.0
@@ -194,18 +189,18 @@ def test_400_cycle_measure_at_radius_one_meets_tolerance():
     length = 400
     a = cycle(length)
     alpha = (length - 1) / length
-    try:
-        value = scc_measure(a, alpha)
-    except NotConvergedError:
-        return
+    value = scc_measure(a, alpha)
     e = a.edges
-    weight = np.full(len(e.src), 2.0**-alpha)
+    x = 2.0**-alpha
     (block,) = irreducible_blocks(e.n, e.src, e.dst)
-    solve = perron(block, weight, tol=measure._EIGENVECTOR_TOL, vector=True)
+    solve = perron(block, tol=measure._EIGENVECTOR_TOL, vector=True)
+    # the transfer matrix is x times the counting matrix, its radius x rho
+    radius = x * solve.root
+    assert abs(radius - 1.0) <= REPORT_TOL
     dense = np.zeros((e.n, e.n))
-    np.add.at(dense, (e.src, e.dst), weight)
+    np.add.at(dense, (e.src, e.dst), x)
     v = solve.vector
-    residual = np.max(np.abs(dense @ v - solve.root * v)) / solve.root
+    residual = np.max(np.abs(dense @ v - radius * v)) / radius
     assert residual <= measure._EIGENVECTOR_TOL
     assert value == v[a.state_index["c0"]]
     # v_{i+1} = v_i / (2 * 2^-alpha) around the ring: v_i = 2^(-i/L)
@@ -235,12 +230,16 @@ def test_step_cap_raises(monkeypatch, golden_mean):
 
 
 def test_underflowing_vector_raises():
-    # rho^3 = 1e-100; the Perron vector spans 1e333, beyond float range
-    matrix = np.zeros((3, 3))
-    matrix[0, 1] = matrix[1, 2] = 1e-200
-    matrix[2, 0] = 1e300
-    with pytest.raises(NotConvergedError):
-        dense_root(matrix)
+    # a ring of 5000 nodes with doubled edges on its first half: rho^5000
+    # = 2^2500 is exact, but the Perron vector spans 2^1250, beyond the
+    # range of normal floats
+    length = 5000
+    count = np.where(np.arange(length) < length // 2, 2, 1)
+    src = np.repeat(np.arange(length), count)
+    (block,) = irreducible_blocks(length, src, (src + 1) % length)
+    assert block.period == length
+    with pytest.raises(NotConvergedError, match="vector .* underflowed"):
+        perron(block)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +247,13 @@ def test_underflowing_vector_raises():
 # ---------------------------------------------------------------------------
 
 
-def plain_steps(block, weight, tol=spectral.DEFAULT_SPECTRAL_TOL) -> int:
+def plain_steps(block, tol=spectral.DEFAULT_SPECTRAL_TOL) -> int:
     """Products x <- Bx from x = 1 after which the Collatz-Wielandt bracket
     of an aperiodic block first has relative width at most ``tol``."""
-    w, m = weight[block.edges], len(block.nodes)
+    m = len(block.nodes)
     x, steps = np.ones(m), 0
     while True:
-        y = np.bincount(block.src, weights=w * x[block.dst], minlength=m)
+        y = np.bincount(block.src, weights=x[block.dst], minlength=m)
         steps += 1
         ratios = y / x
         if ratios.max() - ratios.min() <= tol * ratios.max():
@@ -271,11 +270,10 @@ def test_seeded_bracket_overlaps_plain_start_and_holds_eigvals_root(monkeypatch)
     matrices += [random_periodic(rng, p) for p in range(2, 8) for _ in range(4)]
     seeded_periodic = 0
     for matrix in matrices:
-        n, src, dst, weight = edges_of(matrix)
-        for block in irreducible_blocks(n, src, dst):
-            seeded = perron(block, weight)
+        for block in irreducible_blocks(*edges_of(matrix)):
+            seeded = perron(block)
             monkeypatch.setattr(spectral, "_DENSE_SEED_NODES", 0)
-            plain = perron(block, weight)
+            plain = perron(block)
             monkeypatch.undo()
             ulps = 4 * math.ulp(max(seeded.hi, plain.hi))
             assert seeded.lo <= plain.hi + ulps and plain.lo <= seeded.hi + ulps
@@ -287,8 +285,8 @@ def test_seeded_bracket_overlaps_plain_start_and_holds_eigvals_root(monkeypatch)
     assert seeded_periodic >= 5
 
 
-def counted_perron(monkeypatch, block, weight):
-    """``perron(block, weight)`` with the products by B it spent: the power
+def counted_perron(monkeypatch, block):
+    """``perron(block)`` with the products by B it spent: the power
     of B the dense seed reached plus p for each class sweep."""
     spent = []
     seed, apply = spectral._dense_seed, spectral._ClassSweep.apply
@@ -304,7 +302,7 @@ def counted_perron(monkeypatch, block, weight):
 
     monkeypatch.setattr(spectral, "_dense_seed", seeding)
     monkeypatch.setattr(spectral._ClassSweep, "apply", applying)
-    solve = perron(block, weight)
+    solve = perron(block)
     monkeypatch.undo()
     return solve, sum(spent)
 
@@ -317,32 +315,32 @@ def test_step_cap_just_below_and_above_what_the_seed_needs(monkeypatch):
         matrix = np.array(
             [[rng.choice([0, 0, 0, 1, 2]) for _ in range(n)] for _ in range(n)]
         )
-        n, src, dst, weight = edges_of(matrix)
-        for block in irreducible_blocks(n, src, dst):
-            need = plain_steps(block, weight) if block.period == 1 else 0
+        for block in irreducible_blocks(*edges_of(matrix)):
+            need = plain_steps(block) if block.period == 1 else 0
             if need < 16:
                 continue
-            solve, steps = counted_perron(monkeypatch, block, weight)
+            solve, steps = counted_perron(monkeypatch, block)
             # the squarings reach some p 2^s; certifying takes more products
             assert steps >= need
             monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", steps)
-            assert perron(block, weight) == solve
+            assert perron(block) == solve
             monkeypatch.setattr(spectral, "_MAX_PERRON_STEPS", need - 1)
             with pytest.raises(NotConvergedError):
-                perron(block, weight)
+                perron(block)
             monkeypatch.undo()
             checked += 1
 
 
 def ring_edges(length: int, split: bool):
-    """Ring 0 -> 1 -> ... -> length-1 -> 0 with weight 2 on every edge but
-    the last (weight 1); with ``split`` a second path 0 -> length -> 2
-    puts two nodes in cyclic class 1, so that rho = 2 exactly."""
+    """Ring 0 -> 1 -> ... -> length-1 -> 0 with two parallel edges at every
+    step but the last (one edge); with ``split`` a second doubled path
+    0 -> length -> 2 puts two nodes in cyclic class 1, so that rho = 2
+    exactly."""
     src = list(range(length)) + ([0, length] if split else [])
     dst = [(i + 1) % length for i in range(length)] + ([length, 2] if split else [])
-    weight = np.full(len(src), 2.0)
-    weight[length - 1] = 1.0
-    return length + split, np.array(src), np.array(dst), weight
+    count = np.full(len(src), 2)
+    count[length - 1] = 1
+    return length + split, np.repeat(src, count), np.repeat(dst, count)
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -356,19 +354,19 @@ def test_class_sweep_bincounts_do_not_grow_with_the_period(monkeypatch, split):
 
     counts = []
     for length in [100, 10_000]:
-        n, src, dst, weight = ring_edges(length, split)
+        n, src, dst = ring_edges(length, split)
         (block,) = irreducible_blocks(n, src, dst)
         assert block.period == length
         calls.clear()
         monkeypatch.setattr(np, "bincount", counting)
-        solve = perron(block, weight, vector=True)
+        solve = perron(block, vector=True)
         monkeypatch.undo()
         counts.append(len(calls))
         # the ring's scalar product is exact, and so is its root
         exact = 2.0 if split else 2.0 ** ((length - 1) / length)
         assert solve.lo == solve.hi == solve.root == exact
         v = solve.vector
-        bv = np.bincount(src, weights=weight * v[dst], minlength=n)
+        bv = np.bincount(src, weights=v[dst], minlength=n)
         assert np.max(np.abs(bv - exact * v)) <= 1e-12 * exact
     assert counts[0] == counts[1] <= 12
 
@@ -399,11 +397,10 @@ def two_rings(length: int) -> Automaton:
 def test_two_rings_solve_in_time_linear_in_the_period():
     blocks = []
     for length in [20_000, 20_001]:
-        n, src, dst, weight = ring_edges(length, split=False)
-        (block,) = irreducible_blocks(n, src, dst)
-        blocks.append((block, weight))
+        (block,) = irreducible_blocks(*ring_edges(length, split=False))
+        blocks.append(block)
     started = time.perf_counter()
-    solves = [perron(block, weight) for block, weight in blocks]
+    solves = [perron(block) for block in blocks]
     assert time.perf_counter() - started < 0.5
     assert [s.root for s in solves] == [
         2.0 ** (19_999 / 20_000),
