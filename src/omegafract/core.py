@@ -114,12 +114,6 @@ class EdgeList:
         return _grouped(self.n, self.src, self.dst)
 
     @cached_property
-    def predecessors(self) -> list[list[int]]:
-        """``predecessors[v]``: the tails of the edges entering node v, in
-        edge order."""
-        return _grouped(self.n, self.dst, self.src)
-
-    @cached_property
     def image(self) -> Callable[[int], int]:
         """The packed image kernel of the graph (see :func:`_image_kernel`),
         its per-byte memo kept across calls."""
@@ -247,7 +241,8 @@ class Automaton:
     @cached_property
     def _reachable_mask(self) -> np.ndarray:
         """The states reachable from a start state, read only."""
-        return _read_only(_forward_reachable(self.edges, _nodes(self, self.start)))
+        seeds = _nodes(self, self.start)
+        return _read_only(_reach(self.edges, self.sccs, seeds, backward=False))
 
     @cached_property
     def _productive_mask(self) -> np.ndarray:
@@ -256,14 +251,21 @@ class Automaton:
         cyclic = np.zeros(len(self.states), dtype=bool)
         for block in self.sccs.blocks.values():
             cyclic[block.nodes] = True
-        seeds = np.flatnonzero(cyclic & _accepting(self)).tolist()
-        return _read_only(_backward_reachable(self.edges, seeds))
+        seeds = cyclic & _accepting(self)
+        return _read_only(_reach(self.edges, self.sccs, seeds, backward=True))
 
     @cached_property
     def _live_mask(self) -> np.ndarray:
-        """The states some accepting run passes through (see :func:`_live`),
-        read only."""
-        return _read_only(_live(self))
+        """The states some accepting run passes through, read only: those
+        reachable from a start state that reach an accept state on a cycle.
+        It is the fixpoint of pruning the states that are unreachable or
+        have no nonzero-length path to an accept state: a state on an
+        accepting run survives every round, and a state of the fixpoint is
+        reachable and has a nonzero-length path inside it to an accept
+        state, from there to another, and so on until one recurs, on a
+        cycle.  So this is the state set of :func:`trim`, and the automaton
+        is trim iff it holds every state."""
+        return _read_only(self._reachable_mask & self._productive_mask)
 
     def replace(
         self,
@@ -613,27 +615,39 @@ def load_automaton(path: str) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
-def _reachable(succ: list[list[int]], seeds: Iterable[int]) -> np.ndarray:
-    """Boolean mask of the nodes reachable (in zero or more steps) from
-    ``seeds`` along the adjacency lists ``succ``."""
-    seen = [False] * len(succ)
-    stack = list(seeds)
-    for u in stack:
-        seen[u] = True
-    while stack:
-        for v in succ[stack.pop()]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return np.array(seen, dtype=bool)
+def _between(e: EdgeList, d: Condensation) -> np.ndarray:
+    """The numbers of the edges of ``e`` between two components of its
+    condensation ``d``, sorted stably by the component they leave: in
+    topological order of their tails, and in edge order within one."""
+    comp = d.component_of
+    between = np.flatnonzero(comp[e.src] != comp[e.dst])
+    return between[np.argsort(comp[e.src[between]], kind="stable")]
 
 
-def _forward_reachable(e: EdgeList, sources: Iterable[int]) -> np.ndarray:
-    return _reachable(e.successors, sources)
+def _reach(
+    e: EdgeList, d: Condensation, seeds: np.ndarray | list[int], backward: bool
+) -> np.ndarray:
+    """Mask of the nodes of ``e`` reachable (in zero or more steps) from
+    the nodes ``seeds`` (a node mask or node numbers), or with
+    ``backward`` those that reach one, for ``d`` the condensation of ``e``.
 
-
-def _backward_reachable(e: EdgeList, targets: Iterable[int]) -> np.ndarray:
-    return _reachable(e.predecessors, targets)
+    A component is reached whole or not at all, so one pass over the edges
+    between components (see :func:`_between`) marks the components
+    reached.  Components are numbered in topological order, so the
+    forward pass meets an edge after every edge into its tail, and the
+    reversed pass meets it after every edge out of its head."""
+    comp = d.component_of
+    between = _between(e, d)
+    tails, heads = comp[e.src[between]], comp[e.dst[between]]
+    if backward:
+        tails, heads = heads[::-1], tails[::-1]
+    hit = np.zeros(e.n, dtype=bool)
+    hit[comp[seeds]] = True
+    hit = hit.tolist()
+    for t, h in zip(tails.tolist(), heads.tolist()):
+        if hit[t]:
+            hit[h] = True
+    return np.array(hit, dtype=bool)[comp]
 
 
 def _read_only(mask: np.ndarray) -> np.ndarray:
@@ -654,20 +668,6 @@ def _accepting(a: Automaton) -> np.ndarray:
     return mask
 
 
-def _live(a: Automaton) -> np.ndarray:
-    """Mask of the states some accepting run passes through (cached on the
-    automaton as ``_live_mask``): those reachable from a start state that
-    reach an accept state on a cycle, the AND of the automaton's cached
-    ``_reachable_mask`` and ``_productive_mask``.  It is the fixpoint of
-    pruning the states that are unreachable or have no nonzero-length path
-    to an accept state: a state on an accepting run survives every round,
-    and a state of the fixpoint is reachable and has a nonzero-length path
-    inside it to an accept state, from there to another, and so on until
-    one recurs, on a cycle.  So this is the state set of :func:`trim`, and
-    ``a`` is trim iff it holds every state."""
-    return a._reachable_mask & a._productive_mask
-
-
 def classify_properties(a: Automaton) -> PropertyFlags:
     """Compute the deterministic / finite-trim / trim / closed / weak flags.
 
@@ -677,9 +677,9 @@ def classify_properties(a: Automaton) -> PropertyFlags:
     accepting with no continuation).
     """
     deterministic = _is_deterministic(a)
-    coacc0 = _backward_reachable(a.edges, _nodes(a, a.accept))
-    finite_trim = bool(np.all(a._reachable_mask & coacc0))
     accepting = _accepting(a)
+    coacc0 = _reach(a.edges, a.sccs, accepting, backward=True)
+    finite_trim = bool(np.all(a._reachable_mask & coacc0))
     trim = bool(a._live_mask.all())
     closed = trim and a.accept == frozenset(a.states)
     comp_of = a.sccs.component_of
@@ -715,8 +715,8 @@ def trim(a: Automaton) -> Automaton:
     state and has a nonzero-length path to an accept state.
 
     The accepted infinite-word language is preserved: the kept states are
-    those some accepting run passes through (see :func:`_live`), so one
-    restriction reaches the fixpoint of pruning.  Raises
+    those some accepting run passes through (see ``Automaton._live_mask``),
+    so one restriction reaches the fixpoint of pruning.  Raises
     :class:`EmptyLanguageError` when nothing survives, which happens
     exactly when the automaton accepts no infinite word.
     """

@@ -24,11 +24,10 @@ from .core import (
     DigitVector,
     Word,
     _accepting,
-    _backward_reachable,
     _bits,
-    _forward_reachable,
     _is_deterministic,
     _prefix_graph,
+    _reach,
     _reached,
     _single_block,
     _successor_table,
@@ -213,18 +212,19 @@ def _complete_cycle_states(a: Automaton, cap: int) -> list[str]:
     graph, rooted at all its nodes at once (see
     :func:`~omegafract.core._prefix_graph`; the union of a
     nondeterministic block's constructions counts against ``cap`` once per
-    block), and one backward search from its short nodes.  A graph that is
-    one component is skipped: every root reaches every node there.
+    block), and one backward sweep over that graph's condensation from its
+    short nodes (see :func:`~omegafract.core._reach`).  A graph with no
+    short node is complete at every root, without the sweep.
     """
     e, full = a.edges, a.base**a.arity
     complete = np.zeros(len(a.states), dtype=bool)
     for block in a.sccs.blocks.values():
         p, pd, roots = _prefix_graph(e, block, None, cap)
-        short = np.flatnonzero(np.bincount(p.src, minlength=p.n) < full)
-        if not short.size:
+        short = np.bincount(p.src, minlength=p.n) < full
+        if not short.any():
             complete[block.nodes] = True
-        elif pd.component_of.any():
-            complete[block.nodes] = ~_backward_reachable(p, short.tolist())[roots]
+        else:
+            complete[block.nodes] = ~_reach(p, pd, short, backward=True)[roots]
     return [a.states[q] for q in np.flatnonzero(complete).tolist()]
 
 
@@ -272,7 +272,7 @@ def density_classifier(
     block_entropy = cache(lambda i: math.log(_block_root(a.edges, blocks[i], cap)))
     for q in candidates:
         u = _shortest_word_to(a, q)
-        kept = _forward_reachable(a.edges, _bits(_reached(a, u)))
+        kept = _reach(a.edges, a.sccs, _bits(_reached(a, u)), backward=False)
         best = max(block_entropy(i) for i, b in enumerate(blocks) if kept[b.nodes[0]])
         if best / math.log(a.base) < 1.0 - REPORT_TOL:
             left = Fraction(0)

@@ -35,6 +35,7 @@ from .core import (
     Condensation,
     EdgeList,
     _accepting,
+    _between,
     _nodes,
     _prefix_graph,
     _single_block,
@@ -170,13 +171,12 @@ def _entered(e: EdgeList, d: Condensation, starts: list[int]) -> np.ndarray:
 def _leaving(e: EdgeList, d: Condensation) -> list[tuple[int, np.ndarray]]:
     """The edges of ``e`` between two components of its condensation
     ``d``, grouped by the component they leave: (component, edge numbers)
-    pairs in topological order, each group in edge order."""
-    comp = d.component_of
-    leaving = np.flatnonzero(comp[e.src] != comp[e.dst])
+    pairs in topological order, each group in edge order (see
+    :func:`~omegafract.core._between`)."""
+    leaving = _between(e, d)
     if not len(leaving):
         return []
-    leaving = leaving[np.argsort(comp[e.src[leaving]], kind="stable")]
-    tails, first = np.unique(comp[e.src[leaving]], return_index=True)
+    tails, first = np.unique(d.component_of[e.src[leaving]], return_index=True)
     return list(zip(tails.tolist(), np.split(leaving, first[1:])))
 
 

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from omegafract import Automaton, DigitVector, trim
+from omegafract import Automaton, DigitVector, PropertyFlags, trim
 from omegafract.core import (
     DEFAULT_ENUMERATION_CAP,
     AmbiguityReport,
@@ -22,13 +22,11 @@ from omegafract.core import (
     Transition,
     Word,
     _accepting,
-    _backward_reachable,
     _bits,
     _block_edges,
     _checked_symbol,
     _condensation,
     _deterministic,
-    _forward_reachable,
     _is_deterministic,
     _nodes,
     _prefix_graph,
@@ -451,6 +449,80 @@ def _step_set(delta, states, symbol: DigitVector) -> frozenset[str]:
     for q in states:
         out.update(delta.get((q, symbol), ()))
     return frozenset(out)
+
+
+def _walk(edges, seeds) -> set:
+    """The nodes reachable (in zero or more steps) from ``seeds`` along
+    ``edges``, (tail, head) pairs of hashable nodes: a plain depth-first
+    search, on state names or node numbers alike."""
+    succ: dict = {}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for v in succ.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def reference_reach(e: EdgeList, seeds, backward: bool) -> np.ndarray:
+    """Mask of the nodes of ``e`` reachable from the node numbers
+    ``seeds`` or, with ``backward``, that reach one, by :func:`_walk`."""
+    src, dst = e.src.tolist(), e.dst.tolist()
+    mask = np.zeros(e.n, dtype=bool)
+    mask[list(_walk(zip(dst, src) if backward else zip(src, dst), seeds))] = True
+    return mask
+
+
+def _pairs(a: Automaton) -> list[tuple[str, str]]:
+    """The (from, to) state pairs of the transitions of ``a``."""
+    return [(p, q) for p, _, q in a.transitions]
+
+
+def reference_trim_states(a: Automaton) -> tuple[str, ...]:
+    """The states of ``trim(a)`` in declaration order, empty when the
+    language is: the fixpoint of repeatedly dropping the states that are
+    unreachable from a start state or have no nonzero-length path to an
+    accept state, each round on the sub-automaton the last one left."""
+    kept = set(a.states)
+    while True:
+        pairs = [(p, q) for p, q in _pairs(a) if p in kept and q in kept]
+        reachable = _walk(pairs, a.start & kept)
+        coreachable = _walk([(q, p) for p, q in pairs], a.accept & kept)
+        productive = {p for p, q in pairs if q in coreachable}
+        if reachable & productive == kept:
+            return tuple(q for q in a.states if q in kept)
+        kept = reachable & productive
+
+
+def reference_properties(a: Automaton) -> PropertyFlags:
+    """The property flags of ``a`` from their definitions, on state names:
+    trim asks every state for a path from a start state and a
+    nonzero-length path to an accept state, finite trim allows that path
+    zero length, and weak asks that no two mutually reachable states
+    differ in accepting."""
+    pairs = _pairs(a)
+    reachable = _walk(pairs, a.start)
+    coreachable = _walk([(q, p) for p, q in pairs], a.accept)
+    productive = {p for p, q in pairs if q in coreachable}
+    states = set(a.states)
+    trim = reachable & productive == states
+    reach = {q: _walk(pairs, [q]) for q in a.states}
+    labels = [(p, sym) for p, sym, _ in a.transitions]
+    return PropertyFlags(
+        deterministic=len(a.start) == 1 and len(set(labels)) == len(labels),
+        finite_trim=reachable & coreachable == states,
+        trim=trim,
+        closed=trim and a.accept == states,
+        weak=not any(
+            p in reach[q] and q in reach[p]
+            for p in a.accept
+            for q in states - a.accept
+        ),
+    )
 
 
 def reference_accepts(a: Automaton, word) -> bool:
@@ -1086,7 +1158,7 @@ def _reference_transient(
     dst = np.where(e.dst[kept] == q, e.n, e.dst[kept])
     key_starts = [s for s in starts if outside[s]] + ([e.n] if q in starts else [])
     t = EdgeList(e.n + 1, src, e.sym[kept], dst)
-    useful = _forward_reachable(t, key_starts) & _backward_reachable(t, [e.n])
+    useful = reference_reach(t, key_starts, False) & reference_reach(t, [e.n], True)
     if not useful[e.n] or not useful[key_starts].any():
         return None
     local = np.cumsum(useful) - 1

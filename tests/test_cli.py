@@ -40,13 +40,13 @@ def test_check_runs_each_reachability_search_once(monkeypatch, capsys, path):
     # from the accept states on cycles; the live mask and the ambiguity
     # check reuse the first and the last
     calls = []
-    search = core._reachable
+    search = core._reach
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return search(*args)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(core, "_reachable", counting)
+    monkeypatch.setattr(core, "_reach", counting)
     code, _ = run_cli(capsys, "check", path)
     assert code == 0
     assert len(calls) == 3

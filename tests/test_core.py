@@ -32,8 +32,12 @@ from helpers_random import (
     disjoint_union,
     subset_automaton,
     random_automaton,
+    random_dense_nfa,
+    random_multi_scc,
     random_trim_automaton,
     reference_multigraph_to_digraph,
+    reference_properties,
+    reference_trim_states,
 )
 
 DYADIC_DOC = """
@@ -178,6 +182,52 @@ def test_classify_unreachable_state_breaks_finite_trim(dyadic):
     )
     flags = classify_properties(a)
     assert not flags.finite_trim and not flags.trim
+
+
+def _flag_inputs(rng: random.Random, count: int) -> list[Automaton]:
+    """Random automata of every shape the generators make; the trim
+    multi-block and dense ones get a random accept set, possibly empty,
+    every other draw, so that many are not trim."""
+    out = []
+    for i in range(count):
+        if i % 4 < 2:
+            out.append(
+                random_automaton(
+                    rng,
+                    n_states=rng.randint(1, 8),
+                    base=rng.choice([2, 3]),
+                    arity=rng.choice([1, 2]),
+                    density=rng.uniform(0.2, 0.9),
+                    nondet=rng.choice([0.0, 0.3]),
+                )
+            )
+            continue
+        if i % 4 == 2:
+            a = random_multi_scc(
+                rng, n_blocks=rng.randint(2, 4), deterministic=rng.random() < 0.5
+            )
+        else:
+            a = random_dense_nfa(rng, rng.randint(2, 9))
+        if rng.random() < 0.5:
+            a = a.replace(accept=[q for q in a.states if rng.random() < 0.2])
+        out.append(a)
+    return out
+
+
+def test_flags_and_trim_match_their_definitions_on_random_automata():
+    not_trim = empty = 0
+    for a in _flag_inputs(random.Random(77), 1500):
+        flags = classify_properties(a)
+        assert flags == reference_properties(a)
+        kept = reference_trim_states(a)
+        if kept:
+            assert trim(a).states == kept
+        else:
+            with pytest.raises(EmptyLanguageError):
+                trim(a)
+        not_trim += not flags.trim
+        empty += not kept
+    assert not_trim >= 300 and empty >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from helpers_random import (
     random_multi_scc,
     random_strongly_connected,
     reference_cycle_prefixes_complete,
+    reference_reach,
     reference_run_word,
     reference_shortest_word_to,
 )
@@ -278,11 +279,47 @@ def test_density_on_deterministic_rings_takes_linear_memory():
     assert peak < 1000 * len(a.states)
 
 
+def test_reach_over_the_condensation_matches_a_plain_search():
+    # the edges of random automata, and the prefix graphs of
+    # nondeterministic blocks, which split into many components; every
+    # graph is swept both ways from no node, every node and random nodes
+    rng = random.Random(1390)
+    split = single = 0
+    for i in range(600):
+        if i % 2:
+            a = random_strongly_connected(
+                rng, rng.randint(2, 7), base=rng.choice([2, 3]), extra=rng.randint(0, 12)
+            )
+            (block,) = a.sccs.blocks.values()
+            e, d = _union_prefix_graph(a, block)[:2]
+        else:
+            a = random_automaton(
+                rng,
+                n_states=rng.randint(1, 9),
+                base=rng.choice([2, 3]),
+                density=rng.uniform(0.1, 0.9),
+                nondet=0.3,
+            )
+            e, d = a.edges, core._condensation(a.edges)
+        comp = d.component_of
+        if (comp[e.src] != comp[e.dst]).any():
+            split += 1
+        else:
+            single += 1
+        masks = [np.zeros(e.n, dtype=bool), np.ones(e.n, dtype=bool)]
+        masks += [np.array([rng.random() < 0.2 for _ in range(e.n)]) for _ in range(3)]
+        for seeds in masks:
+            for backward in (False, True):
+                want = reference_reach(e, np.flatnonzero(seeds).tolist(), backward)
+                assert np.array_equal(core._reach(e, d, seeds, backward), want)
+    assert split >= 300 and single >= 50
+
+
 @pytest.mark.parametrize("deterministic", [True, False])
 def test_one_component_prefix_graph_has_no_complete_root(deterministic):
-    # the density check skips the backward search on a prefix graph that
-    # is one component; the search itself must find every root reaching a
-    # short node there
+    # on a prefix graph that is one component every root reaches every
+    # short node: the sweep, with no edge between components to read,
+    # must find that, as a plain search does
     rng = random.Random(1400 + deterministic)
     one_component = 0
     for _ in range(300):
@@ -299,7 +336,9 @@ def test_one_component_prefix_graph_has_no_complete_root(deterministic):
             if short.size and not pd.component_of.any():
                 b = core._block_edges(a.edges, block)
                 one_component += core._deterministic(b) == deterministic
-                assert core._backward_reachable(p, short.tolist())[roots].all()
+                reached = core._reach(p, pd, short, backward=True)
+                assert reached[roots].all()
+                assert np.array_equal(reached, reference_reach(p, short.tolist(), True))
     assert one_component >= 30
 
 
