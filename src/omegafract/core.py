@@ -88,7 +88,8 @@ class EdgeList:
     pair as one contiguous run: an automaton's are sorted by (from,
     symbol, to); a block's sub-list keeps that order under an injective
     renumbering; a subset construction emits its edges in (subset, symbol)
-    order.  :func:`_deterministic` relies on it.
+    order.  :func:`_deterministic` relies on it.  The edges leaving a node
+    need not be contiguous: :attr:`adjacency` groups them by node, once.
     """
 
     n: int
@@ -108,25 +109,20 @@ class EdgeList:
     # the adjacency, built once per edge list (frozen, so caching is safe)
 
     @cached_property
-    def successors(self) -> list[list[int]]:
-        """``successors[u]``: the heads of the edges leaving node u, in
-        edge order."""
-        return _grouped(self.n, self.src, self.dst)
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """The graph in CSR form, ``(start, order)``: the edges leaving node
+        u are ``order[start[u]:start[u + 1]]``, in edge order.  The sort is
+        stable and needed: an automaton's edges are sorted by state name,
+        its nodes numbered in declaration order."""
+        start = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.src, minlength=self.n), out=start[1:])
+        return start, np.argsort(self.src, kind="stable")
 
     @cached_property
     def image(self) -> Callable[[int], int]:
         """The packed image kernel of the graph (see :func:`_image_kernel`),
         its per-byte memo kept across calls."""
         return _image_kernel(self)
-
-
-def _grouped(n: int, key: np.ndarray, value: np.ndarray) -> list[list[int]]:
-    """``out[i]``: the entries of ``value`` whose ``key`` is i, for i in
-    0..n-1, each list in array order."""
-    out: list[list[int]] = [[] for _ in range(n)]
-    for k, v in zip(key.tolist(), value.tolist()):
-        out[k].append(v)
-    return out
 
 
 def _checked_symbol(
@@ -743,63 +739,6 @@ def closure(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 
 
-def tarjan_components(nodes, successors, depth=None) -> list[list[int]]:
-    """Iterative Tarjan SCC (Tarjan 1972) on the nodes 0..n-1 listed in
-    ``nodes``, roots tried in that order, with ``successors[u]`` the heads
-    of u's edges.  Components come out in reverse topological order, each
-    listed from its last discovered node back to its root.  A ``depth``
-    list of length n, when given, receives each node's depth in the
-    depth-first forest, set when the node is discovered."""
-    n = len(nodes)
-    if depth is None:
-        depth = [0] * n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in nodes:
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        depth[root] = 0
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(successors[root]))]
-        while work:
-            node, it = work[-1]
-            for nxt in it:
-                if index[nxt] < 0:
-                    index[nxt] = low[nxt] = counter
-                    depth[nxt] = len(work)
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(successors[nxt])))
-                    break
-                if on_stack[nxt] and index[nxt] < low[node]:
-                    low[node] = index[nxt]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    top = len(stack) - 1
-                    while stack[top] != node:
-                        top -= 1
-                    comp = stack[top:]
-                    del stack[top:]
-                    comp.reverse()
-                    for q in comp:
-                        on_stack[q] = False
-                    components.append(comp)
-    return components
-
-
 @dataclass(frozen=True)
 class Block:
     """One non-trivial strongly connected block of an edge list.
@@ -835,34 +774,80 @@ class Condensation:
 
 
 def _condensation(e: EdgeList) -> Condensation:
-    """Tarjan's components of the digraph of ``e``, and for each
-    non-trivial one its period: the gcd of depth(u) + 1 - depth(v) over the
-    block's edges u -> v, and its cyclic classes, depth - depth(nodes[0])
-    mod the period (Lind & Marcus, section 4.5), for the depths of Tarjan's
-    depth-first forest.  The forest's path from a component's root to any
-    member stays inside the component, so a difference of depths is the
-    length of a walk inside the block: any such potential gives the
-    period as that gcd, and the classes up to the shift that puts
-    ``nodes[0]`` in class 0."""
+    """The strongly connected components of the digraph of ``e``, by
+    Pearce's space-efficient variant of Tarjan's algorithm (Pearce 2016),
+    iterative, on the CSR adjacency with roots tried in 0..n-1.  One
+    ``rindex`` list holds a node's discovery index, then its low-link, then
+    its component's label; labels count down from n - 1 as components
+    complete, so reverse completion order, which is topological, numbers
+    them.  For each non-trivial component: its period, the gcd of
+    depth(u) + 1 - depth(v) over the block's edges u -> v, and its cyclic
+    classes, depth - depth(nodes[0]) mod the period (Lind & Marcus,
+    section 4.5), for the depths of the depth-first forest.  The forest's
+    path from a component's root to any member stays inside the
+    component, so a difference of depths is the length of a walk inside
+    the block: any such potential gives the period as that gcd, and the
+    classes up to the shift that puts ``nodes[0]`` in class 0."""
     n, src, dst = e.n, e.src, e.dst
-    depth = [0] * n
-    components = tarjan_components(range(n), e.successors, depth)
-    components.reverse()  # topological order: sources first
-    comp_list = [0] * n
-    for i, comp in enumerate(components):
-        for u in comp:
-            comp_list[u] = i
-    comp_of = np.array(comp_list, dtype=np.intp)
+    start, order = e.adjacency
+    first, heads = start.tolist(), dst[order].tolist()
+    rindex, depth = [0] * n, [0] * n
+    index, label = 1, n - 1
+    # ``path``/``pos``/``own``: the depth-first path, the next edge of each
+    # of its nodes and their discovery indices; ``pending`` holds the
+    # finished nodes whose component is still open
+    pending: list[int] = []
+    for root in range(n):
+        if rindex[root]:
+            continue
+        rindex[root] = index
+        path, pos, own = [root], [first[root]], [index]
+        index += 1
+        while path:
+            v = path[-1]
+            i, end = pos[-1], first[v + 1]
+            while i < end:
+                w = heads[i]
+                i += 1
+                if not rindex[w]:
+                    pos[-1] = i
+                    rindex[w] = index
+                    depth[w] = len(path)
+                    path.append(w)
+                    pos.append(first[w])
+                    own.append(index)
+                    index += 1
+                    break
+                if rindex[w] < rindex[v]:
+                    rindex[v] = rindex[w]
+            else:
+                path.pop()
+                pos.pop()
+                low = rindex[v]
+                if low == own.pop():  # v is its component's root
+                    index -= 1
+                    while pending and low <= rindex[pending[-1]]:
+                        rindex[pending.pop()] = label
+                        index -= 1
+                    rindex[v] = label
+                    label -= 1
+                else:
+                    pending.append(v)
+                    if low < rindex[path[-1]]:
+                        rindex[path[-1]] = low
+    comp_of = np.array(rindex, dtype=np.intp) - (label + 1)
     inside = np.flatnonzero(comp_of[src] == comp_of[dst])
     if inside.size == 0:
         return Condensation(comp_of, {})
     inside = inside[np.argsort(comp_of[src[inside]], kind="stable")]
-    cids, first = np.unique(comp_of[src[inside]], return_index=True)
+    cids, first_edge = np.unique(comp_of[src[inside]], return_index=True)
+    members = np.argsort(comp_of, kind="stable")
+    bounds = [0] + np.cumsum(np.bincount(comp_of)).tolist()
     depths = np.array(depth, dtype=np.intp)
     local = np.empty(n, dtype=np.intp)
     blocks = {}
-    for cid, edges in zip(cids.tolist(), np.split(inside, first[1:])):
-        nodes = np.array(sorted(components[cid]), dtype=np.intp)
+    for cid, edges in zip(cids.tolist(), np.split(inside, first_edge[1:])):
+        nodes = members[bounds[cid] : bounds[cid + 1]]
         es, ed = src[edges], dst[edges]
         period = int(np.gcd.reduce(np.abs(depths[es] + 1 - depths[ed])))
         local[nodes] = np.arange(len(nodes))
@@ -1282,8 +1267,9 @@ def _subset_construction(
     len(starts) - 1 in the order given.  Further subsets are numbered in
     breadth-first discovery order, trying symbols in increasing number;
     the empty set is never entered.  Returns the subsets and the edges
-    between their numbers (symbol numbers as in ``e``), whose
-    ``successors`` come already built.  Raises :class:`CapExceededError`
+    between their numbers (symbol numbers as in ``e``), in (subset,
+    symbol) order, so sorted by source: the stable sort of their CSR
+    adjacency keeps them as they are.  Raises :class:`CapExceededError`
     at the first new subset that brings the count, starts included, past
     ``cap``.
 
@@ -1299,11 +1285,9 @@ def _subset_construction(
     src: list[int] = []
     sym: list[int] = []
     dst: list[int] = []
-    successors: list[list[int]] = []
     i = 0
     while i < len(subsets):
         packed = image(subsets[i])
-        out: list[int] = []
         for c in range(n_sym):
             target = packed >> c * n & full
             if not target:
@@ -1323,12 +1307,8 @@ def _subset_construction(
             src.append(i)
             sym.append(c)
             dst.append(j)
-            out.append(j)
-        successors.append(out)
         i += 1
-    d = EdgeList.from_lists(len(subsets), src, sym, dst)
-    vars(d)["successors"] = successors  # what the cached property would build
-    return subsets, d
+    return subsets, EdgeList.from_lists(len(subsets), src, sym, dst)
 
 
 def _deterministic(e: EdgeList) -> bool:

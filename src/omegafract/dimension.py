@@ -30,7 +30,6 @@ from .core import (
     _reach,
     _reached,
     _single_block,
-    _successor_table,
     require_trim,
 )
 from .errors import ArityError, NotTrimError
@@ -171,12 +170,15 @@ def _critical_exponent(h: float, a: Automaton) -> float:
 def _shortest_word_to(a: Automaton, target: str) -> Word:
     """Shortest word labeling a run from a start state to ``target``: the
     first found by a breadth-first search from the start states in name
-    order that tries each state's transitions in ``transitions`` order."""
+    order that tries each state's edges in the order of its CSR adjacency,
+    which is their ``transitions`` order."""
     if target in a.start:
         return ()
     goal = a.state_index[target]
     starts = [a.state_index[q] for q in sorted(a.start)]
-    table = _successor_table(a.edges)
+    e = a.edges
+    start, order = e.adjacency
+    first, heads, syms = start.tolist(), e.dst[order].tolist(), e.sym[order].tolist()
     parent: list[tuple[int, int] | None] = [None] * len(a.states)
     seen = [False] * len(a.states)
     for q in starts:
@@ -184,12 +186,12 @@ def _shortest_word_to(a: Automaton, target: str) -> Word:
     frontier = deque(starts)
     while frontier and parent[goal] is None:
         q = frontier.popleft()
-        for c, dsts in enumerate(table[q]):
-            for dst in dsts:
-                if not seen[dst]:
-                    seen[dst] = True
-                    parent[dst] = (q, c)
-                    frontier.append(dst)
+        for i in range(first[q], first[q + 1]):
+            dst = heads[i]
+            if not seen[dst]:
+                seen[dst] = True
+                parent[dst] = (q, syms[i])
+                frontier.append(dst)
     if parent[goal] is None:
         raise NotTrimError(f"state {target!r} is unreachable")
     word: list[DigitVector] = []

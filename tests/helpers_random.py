@@ -34,7 +34,6 @@ from omegafract.core import (
     _start_mask,
     _subset_construction,
     require_trim,
-    tarjan_components,
 )
 from omegafract.errors import (
     CapExceededError,
@@ -682,9 +681,13 @@ def reference_condensation(e: EdgeList) -> Condensation:
     non-trivial one its period: the gcd of level(u) + 1 - level(v) over the
     block's edges u -> v, for breadth-first levels from the block's least
     node, and its cyclic classes, the levels mod the period (Lind & Marcus,
-    section 4.5)."""
-    n, src, dst, succ = e.n, e.src, e.dst, e.successors
-    components = tarjan_components(range(n), succ)
+    section 4.5).  Its successor lists are its own, built from the
+    columns."""
+    n, src, dst = e.n, e.src, e.dst
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        succ[u].append(v)
+    components = reference_tarjan_components(range(n), succ)
     components.reverse()  # topological order: sources first
     comp_list = [0] * n
     for i, comp in enumerate(components):

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -34,7 +35,7 @@ def test_check_reports_flags(capsys):
     assert "automaton_sha256" in report and "config" in report
 
 
-@pytest.mark.parametrize("path", [DYADIC, CANTOR, GOLDEN])
+@pytest.mark.parametrize("path", [DYADIC, CANTOR, GOLDEN], ids=os.path.basename)
 def test_check_runs_each_reachability_search_once(monkeypatch, capsys, path):
     # forward from the starts, backward from the accept states, and backward
     # from the accept states on cycles; the live mask and the ambiguity

@@ -1,9 +1,10 @@
 """The integer front end: parsing makes the edge columns in one pass and
 validates each symbol once, ``transitions`` is derived only when read,
-every edge list builds its adjacency once, one live-state mask serves every
-trim check on an automaton, and one list-indexed Tarjan serves both the
-automaton graph and the ambiguity check's pair graph.  Each piece is
-checked against the earlier implementation kept in ``helpers_random``."""
+every edge list builds its CSR adjacency once, one live-state mask serves
+every trim check on an automaton, and the condensation (Pearce's variant of
+Tarjan's algorithm, on the CSR adjacency) finds the components of every
+edge list.  Each piece is checked against the earlier implementation kept
+in ``helpers_random``."""
 
 import hashlib
 import json
@@ -29,7 +30,7 @@ from omegafract import (
 )
 from omegafract import core
 from omegafract.cli import main
-from omegafract.core import require_trim, tarjan_components
+from omegafract.core import EdgeList, _condensation, require_trim
 
 from conftest import AUTOMATA_DIR, bundled
 from helpers_random import (
@@ -39,8 +40,8 @@ from helpers_random import (
     random_multi_scc,
     random_strongly_connected,
     reference_check_unambiguous,
+    reference_condensation,
     reference_parse_automaton,
-    reference_tarjan_components,
 )
 
 BUNDLED = [
@@ -343,40 +344,54 @@ def test_constructor_errors_match_reference(arguments):
 
 
 # ---------------------------------------------------------------------------
-# Tarjan
+# the condensation (Pearce's variant of Tarjan's algorithm)
 # ---------------------------------------------------------------------------
 
 
-def _random_digraph(rng: random.Random, n: int) -> list[list[int]]:
-    """Successor lists with self-loops and parallel edges."""
-    succ: list[list[int]] = [[] for _ in range(n)]
+def _random_digraph(rng: random.Random, n: int) -> EdgeList:
+    """Edges with self-loops and parallel edges, in random order, so the
+    edges leaving a node are scattered over the columns."""
+    edges = []
     for _ in range(rng.randint(0, 3 * n)):
         u = rng.randrange(n)
         v = u if rng.random() < 0.1 else rng.randrange(n)
-        succ[u] += [v] * rng.choice([1, 1, 2])
-    return succ
+        edges += [(u, v)] * rng.choice([1, 1, 2])
+    rng.shuffle(edges)
+    return EdgeList.from_lists(
+        n, [u for u, _ in edges], [0] * len(edges), [v for _, v in edges]
+    )
+
+
+def _assert_partition_in_topological_order(e: EdgeList) -> np.ndarray:
+    """``_condensation(e)``'s components are the reference Tarjan's,
+    numbered as the reference numbers them (reverse completion), and every
+    edge runs from a lower component number to a higher one or stays
+    inside one."""
+    comp_of = _condensation(e).component_of
+    assert np.array_equal(comp_of, reference_condensation(e).component_of)
+    assert np.all(comp_of[e.src] <= comp_of[e.dst])
+    return comp_of
 
 
 def test_tarjan_matches_reference_on_random_digraphs():
     rng = random.Random(909)
-    for _ in range(400):
-        n = rng.randint(1, 40)
-        succ = _random_digraph(rng, n)
-        nodes = list(range(n))
-        if rng.random() < 0.5:
-            rng.shuffle(nodes)
-        assert tarjan_components(nodes, succ) == reference_tarjan_components(
-            nodes, succ
-        )
+    unsorted = 0
+    for _ in range(800):
+        e = _random_digraph(rng, rng.randint(1, 40))
+        _assert_partition_in_topological_order(e)
+        unsorted += bool(np.any(np.diff(e.src) < 0))
+    assert unsorted >= 600
 
 
 @pytest.mark.parametrize("ring", [False, True])
 def test_tarjan_runs_a_long_chain_and_ring_without_recursion(ring):
     n = 100_000
-    succ = [[u + 1] for u in range(n - 1)] + [[0] if ring else []]
-    components = tarjan_components(range(n), succ)
-    assert components == reference_tarjan_components(range(n), succ)
-    assert len(components) == (1 if ring else n)
+    src = list(range(n if ring else n - 1))
+    dst = [(u + 1) % n for u in src]
+    comp_of = _assert_partition_in_topological_order(
+        EdgeList.from_lists(n, src, [0] * len(src), dst)
+    )
+    assert int(comp_of.max()) + 1 == (1 if ring else n)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +399,15 @@ def test_tarjan_runs_a_long_chain_and_ring_without_recursion(ring):
 # ---------------------------------------------------------------------------
 
 
-def _count_tarjan_runs(monkeypatch) -> list:
+def _count_condensations(monkeypatch) -> list:
     runs = []
-    original = core.tarjan_components
+    original = core._condensation
 
-    def counting(nodes, successors, depth=None):
-        runs.append(len(nodes))
-        return original(nodes, successors, depth)
+    def counting(e):
+        runs.append(e.n)
+        return original(e)
 
-    monkeypatch.setattr(core, "tarjan_components", counting)
+    monkeypatch.setattr(core, "_condensation", counting)
     return runs
 
 
@@ -410,7 +425,7 @@ def test_deterministic_inputs_skip_the_pair_product(monkeypatch):
     assert len(deterministic) >= 35
     for a in deterministic:
         assert check_unambiguous(a) == reference_check_unambiguous(a)
-    runs = _count_tarjan_runs(monkeypatch)
+    runs = _count_condensations(monkeypatch)
     for a in deterministic:
         check_unambiguous(parse_automaton(json.dumps(automaton_to_dict(a))))
     assert runs == []
@@ -422,20 +437,21 @@ def test_one_adjacency_per_edge_list(monkeypatch):
         a = random_multi_scc(rng, base=2, deterministic=False)
         a = parse_automaton(json.dumps(automaton_to_dict(a)))
         built = []
-        original = core._grouped
+        adjacency = EdgeList.__dict__["adjacency"]
+        original = adjacency.func
 
-        def counting(n, key, value):
-            built.append(n)
-            return original(n, key, value)
+        def counting(e):
+            built.append(e.n)
+            return original(e)
 
-        monkeypatch.setattr(core, "_grouped", counting)
+        monkeypatch.setattr(adjacency, "func", counting)
         require_trim(a)
         assert trim(a) is a
         classify_properties(a)
         a.sccs
         check_unambiguous(a)
         monkeypatch.undo()
-        # the successor lists, once: reachability reads the condensation
+        # the CSR adjacency, once: reachability reads the condensation
         assert built == [len(a.states)]
 
 

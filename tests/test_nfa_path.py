@@ -1,7 +1,7 @@
 """The nondeterministic path against its references: the packed-image
 subset construction, the enumeration oracle on the same kernel, the
 adjacent-repeat determinism test, and the condensation whose periods come
-from Tarjan's depths."""
+from the depths of its depth-first search."""
 
 import random
 
@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from omegafract import (
+    Automaton,
     CapExceededError,
+    DigitVector,
+    NotTrimError,
     accepts,
     enumerate_prefixes,
     prefix_count,
@@ -21,6 +24,7 @@ from omegafract.core import (
     _deterministic,
     _subset_construction,
 )
+from omegafract.dimension import _shortest_word_to
 from conftest import bundled
 from helpers_random import (
     _symbols,
@@ -28,9 +32,11 @@ from helpers_random import (
     subset_automaton,
     random_automaton,
     random_deterministic_trim,
+    random_multi_scc,
     random_strongly_connected,
     reference_accepts,
     reference_condensation,
+    reference_shortest_word_to,
     reference_enumerate_prefixes,
     reference_prefix_determinization,
 )
@@ -87,10 +93,12 @@ def test_subset_cap_is_exact():
         assert len(subset_automaton(a, cap=subsets).states) == subsets
 
 
-def test_subset_construction_hands_over_its_successor_lists():
+def test_subset_construction_emits_its_edges_in_csr_order():
     for a in KERNEL_NFAS:
         d = _subset_construction(a.edges, [core._start_mask(a)], 10**6)[1]
-        assert vars(d)["successors"] == core._grouped(d.n, d.src, d.dst)
+        start, order = d.adjacency
+        assert np.array_equal(order, np.arange(len(d.src)))
+        assert np.array_equal(start, np.searchsorted(d.src, np.arange(d.n + 1)))
 
 
 def test_acceptance_builds_the_kernel_once_per_automaton(monkeypatch):
@@ -206,7 +214,7 @@ def test_adjacent_repeat_test_matches_unique():
 
 
 # ---------------------------------------------------------------------------
-# periods from Tarjan's depths against breadth-first levels
+# periods from depth-first depths against breadth-first levels
 # ---------------------------------------------------------------------------
 
 
@@ -307,10 +315,57 @@ def test_condensation_matches_reference_on_subset_graphs():
     assert blocks >= 12
 
 
+def test_declaration_order_need_not_be_name_order():
+    """An automaton's edges are sorted by state name and its nodes numbered
+    in declaration order, so the edges leaving a node need not be one run
+    of the columns; the CSR adjacency sorts them, stably."""
+    zero, one = DigitVector((0,)), DigitVector((1,))
+    a = Automaton(
+        2,
+        1,
+        ["z", "a"],
+        [("a", zero, "z"), ("a", one, "a"), ("z", zero, "a"), ("z", one, "z")],
+        ["z"],
+        ["a"],
+    )
+    assert a.edges.src.tolist() == [1, 1, 0, 0]
+    start, order = a.edges.adjacency
+    assert start.tolist() == [0, 2, 4] and order.tolist() == [2, 3, 0, 1]
+    rng = random.Random(1208)
+    scattered = 0
+    for _ in range(800):
+        if rng.random() < 0.5:
+            a = random_automaton(rng, n_states=rng.randint(1, 14), nondet=0.4)
+        else:
+            a = random_multi_scc(
+                rng, n_blocks=rng.randint(2, 4), deterministic=rng.random() < 0.5
+            )
+        states = list(a.states)
+        rng.shuffle(states)
+        a = a.replace(states=states)
+        scattered += bool(np.any(np.diff(a.edges.src) < 0))
+        _assert_same_condensation(a.edges)
+        for q in a.states:
+            try:
+                want = reference_shortest_word_to(a, q)
+            except NotTrimError:
+                with pytest.raises(NotTrimError):
+                    _shortest_word_to(a, q)
+            else:
+                assert _shortest_word_to(a, q) == want
+    assert scattered >= 500
+
+
 def test_tarjan_depths_are_dfs_depths():
-    # a path 0 -> 1 -> ... -> 5 with a back edge; node 6 is a second root
-    succ = [[1], [2], [3], [4], [5], [2], []]
-    depth = [-1] * 7
-    components = core.tarjan_components(range(7), succ, depth)
-    assert components == core.tarjan_components(range(7), succ)
-    assert depth == [0, 1, 2, 3, 4, 5, 0]
+    # 0 -> 1 -> 0 and 0 -> 2 -> 0, node 2 found after node 1 finishes: by
+    # depth both sit one step from 0, giving period 2; discovery indices
+    # (0, 1, 2) would give period 1.  Then a path 3 -> 4 -> ... -> 8 with a
+    # back edge to 5 (period 4), its depths counted from the second root 3.
+    # Components are numbered by reverse completion: the later block first.
+    edges = [(0, 1), (1, 0), (0, 2), (2, 0), (3, 4), (4, 5), (5, 6)]
+    edges += [(6, 7), (7, 8), (8, 5)]
+    got = _assert_same_condensation(_edge_list(9, edges))
+    blocks = list(got.blocks.values())
+    assert [b.nodes.tolist() for b in blocks] == [[5, 6, 7, 8], [0, 1, 2]]
+    assert [b.period for b in blocks] == [4, 2]
+    assert [b.classes.tolist() for b in blocks] == [[0, 1, 2, 3], [0, 1, 1]]

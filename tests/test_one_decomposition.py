@@ -94,38 +94,26 @@ def _count_constructions(monkeypatch) -> list:
     return built
 
 
-def _count_tarjan_runs(monkeypatch) -> list:
-    """Record the graph of every Tarjan run as (nodes, successors)."""
+def _count_condensations(monkeypatch) -> list:
+    """Record the graph of every condensation as (n, set of edges)."""
     runs = []
-    original = core.tarjan_components
+    original = core._condensation
 
-    def recording(nodes, successors, depth=None):
-        nodes = list(nodes)
-        runs.append((nodes, {u: list(successors[u]) for u in nodes}))
-        return original(nodes, successors, depth)
+    def recording(e):
+        runs.append((e.n, set(zip(e.src.tolist(), e.dst.tolist()))))
+        return original(e)
 
     for module in (core, spectral):
-        if hasattr(module, "tarjan_components"):
-            monkeypatch.setattr(module, "tarjan_components", recording)
+        monkeypatch.setattr(module, "_condensation", recording)
     return runs
 
 
 def _runs_on(a: Automaton, runs) -> int:
-    """How many recorded Tarjan runs had ``a``'s transition graph (states
-    named or numbered) as their graph."""
+    """How many recorded condensations had ``a``'s transition graph as
+    their graph."""
     index = a.state_index
     edges = {(index[p], index[q]) for p, _, q in a.transitions}
-
-    def number(v):
-        return index.get(v, -1) if isinstance(v, str) else v
-
-    count = 0
-    for nodes, succ in runs:
-        if sorted(map(number, nodes)) != list(range(len(a.states))):
-            continue
-        if {(number(u), number(v)) for u in nodes for v in succ[u]} == edges:
-            count += 1
-    return count
+    return runs.count((len(a.states), edges))
 
 
 def _ids(value):
@@ -163,7 +151,7 @@ MEASURED = [(n, a) for n, a in INPUTS if len(a.states) >= 2 and check_unambiguou
 @pytest.mark.parametrize("name, a", MEASURED, ids=_ids)
 def test_measure_decomposes_its_input_once(monkeypatch, name, a):
     a = _fresh(a)
-    runs = _count_tarjan_runs(monkeypatch)
+    runs = _count_condensations(monkeypatch)
     hausdorff_measure(a)
     assert _runs_on(a, runs) == 1
 
